@@ -19,7 +19,7 @@ from .integrate import (
     StepperConfig,
     evolve,
     make_stepper,
-    richardson_check,
+    trajectory,
 )
 from .norms import BESOV, L1, L2, L4, MOMENTUM, SOBOLEV, besov_norm, charge, momentum, norm, sobolev_norm
 from .operators import (

@@ -24,13 +24,14 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .fields import GridSpec, TorusField, fast_transform_length
 from .hankel import build_hankel, spectral_summary
-from .integrate import IFRK4, StepperConfig, evolve, make_stepper
+from .integrate import StepperConfig, evolve, trajectory
 from .norms import L4, besov_norm, charge, norm, sobolev_norm
 from .normalform import (
     CLOSED_FORM,
@@ -275,6 +276,28 @@ def _check_richardson(value: float, discrepancy: float, label: str):
         )
 
 
+def _richardson(measure, dt: float, label: str, scale: float = 1.0):
+    """Measure at dt and at dt/2; returns (value at dt, discrepancy).
+
+    measure(dt, stride) runs with the given step and monitor stride; the
+    dt/2 run doubles the stride, so both sample the same times.  The
+    discrepancy scale * |value - value_half| is checked against the
+    loud-failure bar of the reported value scale * value.
+    """
+    value = measure(dt, 10)
+    rich = scale * abs(value - measure(dt / 2.0, 20))
+    _check_richardson(scale * value, rich, label)
+    return value, rich
+
+
+def _peak(functional, problem, u0, t_end, dt, stride):
+    """Largest functional(u(t)) over the monitored times, t = 0 included."""
+    values = []
+    evolve(problem, u0, t_end, StepperConfig(dt=dt, monitor_stride=stride),
+           monitors=(), observer=lambda t, u: values.append(functional(u)))
+    return max(values)
+
+
 def _map_rows(worker, params, threads: int):
     """Deterministic sweep map: parallel workers, merge in input order."""
     if threads > 1 and len(params) > 1:
@@ -288,16 +311,8 @@ def _map_rows(worker, params, threads: int):
 # ---------------------------------------------------------------------------
 
 
-def _decoupling_sup(eps, u0, t_end, dt, stride=10):
-    problem = EvolutionProblem.half_wave_scaled(eps)
-    sup = [0.0]
-
-    def watch(t, u):
-        sup[0] = max(sup[0], sobolev_norm(project_minus(u), 0.5))
-
-    evolve(problem, u0, t_end, StepperConfig(dt=dt, monitor_stride=stride),
-           monitors=(), observer=watch)
-    return sup[0]
+def _minus_h_half(u):
+    return sobolev_norm(project_minus(u), 0.5)
 
 
 def _decoupling_row(args):
@@ -310,10 +325,8 @@ def _decoupling_row(args):
     problem = EvolutionProblem.half_wave_scaled(eps)
     dt = cfg.dt if cfg.dt is not None else default_time_step(problem, u0)
     start = time.perf_counter()
-    sup = _decoupling_sup(eps, u0, t_end, dt)
-    sup_half = _decoupling_sup(eps, u0, t_end, dt / 2.0, stride=20)
-    rich = abs(sup - sup_half)
-    _check_richardson(sup, rich, f"decoupling eps={eps}")
+    sup, rich = _richardson(partial(_peak, _minus_h_half, problem, u0, t_end), dt,
+                            f"decoupling eps={eps}")
     return SweepRow(
         data={"eps": eps, "sup_minus_h_half": sup, "horizon": t_end,
               "dt": dt, "richardson": rich},
@@ -347,25 +360,14 @@ def run_decoupling(cfg: ExperimentConfig) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _pair_max_hs_diff(problem_a, problem_b, u0, t_end, dt, s, stride=10):
+def _max_hs_gap(problem_a, problem_b, u0, t_end, s, dt, stride):
     """Co-evolve two problems from u0; max H^s difference at monitor times."""
-    grid = u0.grid
-    weights = (1.0 + grid.modes().astype(float) ** 2) ** s
-    ca, cb = u0.coeff.copy(), u0.coeff.copy()
-    n_steps = max(1, int(np.ceil(t_end / dt - 1e-12)))
-    h = t_end / n_steps
-    stepper_a = make_stepper(problem_a, grid, h, IFRK4)
-    stepper_b = make_stepper(problem_b, grid, h, IFRK4)
-    max_diff = 0.0
-    for n in range(1, n_steps + 1):
-        ca = stepper_a.step(ca)
-        cb = stepper_b.step(cb)
-        if n % stride == 0 or n == n_steps:
-            if not (np.all(np.isfinite(ca)) and np.all(np.isfinite(cb))):
-                raise NumericalFailure(f"pair run blew up near t={n * h}")
-            d = math.sqrt(float(np.sum(weights * np.abs(ca - cb) ** 2)))
-            max_diff = max(max_diff, d)
-    return max_diff
+    weights = (1.0 + u0.grid.modes().astype(float) ** 2) ** s
+    cfg = StepperConfig(dt=dt, monitor_stride=stride)
+    pair = zip(trajectory(problem_a, u0, t_end, cfg),
+               trajectory(problem_b, u0, t_end, cfg))
+    return max(math.sqrt(float(np.sum(weights * np.abs(ca - cb) ** 2)))
+               for (_, ca), (_, cb) in pair)
 
 
 def _approximation_row(args):
@@ -380,12 +382,10 @@ def _approximation_row(args):
     problem_b = EvolutionProblem.szego_transport(eps, q0)
     dt = cfg.dt if cfg.dt is not None else default_time_step(problem_a, u0)
     start = time.perf_counter()
-    rescaled = _pair_max_hs_diff(problem_a, problem_b, u0, t_end, dt, cfg.sobolev)
-    rescaled_half = _pair_max_hs_diff(problem_a, problem_b, u0, t_end, dt / 2.0,
-                                      cfg.sobolev, stride=20)
+    rescaled, rich = _richardson(
+        partial(_max_hs_gap, problem_a, problem_b, u0, t_end, cfg.sobolev),
+        dt, f"approximation eps={eps}", scale=eps)
     physical = eps * rescaled
-    rich = eps * abs(rescaled - rescaled_half)
-    _check_richardson(physical, rich, f"approximation eps={eps}")
     return SweepRow(
         data={"eps": eps, "hs_error_physical": physical,
               "hs_error_rescaled": rescaled, "horizon": t_end,
@@ -422,18 +422,6 @@ def run_approximation(cfg: ExperimentConfig) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _besov_max_ratio(problem, u0, t_end, dt, stride=10):
-    b0 = besov_norm(u0)
-    peak = [b0]
-
-    def watch(t, u):
-        peak[0] = max(peak[0], besov_norm(u))
-
-    evolve(problem, u0, t_end, StepperConfig(dt=dt, monitor_stride=stride),
-           monitors=(), observer=watch)
-    return peak[0] / b0
-
-
 def _besov_row(args):
     cfg, eps = args
     grid = GridSpec.with_padding(cfg.grid_n)
@@ -443,10 +431,10 @@ def _besov_row(args):
     t_end = cfg.horizon.time_for(eps)
     dt = cfg.dt if cfg.dt is not None else default_time_step(problem, u0)
     start = time.perf_counter()
-    ratio = _besov_max_ratio(problem, u0, t_end, dt)
-    ratio_half = _besov_max_ratio(problem, u0, t_end, dt / 2.0, stride=20)
-    rich = abs(ratio - ratio_half)
-    _check_richardson(ratio, rich, f"besov eps={eps}")
+    b0 = besov_norm(u0)
+    ratio, rich = _richardson(
+        lambda dt, stride: _peak(besov_norm, problem, u0, t_end, dt, stride) / b0,
+        dt, f"besov eps={eps}")
     return SweepRow(
         data={"eps": eps, "besov_ratio": ratio, "horizon": t_end,
               "dt": dt, "richardson": rich},
@@ -486,9 +474,9 @@ def _inflation_grid_n(delta: float, base: int) -> int:
     return fast_transform_length(n)
 
 
-def _inflation_hs(eps, delta, u0, t_star, dt, s):
+def _inflation_hs(u0, t_star, s, dt, stride):
     uf, _ = evolve(EvolutionProblem.szego_plain(), u0, t_star,
-                   StepperConfig(dt=dt, monitor_stride=10**9), monitors=())
+                   StepperConfig(dt=dt, monitor_stride=stride), monitors=())
     return sobolev_norm(uf, s)
 
 
@@ -502,10 +490,8 @@ def _inflation_row(args):
     dt = cfg.dt if cfg.dt is not None else default_time_step(
         EvolutionProblem.szego_plain(), u0)
     start = time.perf_counter()
-    hs = _inflation_hs(eps, delta, u0, t_star, dt, s)
-    hs_half = _inflation_hs(eps, delta, u0, t_star, dt / 2.0, s)
-    rich = abs(hs - hs_half)
-    _check_richardson(hs, rich, f"inflation eps={eps} delta={delta}")
+    hs, rich = _richardson(partial(_inflation_hs, u0, t_star, s), dt,
+                           f"inflation eps={eps} delta={delta}")
     ratio = hs * delta ** (2 * s - 1) / eps
     growth = hs / eps
     # invert the large-k asymptotics ||w||_{H^s}^2 ~ Gamma(2s+1) eps^2 lam^{1-2s}
@@ -590,8 +576,7 @@ def _spectrum_row(args):
     cfg, kind = args
     grid = GridSpec.with_padding(cfg.grid_n)
     u0 = build_initial_state(cfg, grid)
-    problem = (EvolutionProblem.szego_plain() if kind == "szego_plain"
-               else EvolutionProblem.half_wave())
+    problem = getattr(EvolutionProblem, kind)()
     t_end = cfg.horizon.time_for(1.0)
     dt = cfg.dt if cfg.dt is not None else default_time_step(problem, u0)
     start = time.perf_counter()

@@ -8,8 +8,10 @@ deliberately different scheme for cross-checks.
 
 A step count is chosen so that an integer number of steps lands exactly
 on t_end (the actual dt, never larger than requested, is reported).
-Invariant records are sampled every monitor_stride steps; any non-finite
-coefficient aborts the run with the last valid time attached.
+The stepping loop is the generator trajectory, which yields the state
+every monitor_stride steps; evolve samples the requested monitors there,
+and a pair of flows is compared by zipping two trajectories.  Any
+non-finite coefficient aborts the run with the last valid time attached.
 """
 
 from __future__ import annotations
@@ -21,17 +23,7 @@ import numpy as np
 from .fields import TorusField
 from .hankel import build_hankel, spectral_summary
 from .norms import besov_norm, charge, momentum, sobolev_norm
-from .problems import (
-    FREE_HALF_WAVE,
-    HALF_WAVE,
-    HALF_WAVE_GAUGED,
-    HALF_WAVE_SCALED,
-    SZEGO_PLAIN,
-    SZEGO_TRANSPORT,
-    EvolutionProblem,
-    energy,
-    linear_symbol,
-)
+from .problems import EvolutionProblem, energy, linear_symbol, nonlinearity
 
 IFRK4 = "ifrk4"
 MIDPOINT = "midpoint"
@@ -56,12 +48,14 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class InvariantRecord:
+    """Monitors at one time; None for those not requested."""
+
     time: float
-    energy: float
-    charge: float
-    momentum: float
-    b111: float
-    hs: float
+    energy: float | None = None
+    charge: float | None = None
+    momentum: float | None = None
+    b111: float | None = None
+    hs: float | None = None
     hankel_trace: float | None = None
 
 
@@ -75,60 +69,15 @@ class BlowUpError(RuntimeError):
         self.records = list(records)
 
 
-def _raw_nonlinearity(problem, grid):
-    """Closure coeff -> N(coeff) on raw arrays (no field wrapping).
-
-    The dealiased cubic term is one scatter/ifft/pointwise/fft/gather
-    round trip on the padded grid; the closure matches nonlinear_term
-    exactly and exists so the inner stepping loop stays cheap.
-    """
-    from .operators import _padded_slots
-
-    slots = _padded_slots(grid)
-    m = grid.padded_len
-    kind = problem.kind
-    eps2 = problem.eps**2 if problem.eps is not None else None
-    q0 = problem.q0
-    plus = grid.modes() >= 0
-
-    if kind == FREE_HALF_WAVE:
-        zero = np.zeros(grid.n_coeff, dtype=np.complex128)
-        return lambda c: zero
-
-    def cubic(c):
-        padded = np.zeros(m, dtype=np.complex128)
-        padded[slots] = c
-        v = np.fft.ifft(padded)
-        v *= np.abs(v) ** 2
-        return np.fft.fft(v)[slots] * (m * m)
-
-    if kind == HALF_WAVE:
-        return cubic
-    if kind == HALF_WAVE_SCALED:
-        return lambda c: eps2 * cubic(c)
-    if kind == HALF_WAVE_GAUGED:
-        return lambda c: eps2 * (cubic(c) - (2.0 * q0) * c)
-    if kind == SZEGO_PLAIN:
-        return lambda c: np.where(plus, cubic(c), 0.0)
-    if kind == SZEGO_TRANSPORT:
-        return lambda c: eps2 * (np.where(plus, cubic(c), 0.0) - (2.0 * q0) * c)
-    raise ValueError(f"unknown problem kind {kind!r}")
-
-
 class _IFRK4Stepper:
     """One RK4 step on y(tau) = e^{i tau L} u, with exact linear phase."""
 
     def __init__(self, problem, grid, dt):
-        self.problem = problem
-        self.grid = grid
         self.dt = dt
         symbol = linear_symbol(problem, grid)
         self.e_half = np.exp(-0.5j * dt * symbol)
         self.e_full = self.e_half**2
-        self._nonlinear = _raw_nonlinearity(problem, grid)
-
-    def _nl(self, coeff):
-        return -1j * self._nonlinear(coeff)
+        self._nl = nonlinearity(problem, grid)
 
     def step(self, coeff):
         dt, eh, ef = self.dt, self.e_half, self.e_full
@@ -143,14 +92,12 @@ class _MidpointStepper:
     """Explicit midpoint on the untransformed equation (oracle scheme)."""
 
     def __init__(self, problem, grid, dt):
-        self.problem = problem
-        self.grid = grid
         self.dt = dt
         self.symbol = linear_symbol(problem, grid)
-        self._nonlinear = _raw_nonlinearity(problem, grid)
+        self._nl = nonlinearity(problem, grid)
 
     def _rhs(self, coeff):
-        return -1j * (self.symbol * coeff + self._nonlinear(coeff))
+        return -1j * (self.symbol * coeff) + self._nl(coeff)
 
     def step(self, coeff):
         half = coeff + 0.5 * self.dt * self._rhs(coeff)
@@ -165,18 +112,46 @@ def make_stepper(problem: EvolutionProblem, grid, dt: float, scheme: str = IFRK4
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+def trajectory(problem: EvolutionProblem, u0: TorusField, t_end: float,
+               cfg: StepperConfig):
+    """Step u0 to t_end; yields (t, coeff) at t = 0, every monitor_stride
+    steps and t_end.
+
+    The yielded arrays are never modified afterwards.  A non-finite
+    state raises BlowUpError with the last valid time.
+    """
+    if t_end < 0:
+        raise ValueError("t_end must be nonnegative")
+    coeff = u0.coeff
+    yield 0.0, coeff
+    if t_end == 0:
+        return
+    n_steps = max(1, int(np.ceil(t_end / cfg.dt - 1e-12)))
+    dt = t_end / n_steps
+    stepper = make_stepper(problem, u0.grid, dt, cfg.scheme)
+    t_last = 0.0
+    for n in range(1, n_steps + 1):
+        coeff = stepper.step(coeff)
+        if not np.all(np.isfinite(coeff)):
+            raise BlowUpError(t_last, ())
+        t_last = n * dt
+        if n % cfg.monitor_stride == 0 or n == n_steps:
+            yield t_last, coeff
+
+
 def _record(problem, u, t, monitors, hs_order) -> InvariantRecord:
-    trace = None
-    if "hankel" in monitors:
-        trace = spectral_summary(build_hankel(u)).trace_norm
+    """The requested monitors at time t; None for the rest."""
+    def sample(name, fn, *args):
+        return fn(*args) if name in monitors else None
+
     return InvariantRecord(
         time=t,
-        energy=energy(problem, u),
-        charge=charge(u),
-        momentum=momentum(u),
-        b111=besov_norm(u),
-        hs=sobolev_norm(u, hs_order),
-        hankel_trace=trace,
+        energy=sample("energy", energy, problem, u),
+        charge=sample("charge", charge, u),
+        momentum=sample("momentum", momentum, u),
+        b111=sample("b111", besov_norm, u),
+        hs=sample("hs", sobolev_norm, u, hs_order),
+        hankel_trace=sample("hankel", lambda: spectral_summary(build_hankel(u)).trace_norm),
     )
 
 
@@ -191,53 +166,23 @@ def evolve(
 ):
     """Integrate to t_end; returns (final state, invariant records).
 
-    observer(t, field), when given, is called at every monitored time
-    (including t = 0 and t_end); use it to track experiment-specific
-    functionals without enlarging the record schema.
+    A record of the requested monitors is taken at every monitored time
+    (including t = 0 and t_end); with monitors=() the record list is
+    empty.  observer(t, field), when given, is called at the same times;
+    use it to track experiment-specific functionals without enlarging
+    the record schema.
     """
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
-    records = [_record(problem, u0, 0.0, monitors, hs_order)]
-    if observer is not None:
-        observer(0.0, u0)
-    if t_end == 0:
-        return u0, records
-
-    n_steps = max(1, int(np.ceil(t_end / cfg.dt - 1e-12)))
-    dt = t_end / n_steps
-    stepper = make_stepper(problem, u0.grid, dt, cfg.scheme)
-
-    coeff = u0.coeff.copy()
-    t_last = 0.0
-    for n in range(1, n_steps + 1):
-        coeff = stepper.step(coeff)
-        if not np.all(np.isfinite(coeff)):
-            raise BlowUpError(t_last, records)
-        t_last = n * dt
-        if n % cfg.monitor_stride == 0 or n == n_steps:
-            u = TorusField(u0.grid, coeff)
-            records.append(_record(problem, u, t_last, monitors, hs_order))
-            if observer is not None:
-                observer(t_last, u)
+    records = []
+    coeff = u0.coeff
+    try:
+        for t, coeff in trajectory(problem, u0, t_end, cfg):
+            if monitors or observer is not None:
+                u = TorusField(u0.grid, coeff)
+                if monitors:
+                    records.append(_record(problem, u, t, monitors, hs_order))
+                if observer is not None:
+                    observer(t, u)
+    except BlowUpError as err:
+        err.records = records
+        raise
     return TorusField(u0.grid, coeff), records
-
-
-def richardson_check(
-    problem: EvolutionProblem,
-    u0: TorusField,
-    t_end: float,
-    cfg: StepperConfig,
-    **kwargs,
-):
-    """Run at dt and at dt/2; returns (final, records, discrepancy).
-
-    The discrepancy is the L2 distance between the two final states, a
-    cheap consistency bound on the time-discretization error.
-    """
-    final, records = evolve(problem, u0, t_end, cfg, **kwargs)
-    halved = StepperConfig(dt=cfg.dt / 2.0, scheme=cfg.scheme,
-                           monitor_stride=2 * cfg.monitor_stride)
-    final_half, _ = evolve(problem, u0, t_end, halved,
-                           monitors=(), observer=None)
-    discrepancy = float(np.linalg.norm(final.coeff - final_half.coeff))
-    return final, records, discrepancy

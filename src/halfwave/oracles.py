@@ -20,48 +20,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import TorusField
-from .problems import (
-    FREE_HALF_WAVE,
-    HALF_WAVE,
-    HALF_WAVE_GAUGED,
-    HALF_WAVE_SCALED,
-    SZEGO_PLAIN,
-    SZEGO_TRANSPORT,
-    EvolutionProblem,
-    linear_symbol,
-)
+from .problems import DISPERSIONS, EvolutionProblem, linear_symbol
 
 
 @dataclass(frozen=True)
 class PlaneWaveSpec:
-    """Single-mode initial state c e^{ikx} for a tagged problem."""
+    """Single-mode initial state c e^{ikx} for a problem."""
 
     amplitude: complex
     mode: int
     problem: EvolutionProblem
 
     def __post_init__(self):
-        if self.problem.kind in (SZEGO_PLAIN, SZEGO_TRANSPORT) and self.mode < 0:
-            raise ValueError("Szego problems require a nonnegative mode")
+        if self.problem.project and self.mode < 0:
+            raise ValueError("projected (Szego) problems require a nonnegative mode")
 
 
 def plane_wave_frequency(spec: PlaneWaveSpec) -> float:
     """Phase speed: u(t) = c e^{ikx} e^{-i omega t}."""
-    k, c, p = spec.mode, spec.amplitude, spec.problem
-    a2 = abs(c) ** 2
-    if p.kind == HALF_WAVE:
-        return abs(k) + a2
-    if p.kind == HALF_WAVE_SCALED:
-        return abs(k) + p.eps**2 * a2
-    if p.kind == HALF_WAVE_GAUGED:
-        return abs(k) + p.eps**2 * (a2 - 2.0 * p.q0)
-    if p.kind == SZEGO_PLAIN:
-        return a2
-    if p.kind == SZEGO_TRANSPORT:
-        return k + p.eps**2 * (a2 - 2.0 * p.q0)
-    if p.kind == FREE_HALF_WAVE:
-        return abs(k)
-    raise ValueError(f"unknown problem kind {p.kind!r}")
+    p = spec.problem
+    symbol = float(DISPERSIONS[p.dispersion](float(spec.mode)))
+    return symbol + p.coupling * (abs(spec.amplitude) ** 2 - 2.0 * p.q0)
 
 
 def plane_wave_solution(spec: PlaneWaveSpec, t: float, grid) -> TorusField:
@@ -95,27 +74,16 @@ def galerkin_reference(
         raise ValueError("t_end must be nonnegative")
 
     symbol = linear_symbol(problem, u0.grid)
-    kind = problem.kind
-    eps2 = problem.eps**2 if problem.eps is not None else None
+    coupling, q0 = problem.coupling, problem.q0
     plus = u0.grid.modes() >= 0
 
     def deriv(c):
-        if kind == FREE_HALF_WAVE:
-            nl = 0.0
-        else:
+        nl = 0.0
+        if coupling:
             cubic = _convolve_cubic(c, c, c, n)
-            if kind == HALF_WAVE:
-                nl = cubic
-            elif kind == HALF_WAVE_SCALED:
-                nl = eps2 * cubic
-            elif kind == HALF_WAVE_GAUGED:
-                nl = eps2 * (cubic - 2.0 * problem.q0 * c)
-            elif kind == SZEGO_PLAIN:
-                nl = np.where(plus, cubic, 0.0)
-            elif kind == SZEGO_TRANSPORT:
-                nl = eps2 * (np.where(plus, cubic, 0.0) - 2.0 * problem.q0 * c)
-            else:
-                raise ValueError(f"unknown problem kind {kind!r}")
+            if problem.project:
+                cubic = np.where(plus, cubic, 0.0)
+            nl = coupling * (cubic - 2.0 * q0 * c)
         return -1j * (symbol * c + nl)
 
     n_steps = max(1, int(np.ceil(t_end / dt - 1e-12))) if t_end > 0 else 0

@@ -1,20 +1,27 @@
 """The evolution problems and their conserved energies.
 
-Six flows share one state type.  Writing L for the linear multiplier and
-N(u) for the nonlinearity, each problem is du/dt = -i (L u + N(u)):
+Every flow is one equation with four parameters,
 
-  half_wave          i du/dt - |D|u = |u|^2 u
-  half_wave_scaled   i du/dt - |D|u = eps^2 |u|^2 u
-  half_wave_gauged   i du/dt - |D|u = eps^2 (|u|^2 - 2 q0) u
-  szego_plain        i dw/dt       = P_+(|w|^2 w)
+  du/dt = -i (L u + c (P(|u|^2 u) - 2 q0 u)),
+
+a linear multiplier L (the dispersion), a coupling c >= 0, a projection
+P (P_+ onto modes k >= 0, or the identity) and a gauge charge q0 >= 0.
+The named constructors set them as follows:
+
+  constructor        equation                                 L    c      P    q0
+  half_wave          i du/dt - |D|u = |u|^2 u                 |k|  1      id   0
+  half_wave_scaled   i du/dt - |D|u = eps^2 |u|^2 u           |k|  eps^2  id   0
+  half_wave_gauged   i du/dt - |D|u = eps^2 (|u|^2 - 2 q0) u  |k|  eps^2  id   q0
+  szego_plain        i dw/dt       = P_+(|w|^2 w)             0    1      P_+  0
   szego_transport    i dv/dt - D v = eps^2 (P_+(|v|^2 v) - 2 q0 v)
-  free_half_wave     i du/dt - |D|u = 0
+                                                              k    eps^2  P_+  q0
+  free_half_wave     i du/dt - |D|u = 0                       |k|  0      id   0
 
 q0 is the conserved squared L2 norm of the initial state entering the
 gauge; with eps = 1 and q0 = 0 the transport problem is the plain
-transport-form Szego equation.  Each flow conserves its own Hamiltonian
+transport-form Szego equation.  Each flow conserves its Hamiltonian
 (see energy), the charge Q = ||u||_{L2}^2 and the momentum
-sum_k k |u_k|^2; the Szego-type energies are the conserved quantity on
+sum_k k |u_k|^2; the projected energies are the conserved quantity on
 analytic states.
 """
 
@@ -26,130 +33,123 @@ import numpy as np
 
 from .fields import GridSpec, TorusField
 from .norms import BESOV, L4, charge, norm
-from .operators import cubic_term, project_plus
+from .operators import _padded_slots
 
-HALF_WAVE = "half_wave"
-HALF_WAVE_SCALED = "half_wave_scaled"
-HALF_WAVE_GAUGED = "half_wave_gauged"
-SZEGO_PLAIN = "szego_plain"
-SZEGO_TRANSPORT = "szego_transport"
-FREE_HALF_WAVE = "free_half_wave"
-
-_NEEDS_EPS = {HALF_WAVE_SCALED, HALF_WAVE_GAUGED, SZEGO_TRANSPORT}
-_NEEDS_Q0 = {HALF_WAVE_GAUGED, SZEGO_TRANSPORT}
+#: the linear multiplier L(k) of each dispersion, on float wavenumbers
+DISPERSIONS = {"|k|": np.abs, "k": np.positive, "0": np.zeros_like}
 
 
 @dataclass(frozen=True)
 class EvolutionProblem:
-    """Tagged description of which flow a run integrates."""
+    """The four parameters of a flow; kind only labels it."""
 
-    kind: str
-    eps: float | None = None
-    q0: float | None = None
+    dispersion: str
+    coupling: float
+    project: bool
+    q0: float = 0.0
+    kind: str = "custom"
 
     def __post_init__(self):
-        if self.kind in _NEEDS_EPS:
-            if self.eps is None or not self.eps > 0:
-                raise ValueError(f"{self.kind} requires eps > 0, got {self.eps}")
-        elif self.eps is not None:
-            raise ValueError(f"{self.kind} does not take eps")
-        if self.kind in _NEEDS_Q0:
-            if self.q0 is None or self.q0 < 0:
-                raise ValueError(f"{self.kind} requires q0 >= 0, got {self.q0}")
-        elif self.q0 is not None:
-            raise ValueError(f"{self.kind} does not take q0")
+        if self.dispersion not in DISPERSIONS:
+            raise ValueError(f"unknown dispersion {self.dispersion!r}")
+        if not self.coupling >= 0:
+            raise ValueError(f"{self.kind} requires coupling >= 0, got {self.coupling}")
+        if not self.q0 >= 0:
+            raise ValueError(f"{self.kind} requires q0 >= 0, got {self.q0}")
 
     @classmethod
     def half_wave(cls):
-        return cls(HALF_WAVE)
+        return cls("|k|", 1.0, False, kind="half_wave")
 
     @classmethod
     def half_wave_scaled(cls, eps: float):
-        return cls(HALF_WAVE_SCALED, eps=eps)
+        return cls("|k|", _eps_squared("half_wave_scaled", eps), False,
+                   kind="half_wave_scaled")
 
     @classmethod
     def half_wave_gauged(cls, eps: float, q0: float):
-        return cls(HALF_WAVE_GAUGED, eps=eps, q0=q0)
+        return cls("|k|", _eps_squared("half_wave_gauged", eps), False, q0,
+                   kind="half_wave_gauged")
 
     @classmethod
     def szego_plain(cls):
-        return cls(SZEGO_PLAIN)
+        return cls("0", 1.0, True, kind="szego_plain")
 
     @classmethod
     def szego_transport(cls, eps: float = 1.0, q0: float = 0.0):
-        return cls(SZEGO_TRANSPORT, eps=eps, q0=q0)
+        return cls("k", _eps_squared("szego_transport", eps), True, q0,
+                   kind="szego_transport")
 
     @classmethod
     def free_half_wave(cls):
-        return cls(FREE_HALF_WAVE)
+        return cls("|k|", 0.0, False, kind="free_half_wave")
+
+
+def _eps_squared(kind: str, eps: float) -> float:
+    if not eps > 0:
+        raise ValueError(f"{kind} requires eps > 0, got {eps}")
+    return eps**2
 
 
 def linear_symbol(problem: EvolutionProblem, grid: GridSpec) -> np.ndarray:
-    """Multiplier of the linear part: |k|, k, or 0 per problem."""
-    k = grid.modes()
-    if problem.kind in (HALF_WAVE, HALF_WAVE_SCALED, HALF_WAVE_GAUGED, FREE_HALF_WAVE):
-        return np.abs(k).astype(np.float64)
-    if problem.kind == SZEGO_TRANSPORT:
-        return k.astype(np.float64)
-    if problem.kind == SZEGO_PLAIN:
-        return np.zeros_like(k, dtype=np.float64)
-    raise ValueError(f"unknown problem kind {problem.kind!r}")
+    """Multiplier of the linear part: |k|, k, or 0."""
+    return DISPERSIONS[problem.dispersion](grid.modes().astype(np.float64))
+
+
+def nonlinearity(problem: EvolutionProblem, grid: GridSpec):
+    """Closure coeff -> -i c (P(|u|^2 u) - 2 q0 u) on raw coefficient arrays.
+
+    The dealiased cubic term is one scatter/ifft/pointwise/fft/gather
+    round trip on the padded grid, with no field wrapping, so the inner
+    stepping loop stays cheap.
+    """
+    if problem.coupling == 0:
+        zero = np.zeros(grid.n_coeff, dtype=np.complex128)
+        return lambda c: zero
+
+    slots = _padded_slots(grid)
+    m = grid.padded_len
+    n = grid.max_mode
+    scale = -1j * problem.coupling
+    gauge = 2.0 * problem.q0
+    project = problem.project
+
+    def term(c):
+        padded = np.zeros(m, dtype=np.complex128)
+        padded[slots] = c
+        v = np.fft.ifft(padded)
+        v *= np.abs(v) ** 2
+        out = np.fft.fft(v)[slots] * (m * m)
+        if project:
+            out[:n] = 0.0
+        if gauge:
+            out -= gauge * c
+        return scale * out
+
+    return term
 
 
 def nonlinear_term(problem: EvolutionProblem, u: TorusField) -> TorusField:
-    """The N(u) of the tagged equation (the right-hand side minus L u)."""
-    kind = problem.kind
-    if kind == FREE_HALF_WAVE:
-        return TorusField.zeros(u.grid)
-    cubic = cubic_term(u, u, u)
-    if kind == HALF_WAVE:
-        return cubic
-    if kind == HALF_WAVE_SCALED:
-        return problem.eps**2 * cubic
-    if kind == HALF_WAVE_GAUGED:
-        return problem.eps**2 * (cubic - 2.0 * problem.q0 * u)
-    if kind == SZEGO_PLAIN:
-        return project_plus(cubic)
-    if kind == SZEGO_TRANSPORT:
-        return problem.eps**2 * (project_plus(cubic) - 2.0 * problem.q0 * u)
-    raise ValueError(f"unknown problem kind {kind!r}")
+    """N(u) = c (P(|u|^2 u) - 2 q0 u), the right-hand side minus L u, times i."""
+    return TorusField(u.grid, 1j * nonlinearity(problem, u.grid)(u.coeff))
 
 
 def rhs(problem: EvolutionProblem, u: TorusField) -> TorusField:
     """du/dt = -i (L u + N(u))."""
     lin = linear_symbol(problem, u.grid) * u.coeff
-    return TorusField(u.grid, -1j * (lin + nonlinear_term(problem, u).coeff))
+    return TorusField(u.grid, -1j * lin + nonlinearity(problem, u.grid)(u.coeff))
 
 
 def energy(problem: EvolutionProblem, u: TorusField) -> float:
-    """The Hamiltonian conserved by the tagged flow.
+    """The Hamiltonian (Lu,u)/2 + c (||u||_{L4}^4 / 4 - q0 ||u||_{L2}^2).
 
-    half_wave:        (|D|u,u)/2 + ||u||_{L4}^4 / 4
-    half_wave_scaled: (|D|u,u)/2 + eps^2 ||u||_{L4}^4 / 4
-    half_wave_gauged: (|D|u,u)/2 + eps^2 (||u||_{L4}^4 - 2 ||u||_{L2}^4)/4
-    szego_plain:      ||w||_{L4}^4 / 4                       (analytic states)
-    szego_transport:  (Dv,v)/2 + eps^2 (||v||_{L4}^4/4 - q0 ||v||_{L2}^2)
-    free_half_wave:   (|D|u,u)/2
+    With P = P_+ it is conserved on analytic states.
     """
-    k = u.grid.modes()
-    abs_quad = float(np.sum(np.abs(k) * np.abs(u.coeff) ** 2))
-    kind = problem.kind
-    if kind == FREE_HALF_WAVE:
-        return 0.5 * abs_quad
-    quartic = norm(u, L4) ** 4
-    if kind == HALF_WAVE:
-        return 0.5 * abs_quad + 0.25 * quartic
-    if kind == HALF_WAVE_SCALED:
-        return 0.5 * abs_quad + 0.25 * problem.eps**2 * quartic
-    if kind == HALF_WAVE_GAUGED:
-        q = charge(u)
-        return 0.5 * abs_quad + 0.25 * problem.eps**2 * (quartic - 2.0 * q**2)
-    if kind == SZEGO_PLAIN:
-        return 0.25 * quartic
-    if kind == SZEGO_TRANSPORT:
-        signed_quad = float(np.sum(k * np.abs(u.coeff) ** 2))
-        return 0.5 * signed_quad + problem.eps**2 * (0.25 * quartic - problem.q0 * charge(u))
-    raise ValueError(f"unknown problem kind {kind!r}")
+    symbol = linear_symbol(problem, u.grid)
+    value = 0.5 * float(np.sum(symbol * np.abs(u.coeff) ** 2))
+    if problem.coupling:
+        value += problem.coupling * (0.25 * norm(u, L4) ** 4 - problem.q0 * charge(u))
+    return value
 
 
 def gauge_transform(u: TorusField, t: float, eps: float, q0: float) -> TorusField:
@@ -163,12 +163,11 @@ def gauge_transform(u: TorusField, t: float, eps: float, q0: float) -> TorusFiel
 
 
 def default_time_step(problem: EvolutionProblem, u0: TorusField) -> float:
-    """dt = min(0.01, 0.1 / (eps^2 max(1, ||u0||_{B111}^2))).
+    """dt = min(0.01, 0.1 / (c max(1, ||u0||_{B111}^2))).
 
     The integrating factor makes the linear phase exact, so the step is
-    set by the nonlinear timescale ~ 1/eps^2; unscaled problems use
-    eps = 1.
+    set by the nonlinear timescale ~ 1/c; the free flow uses c = 1.
     """
-    eps = problem.eps if problem.eps is not None else 1.0
+    coupling = problem.coupling if problem.coupling > 0 else 1.0
     b = norm(u0, BESOV)
-    return min(0.01, 0.1 / (eps**2 * max(1.0, b**2)))
+    return min(0.01, 0.1 / (coupling * max(1.0, b**2)))

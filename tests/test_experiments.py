@@ -160,22 +160,22 @@ class TestGaugeBookkeeping:
         running the gauged pair or the ungauged pair reports the same
         H^s distance."""
         from halfwave import EvolutionProblem, GridSpec
-        from halfwave.experiments import _pair_max_hs_diff
+        from halfwave.experiments import _max_hs_gap
         from halfwave.norms import charge
 
         cfg = default_config(APPROXIMATION, grid_n=16, seed=2)
         grid = GridSpec.with_padding(16)
         u0 = build_initial_state(cfg, grid, normalize_sobolev=1.5)
         q0, eps, horizon, s = charge(u0), 0.2, 10.0, 1.5
-        gauged = _pair_max_hs_diff(
+        gauged = _max_hs_gap(
             EvolutionProblem.half_wave_gauged(eps, q0),
             EvolutionProblem.szego_transport(eps, q0),
-            u0, horizon, 0.01, s,
+            u0, horizon, s, 0.01, 10,
         )
-        plain = _pair_max_hs_diff(
+        plain = _max_hs_gap(
             EvolutionProblem.half_wave_scaled(eps),
             EvolutionProblem.szego_transport(eps, 0.0),
-            u0, horizon, 0.01, s,
+            u0, horizon, s, 0.01, 10,
         )
         assert abs(gauged - plain) <= 1e-12
 

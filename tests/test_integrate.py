@@ -12,8 +12,9 @@ from halfwave import (
     evolve,
     gauge_transform,
     plane_wave_solution,
-    richardson_check,
 )
+from halfwave import integrate
+from halfwave.experiments import NumericalFailure, _richardson
 from halfwave.norms import charge
 
 from conftest import random_analytic_field
@@ -172,8 +173,39 @@ def test_conservation_smoke(grid16, rng):
 
 def test_richardson_check_reports_small_discrepancy(grid16, rng):
     u0 = random_analytic_field(grid16, rng, scale=0.3)
-    final, records, disc = richardson_check(
-        EvolutionProblem.half_wave(), u0, 2.0, StepperConfig(dt=0.01)
-    )
+    ends = []
+
+    def mode_one(dt, stride):
+        final, records = evolve(EvolutionProblem.half_wave(), u0, 2.0,
+                                StepperConfig(dt=dt, monitor_stride=stride))
+        ends.append(records[-1].time)
+        return final.mode(1).real
+
+    _, disc = _richardson(mode_one, 0.01, "half_wave mode 1")
     assert disc <= 1e-8
-    assert records[-1].time == pytest.approx(2.0)
+    assert ends == pytest.approx([2.0, 2.0])
+    with pytest.raises(NumericalFailure):
+        _richardson(lambda dt, stride: dt, 0.01, "dt itself")
+
+
+def test_no_monitors_samples_nothing(grid16, rng, monkeypatch):
+    """monitors=() takes no invariant sample; the observer still sees
+    every monitored time, and a record holds only what was asked for."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("monitor computed although not requested")
+
+    for name in ("energy", "besov_norm", "sobolev_norm"):
+        monkeypatch.setattr(integrate, name, forbidden)
+    u0 = random_analytic_field(grid16, rng, scale=0.3)
+    cfg = StepperConfig(dt=0.01, monitor_stride=20)
+    seen = []
+    _, records = evolve(EvolutionProblem.half_wave(), u0, 1.0, cfg, monitors=(),
+                        observer=lambda t, u: seen.append(t))
+    assert records == []
+    assert seen == pytest.approx([0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+    _, records = evolve(EvolutionProblem.half_wave(), u0, 1.0, cfg,
+                        monitors=("charge",))
+    assert len(records) == 6
+    assert all(r.charge == pytest.approx(charge(u0), rel=1e-12) for r in records)
+    assert all(r.energy is None and r.b111 is None and r.hs is None
+               and r.momentum is None for r in records)

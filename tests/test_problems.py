@@ -6,8 +6,11 @@ from halfwave import (
     TorusField,
     default_time_step,
     energy,
+    cubic_term,
     gauge_transform,
+    nonlinear_term,
     norm,
+    project_plus,
     rhs,
 )
 from halfwave.norms import SOBOLEV
@@ -21,8 +24,17 @@ def test_problem_validation():
         EvolutionProblem.half_wave_scaled(0.0)
     with pytest.raises(ValueError):
         EvolutionProblem.half_wave_gauged(0.1, -1.0)
+    for bad in (dict(coupling=-0.1), dict(q0=-1.0), dict(dispersion="|k|^2")):
+        with pytest.raises(ValueError):
+            EvolutionProblem(**{"dispersion": "|k|", "coupling": 1.0,
+                                "project": False, **bad})
+    for make in (EvolutionProblem.half_wave_scaled,
+                 lambda eps: EvolutionProblem.half_wave_gauged(eps, 0.0),
+                 lambda eps: EvolutionProblem.szego_transport(eps, 0.0)):
+        with pytest.raises(ValueError):
+            make(-0.5)
     with pytest.raises(ValueError):
-        EvolutionProblem("half_wave", eps=0.1)
+        EvolutionProblem.szego_transport(0.5, -1.0)
     # transport with eps=1, q0=0 is the plain transport-form equation
     EvolutionProblem.szego_transport()
 
@@ -60,6 +72,29 @@ class TestRhs:
         assert np.all(out.coeff[:n] == 0)
 
 
+ALL_PROBLEMS = [
+    EvolutionProblem.half_wave(),
+    EvolutionProblem.half_wave_scaled(0.3),
+    EvolutionProblem.half_wave_gauged(0.3, 0.04),
+    EvolutionProblem.szego_plain(),
+    EvolutionProblem.szego_transport(0.3, 0.04),
+    EvolutionProblem.free_half_wave(),
+]
+
+
+@pytest.mark.parametrize("problem", ALL_PROBLEMS, ids=lambda p: p.kind)
+def test_nonlinearity_matches_field_operators(problem, grid16, rng):
+    """The raw-array nonlinearity equals c (P(|u|^2 u) - 2 q0 u) built from
+    the TorusField operators, on a field with negative modes."""
+    u = random_field(grid16, rng)
+    cubic = cubic_term(u, u, u)
+    if problem.project:
+        cubic = project_plus(cubic)
+    want = problem.coupling * (cubic.coeff - 2.0 * problem.q0 * u.coeff)
+    got = nonlinear_term(problem, u).coeff
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 class TestEnergy:
     def test_half_wave_single_mode(self, grid16):
         eps = 0.25
@@ -78,8 +113,8 @@ class TestEnergy:
         eps = 0.3
         u = TorusField.from_modes(grid16, {0: eps, 1: eps})
         q = 2 * eps**2
-        # H0 + eps^2 (L4^4 - 2 Q^2)/4 with L4^4 = 6 eps^4 by hand
-        want = 0.5 * eps**2 + eps**2 * 0.25 * (6 * eps**4 - 2 * q**2)
+        # H0 + eps^2 (L4^4/4 - q0 Q) with L4^4 = 6 eps^4 by hand and q0 = Q
+        want = 0.5 * eps**2 + eps**2 * (0.25 * 6 * eps**4 - q * q)
         got = energy(EvolutionProblem.half_wave_gauged(eps, q), u)
         assert got == pytest.approx(want, rel=1e-12)
 

@@ -5,38 +5,34 @@ Usage: halfwave <experiment> [flags]
 Experiments: decoupling | approximation | besov | inflation | spectrum |
 normalform | strichartz | resonances.  Each run writes <experiment>.csv
 and summary.json into the output directory and exits 0 when every pass
-band holds, 2 on a numerical failure or a violated band, 1 on a
-configuration error.
+band holds, 2 on a numerical failure or a violated band, 1 on any
+configuration error (an unknown experiment, flag or key, or a malformed
+value).
 
-A config file is plain text, one `key = value` per line, `#` comments;
-keys match the flags (experiment, grid, eps, deltas, sobolev, horizon,
-seed, threads, dt, out, profile, profile_delta, profile_rate,
-profile_amplitude, profile_support, profile_path).  Flags given on the
-command line override file values.
+A config file is plain text, one `key = value` per line, `#` comments.
+One table, _KEYS, names every key with its config field, value parser
+and help: the flags are its keys with `-` for `_` (profile_delta is
+--profile-delta), and a config file accepts its keys plus `experiment`.
+Flags given on the command line override file values.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .experiments import (
     EXPERIMENTS,
+    ExperimentConfig,
     HorizonRule,
     NumericalFailure,
-    Profile,
     default_config,
     run_and_write,
 )
 from .hankel import EigensolverError
 from .integrate import BlowUpError
-
-_CONFIG_KEYS = {
-    "experiment", "grid", "eps", "deltas", "sobolev", "horizon", "seed",
-    "threads", "dt", "out", "profile", "profile_delta", "profile_rate",
-    "profile_amplitude", "profile_support", "profile_path",
-}
 
 
 class ConfigError(ValueError):
@@ -44,10 +40,7 @@ class ConfigError(ValueError):
 
 
 def _parse_float_list(text: str):
-    try:
-        values = tuple(float(p) for p in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}") from exc
+    values = tuple(float(p) for p in text.replace(",", " ").split())
     if not values:
         raise ConfigError(f"empty numeric list {text!r}")
     return values
@@ -58,10 +51,29 @@ def _parse_horizon(text: str) -> HorizonRule:
     if ":" not in text:
         raise ConfigError(f"horizon must look like kind:value, got {text!r}")
     kind, _, raw = text.partition(":")
-    try:
-        return HorizonRule(kind.strip(), float(raw))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return HorizonRule(kind.strip(), float(raw))
+
+
+#: key -> (field, parser, help).  Keys starting with "profile" set a field
+#: of the experiment's default Profile, the others an ExperimentConfig field.
+_KEYS = {
+    "out": ("output_dir", str, "output directory (default: .)"),
+    "seed": ("seed", int, "random seed"),
+    "threads": ("threads", int, "sweep workers"),
+    "eps": ("eps_list", _parse_float_list, "comma-separated decreasing eps sweep"),
+    "deltas": ("delta_list", _parse_float_list, "comma-separated delta list (inflation)"),
+    "grid": ("grid_n", int, "retained band max mode N"),
+    "sobolev": ("sobolev", float, "Sobolev index s"),
+    "horizon": ("horizon", _parse_horizon, "fixed:<T> | inv_eps_sq:<a> | log:<c>"),
+    "dt": ("dt", float, "time step override"),
+    "profile": ("kind", str,
+                "initial-state family: single_mode_plus_constant | random_decay | custom"),
+    "profile_delta": ("delta", float, "delta of single_mode_plus_constant"),
+    "profile_rate": ("rate", float, "decay rate of random_decay"),
+    "profile_amplitude": ("amplitude", float, "profile amplitude"),
+    "profile_support": ("support", int, "top mode of random_decay"),
+    "profile_path": ("path", str, "'k re im' coefficient file of custom"),
+}
 
 
 def read_config_file(path: str) -> dict:
@@ -75,112 +87,65 @@ def read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key != "experiment" and key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value.strip()
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error (exit 1), not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="halfwave",
         description="half-wave / cubic Szego experiment runner",
     )
     parser.add_argument("experiment", nargs="?", choices=EXPERIMENTS,
                         help="which experiment to run")
     parser.add_argument("--config", help="plain-text key=value config file")
-    parser.add_argument("--out", help="output directory (default: .)")
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--threads", type=int, help="sweep workers")
-    parser.add_argument("--eps", help="comma-separated decreasing eps sweep")
-    parser.add_argument("--deltas", help="comma-separated delta list (inflation)")
-    parser.add_argument("--grid", type=int, help="retained band max mode N")
-    parser.add_argument("--sobolev", type=float, help="Sobolev index s")
-    parser.add_argument("--horizon", help="fixed:<T> | inv_eps_sq:<a> | log:<c>")
-    parser.add_argument("--dt", type=float, help="time step override")
-    parser.add_argument("--profile",
-                        choices=["single_mode_plus_constant", "random_decay", "custom"],
-                        help="initial-state family")
-    parser.add_argument("--profile-delta", type=float, dest="profile_delta")
-    parser.add_argument("--profile-rate", type=float, dest="profile_rate")
-    parser.add_argument("--profile-amplitude", type=float, dest="profile_amplitude")
-    parser.add_argument("--profile-support", type=int, dest="profile_support")
-    parser.add_argument("--profile-path", dest="profile_path")
+    for key, (_, _, help_text) in _KEYS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
     return parser
 
 
-def _assemble_config(args) -> "ExperimentConfig":
-    values = {}
-    if args.config:
-        values.update(read_config_file(args.config))
-
-    def pick(key):
-        flag = getattr(args, key, None)
-        return flag if flag is not None else values.get(key)
-
+def _assemble_config(args) -> ExperimentConfig:
+    values = read_config_file(args.config) if args.config else {}
     experiment = args.experiment or values.get("experiment")
     if not experiment:
         raise ConfigError("no experiment given (argument or config file)")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}")
 
-    overrides = {}
-    if pick("grid") is not None:
-        overrides["grid_n"] = int(pick("grid"))
-    if pick("eps") is not None:
-        raw = pick("eps")
-        overrides["eps_list"] = (raw if isinstance(raw, tuple)
-                                 else _parse_float_list(str(raw)))
-    if pick("deltas") is not None:
-        raw = pick("deltas")
-        overrides["delta_list"] = (raw if isinstance(raw, tuple)
-                                   else _parse_float_list(str(raw)))
-    if pick("sobolev") is not None:
-        overrides["sobolev"] = float(pick("sobolev"))
-    if pick("horizon") is not None:
-        raw = pick("horizon")
-        overrides["horizon"] = raw if isinstance(raw, HorizonRule) else _parse_horizon(str(raw))
-    if pick("seed") is not None:
-        overrides["seed"] = int(pick("seed"))
-    if pick("threads") is not None:
-        overrides["threads"] = int(pick("threads"))
-    if pick("dt") is not None:
-        overrides["dt"] = float(pick("dt"))
-    if pick("out") is not None:
-        overrides["output_dir"] = str(pick("out"))
-
-    profile_keys = ("profile", "profile_delta", "profile_rate",
-                    "profile_amplitude", "profile_support", "profile_path")
-    if any(pick(k) is not None for k in profile_keys):
-        base = default_config(experiment).profile
-        kind = str(pick("profile")) if pick("profile") is not None else base.kind
-        overrides["profile"] = Profile(
-            kind=kind,
-            delta=float(pick("profile_delta")) if pick("profile_delta") is not None else base.delta,
-            rate=float(pick("profile_rate")) if pick("profile_rate") is not None else base.rate,
-            amplitude=float(pick("profile_amplitude")) if pick("profile_amplitude") is not None else base.amplitude,
-            support=int(pick("profile_support")) if pick("profile_support") is not None else base.support,
-            path=str(pick("profile_path")) if pick("profile_path") is not None else base.path,
-        )
+    overrides, profile = {}, {}
+    for key, (name, parse, _) in _KEYS.items():
+        text = getattr(args, key)
+        if text is None:
+            text = values.get(key)
+        if text is None:
+            continue
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+        (profile if key.startswith("profile") else overrides)[name] = value
 
     try:
+        if profile:
+            overrides["profile"] = replace(default_config(experiment).profile, **profile)
         return default_config(experiment, **overrides)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _assemble_config(args)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
+        cfg = _assemble_config(_build_parser().parse_args(argv))
         result = run_and_write(cfg)
-    except (ValueError, ConfigError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (NumericalFailure, BlowUpError, EigensolverError) as exc:

@@ -22,8 +22,9 @@ from __future__ import annotations
 import json
 import math
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -236,12 +237,16 @@ class SweepRow:
 @dataclass
 class SweepResult:
     experiment: str
-    columns: list
     rows: list
     fitted_slope: float | None
     slope_ci: tuple | None
     passed: bool
     notes: dict = field(default_factory=dict)
+
+    @property
+    def columns(self) -> list:
+        """CSV columns: the keys of the first row, in order."""
+        return list(self.rows[0].data) if self.rows else []
 
 
 def fit_loglog_slope(rows):
@@ -262,9 +267,17 @@ def fit_loglog_slope(rows):
     slope = float(np.sum((lx - lx.mean()) * (ly - ly.mean())) / sxx)
     intercept = float(ly.mean() - slope * lx.mean())
     resid = ly - (slope * lx + intercept)
-    n = len(rows)
-    se = math.sqrt(float(np.sum(resid**2)) / (n - 2) / sxx) if n > 2 else 0.0
+    se = math.sqrt(float(np.sum(resid**2)) / (len(rows) - 2) / sxx)
     return slope, (slope - 1.96 * se, slope + 1.96 * se)
+
+
+def _slope_or_none(rows, x: str, y: str):
+    """fit_loglog_slope of column y against column x; (None, None) for a
+    degenerate sweep (too few rows, nonpositive or repeated values)."""
+    try:
+        return fit_loglog_slope([(r.data[x], r.data[y]) for r in rows])
+    except ValueError:
+        return None, None
 
 
 def _check_richardson(value: float, discrepancy: float, label: str):
@@ -292,18 +305,25 @@ def _richardson(measure, dt: float, label: str, scale: float = 1.0):
 
 def _peak(functional, problem, u0, t_end, dt, stride):
     """Largest functional(u(t)) over the monitored times, t = 0 included."""
-    values = []
-    evolve(problem, u0, t_end, StepperConfig(dt=dt, monitor_stride=stride),
-           monitors=(), observer=lambda t, u: values.append(functional(u)))
-    return max(values)
+    cfg = StepperConfig(dt=dt, monitor_stride=stride)
+    return max(functional(TorusField(u0.grid, coeff))
+               for _, coeff in trajectory(problem, u0, t_end, cfg))
+
+
+def _timed(worker, param) -> SweepRow:
+    start = time.perf_counter()
+    data = worker(param)
+    return SweepRow(data=data, runtime=time.perf_counter() - start)
 
 
 def _map_rows(worker, params, threads: int):
-    """Deterministic sweep map: parallel workers, merge in input order."""
+    """Deterministic sweep map: each worker(param) returns a row's data
+    dict and is timed here; parallel workers merge in input order."""
+    timed = partial(_timed, worker)
     if threads > 1 and len(params) > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(params))) as pool:
-            return list(pool.map(worker, params))
-    return [worker(p) for p in params]
+            return list(pool.map(timed, params))
+    return [timed(p) for p in params]
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +344,10 @@ def _decoupling_row(args):
     t_end = cfg.horizon.time_for(eps)
     problem = EvolutionProblem.half_wave_scaled(eps)
     dt = cfg.dt if cfg.dt is not None else default_time_step(problem, u0)
-    start = time.perf_counter()
     sup, rich = _richardson(partial(_peak, _minus_h_half, problem, u0, t_end), dt,
                             f"decoupling eps={eps}")
-    return SweepRow(
-        data={"eps": eps, "sup_minus_h_half": sup, "horizon": t_end,
-              "dt": dt, "richardson": rich},
-        runtime=time.perf_counter() - start,
-    )
+    return {"eps": eps, "sup_minus_h_half": sup, "horizon": t_end,
+            "dt": dt, "richardson": rich}
 
 
 def run_decoupling(cfg: ExperimentConfig) -> SweepResult:
@@ -342,17 +358,9 @@ def run_decoupling(cfg: ExperimentConfig) -> SweepResult:
     the slope is [1.8, 2.2].
     """
     rows = _map_rows(_decoupling_row, [(cfg, e) for e in cfg.eps_list], cfg.threads)
-    try:
-        slope, ci = fit_loglog_slope(
-            [(r.data["eps"], r.data["sup_minus_h_half"]) for r in rows]
-        )
-    except ValueError:
-        slope, ci = None, None  # degenerate sweeps (too few rows, zero data)
+    slope, ci = _slope_or_none(rows, "eps", "sup_minus_h_half")
     passed = slope is not None and 1.8 <= slope <= 2.2
-    return SweepResult(DECOUPLING,
-                       ["eps", "sup_minus_h_half", "horizon", "dt", "richardson"],
-                       rows, slope, ci, passed,
-                       notes={"band": [1.8, 2.2]})
+    return SweepResult(DECOUPLING, rows, slope, ci, passed, notes={"band": [1.8, 2.2]})
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +389,12 @@ def _approximation_row(args):
     problem_a = EvolutionProblem.half_wave_gauged(eps, q0)
     problem_b = EvolutionProblem.szego_transport(eps, q0)
     dt = cfg.dt if cfg.dt is not None else default_time_step(problem_a, u0)
-    start = time.perf_counter()
     rescaled, rich = _richardson(
         partial(_max_hs_gap, problem_a, problem_b, u0, t_end, cfg.sobolev),
         dt, f"approximation eps={eps}", scale=eps)
-    physical = eps * rescaled
-    return SweepRow(
-        data={"eps": eps, "hs_error_physical": physical,
-              "hs_error_rescaled": rescaled, "horizon": t_end,
-              "dt": dt, "richardson": rich},
-        runtime=time.perf_counter() - start,
-    )
+    return {"eps": eps, "hs_error_physical": eps * rescaled,
+            "hs_error_rescaled": rescaled, "horizon": t_end,
+            "dt": dt, "richardson": rich}
 
 
 def run_approximation(cfg: ExperimentConfig) -> SweepResult:
@@ -403,17 +406,9 @@ def run_approximation(cfg: ExperimentConfig) -> SweepResult:
     slope is required to be >= 2.5.
     """
     rows = _map_rows(_approximation_row, [(cfg, e) for e in cfg.eps_list], cfg.threads)
-    try:
-        slope, ci = fit_loglog_slope(
-            [(r.data["eps"], r.data["hs_error_physical"]) for r in rows]
-        )
-    except ValueError:
-        slope, ci = None, None
+    slope, ci = _slope_or_none(rows, "eps", "hs_error_physical")
     passed = slope is not None and slope >= 2.5
-    return SweepResult(APPROXIMATION,
-                       ["eps", "hs_error_physical", "hs_error_rescaled",
-                        "horizon", "dt", "richardson"],
-                       rows, slope, ci, passed,
+    return SweepResult(APPROXIMATION, rows, slope, ci, passed,
                        notes={"band": [2.5, None], "sobolev": cfg.sobolev})
 
 
@@ -430,31 +425,20 @@ def _besov_row(args):
     problem = EvolutionProblem.half_wave_gauged(eps, q0)
     t_end = cfg.horizon.time_for(eps)
     dt = cfg.dt if cfg.dt is not None else default_time_step(problem, u0)
-    start = time.perf_counter()
     b0 = besov_norm(u0)
     ratio, rich = _richardson(
         lambda dt, stride: _peak(besov_norm, problem, u0, t_end, dt, stride) / b0,
         dt, f"besov eps={eps}")
-    return SweepRow(
-        data={"eps": eps, "besov_ratio": ratio, "horizon": t_end,
-              "dt": dt, "richardson": rich},
-        runtime=time.perf_counter() - start,
-    )
+    return {"eps": eps, "besov_ratio": ratio, "horizon": t_end,
+            "dt": dt, "richardson": rich}
 
 
 def run_besov_bound(cfg: ExperimentConfig) -> SweepResult:
     """max_t ||u(t)||_{B111} / ||u0||_{B111} stays O(1) over the horizon."""
     rows = _map_rows(_besov_row, [(cfg, e) for e in cfg.eps_list], cfg.threads)
-    try:
-        slope, ci = fit_loglog_slope(
-            [(r.data["eps"], r.data["besov_ratio"]) for r in rows]
-        )
-    except ValueError:
-        slope, ci = None, None
+    slope, ci = _slope_or_none(rows, "eps", "besov_ratio")
     passed = all(r.data["besov_ratio"] <= 3.0 for r in rows)
-    return SweepResult(BESOV_BOUND,
-                       ["eps", "besov_ratio", "horizon", "dt", "richardson"],
-                       rows, slope, ci, passed, notes={"band": [None, 3.0]})
+    return SweepResult(BESOV_BOUND, rows, slope, ci, passed, notes={"band": [None, 3.0]})
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +458,13 @@ def _inflation_grid_n(delta: float, base: int) -> int:
     return fast_transform_length(n)
 
 
+def _inflation_start(cfg, eps, delta):
+    """Initial state eps (e^{ix} + delta) on its band, and t*."""
+    grid = GridSpec.with_padding(_inflation_grid_n(delta, cfg.grid_n))
+    u0 = TorusField.from_modes(grid, {1: eps, 0: eps * delta})
+    return u0, math.pi / (2.0 * eps**2 * delta)
+
+
 def _inflation_hs(u0, t_star, s, dt, stride):
     uf, _ = evolve(EvolutionProblem.szego_plain(), u0, t_star,
                    StepperConfig(dt=dt, monitor_stride=stride), monitors=())
@@ -483,25 +474,19 @@ def _inflation_hs(u0, t_star, s, dt, stride):
 def _inflation_row(args):
     cfg, eps, delta = args
     s = cfg.sobolev
-    n = _inflation_grid_n(delta, cfg.grid_n)
-    grid = GridSpec.with_padding(n)
-    u0 = TorusField.from_modes(grid, {1: eps, 0: eps * delta})
-    t_star = math.pi / (2.0 * eps**2 * delta)
+    u0, t_star = _inflation_start(cfg, eps, delta)
     dt = cfg.dt if cfg.dt is not None else default_time_step(
         EvolutionProblem.szego_plain(), u0)
-    start = time.perf_counter()
     hs, rich = _richardson(partial(_inflation_hs, u0, t_star, s), dt,
                            f"inflation eps={eps} delta={delta}")
     ratio = hs * delta ** (2 * s - 1) / eps
     growth = hs / eps
     # invert the large-k asymptotics ||w||_{H^s}^2 ~ Gamma(2s+1) eps^2 lam^{1-2s}
     lam_est = (math.gamma(2 * s + 1) * eps**2 / hs**2) ** (1.0 / (2 * s - 1))
-    return SweepRow(
-        data={"eps": eps, "delta": delta, "hs_at_tstar": hs, "ratio": ratio,
-              "growth": growth, "one_minus_p2_est": lam_est, "grid_n": n,
-              "t_star": t_star, "dt": dt, "richardson": rich},
-        runtime=time.perf_counter() - start,
-    )
+    return {"eps": eps, "delta": delta, "hs_at_tstar": hs, "ratio": ratio,
+            "growth": growth, "one_minus_p2_est": lam_est,
+            "grid_n": u0.grid.max_mode, "t_star": t_star, "dt": dt,
+            "richardson": rich}
 
 
 def run_inflation(cfg: ExperimentConfig) -> SweepResult:
@@ -524,13 +509,8 @@ def run_inflation(cfg: ExperimentConfig) -> SweepResult:
     rows = _map_rows(_inflation_row, params, cfg.threads)
 
     lead = [r for r in rows if r.data["eps"] == cfg.eps_list[0]]
-    slope, ci = (None, None)
-    concentration_slope = None
-    if len(lead) >= 3:
-        slope, ci = fit_loglog_slope([(r.data["delta"], r.data["growth"]) for r in lead])
-        concentration_slope, _ = fit_loglog_slope(
-            [(r.data["delta"], r.data["one_minus_p2_est"]) for r in lead]
-        )
+    slope, ci = _slope_or_none(lead, "delta", "growth")
+    concentration_slope, _ = _slope_or_none(lead, "delta", "one_minus_p2_est")
     target = -(2 * cfg.sobolev - 1)
     slope_ok = slope is not None and abs(slope - target) <= 0.2 * abs(target)
     band_ok = all(1.0 / 3.0 <= r.data["ratio"] <= 3.0 for r in rows)
@@ -540,10 +520,7 @@ def run_inflation(cfg: ExperimentConfig) -> SweepResult:
              "one_minus_p2_slope": concentration_slope}
     eps0, delta0 = cfg.eps_list[0], cfg.delta_list[0]
     notes["halfwave_check"] = _inflation_halfwave_check(cfg, eps0, delta0)
-    return SweepResult(INFLATION,
-                       ["eps", "delta", "hs_at_tstar", "ratio", "growth",
-                        "one_minus_p2_est", "grid_n", "t_star", "dt", "richardson"],
-                       rows, slope, ci, band_ok and slope_ok, notes=notes)
+    return SweepResult(INFLATION, rows, slope, ci, band_ok and slope_ok, notes=notes)
 
 
 def _inflation_halfwave_check(cfg, eps, delta):
@@ -552,10 +529,7 @@ def _inflation_halfwave_check(cfg, eps, delta):
     Exploratory (t* sits beyond the proven approximation horizon); no
     pass band is attached.
     """
-    n = _inflation_grid_n(delta, cfg.grid_n)
-    grid = GridSpec.with_padding(n)
-    u0 = TorusField.from_modes(grid, {1: eps, 0: eps * delta})
-    t_star = math.pi / (2.0 * eps**2 * delta)
+    u0, t_star = _inflation_start(cfg, eps, delta)
     # the half-wave run keeps fast rotating phases, so it gets a finer
     # step than the stiffness-free Szego sweep
     dt = min(0.01, cfg.dt) if cfg.dt is not None else 0.01
@@ -579,10 +553,7 @@ def _spectrum_row(args):
     problem = getattr(EvolutionProblem, kind)()
     t_end = cfg.horizon.time_for(1.0)
     dt = cfg.dt if cfg.dt is not None else default_time_step(problem, u0)
-    start = time.perf_counter()
     before = spectral_summary(build_hankel(u0))
-
-    import warnings
 
     def final_summary(step):
         uf, _ = evolve(problem, u0, t_end,
@@ -600,11 +571,8 @@ def _spectrum_row(args):
     trace_dev = abs(after.trace_norm - before.trace_norm) / before.trace_norm
     after_half = final_summary(dt / 2.0)
     rich = abs(after_half.trace_norm - after.trace_norm) / before.trace_norm
-    return SweepRow(
-        data={"problem": kind, "eig_dev": eig_dev, "trace_dev": trace_dev,
-              "horizon": t_end, "dt": dt, "richardson": rich},
-        runtime=time.perf_counter() - start,
-    )
+    return {"problem": kind, "eig_dev": eig_dev, "trace_dev": trace_dev,
+            "horizon": t_end, "dt": dt, "richardson": rich}
 
 
 def run_spectrum_conservation(cfg: ExperimentConfig) -> SweepResult:
@@ -617,10 +585,7 @@ def run_spectrum_conservation(cfg: ExperimentConfig) -> SweepResult:
                      cfg.threads)
     szego = next(r for r in rows if r.data["problem"] == "szego_plain")
     passed = szego.data["eig_dev"] <= 1e-6 and szego.data["trace_dev"] <= 1e-6
-    return SweepResult(SPECTRUM,
-                       ["problem", "eig_dev", "trace_dev", "horizon", "dt",
-                        "richardson"],
-                       rows, None, None, passed, notes={"band": 1e-6})
+    return SweepResult(SPECTRUM, rows, None, None, passed, notes={"band": 1e-6})
 
 
 # ---------------------------------------------------------------------------
@@ -684,8 +649,7 @@ def run_normalform_check(cfg: ExperimentConfig) -> SweepResult:
 
     passed = (worst <= 1e-10 and mismatch == 0
               and all(abs(s - 4.0) <= 0.3 for s in slopes))
-    return SweepResult(NORMALFORM, ["check", "param", "value"], rows,
-                       None, None, passed,
+    return SweepResult(NORMALFORM, rows, None, None, passed,
                        notes={"bracket_max": worst, "taylor_slopes": slopes,
                               "resonance_mismatch": mismatch})
 
@@ -743,8 +707,7 @@ def run_strichartz(cfg: ExperimentConfig) -> SweepResult:
         all_rows.extend(rows)
         slopes[s] = slope
     passed = all(abs(slopes[s] - (1.0 - 2.0 * s)) <= 0.15 for s in slopes)
-    return SweepResult(STRICHARTZ, ["s", "n_modes", "ratio"], all_rows,
-                       slopes[0.0], None, passed,
+    return SweepResult(STRICHARTZ, all_rows, slopes[0.0], None, passed,
                        notes={"slopes": {str(k): v for k, v in slopes.items()},
                               "tolerance": 0.15})
 
@@ -772,8 +735,7 @@ def run_resonance_audit(cfg: ExperimentConfig, max_abs: int = 30) -> SweepResult
     elapsed = time.perf_counter() - start
     if rows:
         rows[0].runtime = elapsed
-    return SweepResult(RESONANCES, ["k1", "k2", "k3", "k4", "cases"], rows,
-                       None, None, mismatch == 0,
+    return SweepResult(RESONANCES, rows, None, None, mismatch == 0,
                        notes={"max_abs": max_abs, "count": len(rows),
                               "mismatch": mismatch})
 
@@ -809,30 +771,19 @@ def _fmt(value) -> str:
 def write_csv(result: SweepResult, path):
     """One header line then one line per row; wall times are excluded so
     identical config and seed give bitwise-identical files."""
-    lines = [",".join(result.columns)]
+    columns = result.columns
+    lines = [",".join(columns)]
     for row in result.rows:
-        lines.append(",".join(_fmt(row.data.get(c, "")) for c in result.columns))
+        lines.append(",".join(_fmt(row.data.get(c, "")) for c in columns))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_summary(result: SweepResult, cfg: ExperimentConfig, path):
+    config = asdict(cfg)
+    del config["experiment"], config["output_dir"]
     payload = {
         "experiment": result.experiment,
-        "config": {
-            "grid_n": cfg.grid_n,
-            "eps_list": list(cfg.eps_list),
-            "delta_list": list(cfg.delta_list),
-            "sobolev": cfg.sobolev,
-            "horizon": {"kind": cfg.horizon.kind, "value": cfg.horizon.value},
-            "seed": cfg.seed,
-            "profile": {"kind": cfg.profile.kind, "delta": cfg.profile.delta,
-                        "rate": cfg.profile.rate,
-                        "amplitude": cfg.profile.amplitude,
-                        "support": cfg.profile.support,
-                        "path": cfg.profile.path},
-            "threads": cfg.threads,
-            "dt": cfg.dt,
-        },
+        "config": config,
         "rows": [dict(r.data, runtime=r.runtime) for r in result.rows],
         "fitted_slope": result.fitted_slope,
         "slope_ci": list(result.slope_ci) if result.slope_ci else None,

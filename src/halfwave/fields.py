@@ -101,10 +101,6 @@ class TorusField:
             coeff[k + grid.max_mode] = c
         return cls(grid, coeff)
 
-    @classmethod
-    def single_mode(cls, grid: GridSpec, k: int, amplitude: complex = 1.0) -> "TorusField":
-        return cls.from_modes(grid, {k: amplitude})
-
     # -- element access -------------------------------------------------
 
     def mode(self, k: int) -> complex:

@@ -10,7 +10,8 @@ A step count is chosen so that an integer number of steps lands exactly
 on t_end (the actual dt, never larger than requested, is reported).
 The stepping loop is the generator trajectory, which yields the state
 every monitor_stride steps; evolve samples the requested monitors there,
-and a pair of flows is compared by zipping two trajectories.  Any
+other functionals of the state are read off it directly, and a pair of
+flows is compared by zipping two trajectories.  Any
 non-finite coefficient aborts the run with the last valid time attached.
 """
 
@@ -161,27 +162,21 @@ def evolve(
     t_end: float,
     cfg: StepperConfig,
     monitors=DEFAULT_MONITORS,
-    observer=None,
     hs_order: float = 0.5,
 ):
     """Integrate to t_end; returns (final state, invariant records).
 
     A record of the requested monitors is taken at every monitored time
     (including t = 0 and t_end); with monitors=() the record list is
-    empty.  observer(t, field), when given, is called at the same times;
-    use it to track experiment-specific functionals without enlarging
-    the record schema.
+    empty.  Other functionals of the state are read off trajectory.
     """
     records = []
     coeff = u0.coeff
     try:
         for t, coeff in trajectory(problem, u0, t_end, cfg):
-            if monitors or observer is not None:
+            if monitors:
                 u = TorusField(u0.grid, coeff)
-                if monitors:
-                    records.append(_record(problem, u, t, monitors, hs_order))
-                if observer is not None:
-                    observer(t, u)
+                records.append(_record(problem, u, t, monitors, hs_order))
     except BlowUpError as err:
         err.records = records
         raise

@@ -45,12 +45,6 @@ def from_grid_values(grid: GridSpec, values: np.ndarray) -> TorusField:
     return TorusField(grid, spectrum[_padded_slots(grid)])
 
 
-def grid_mean(values: np.ndarray) -> complex:
-    """Quadrature for (1/2pi) int g dx on the padded grid (exact for
-    trigonometric polynomials of degree < padded_len)."""
-    return complex(np.mean(values))
-
-
 def inner(f: TorusField, g: TorusField) -> complex:
     """(f|g) = sum_k f_k conj(g_k)."""
     f._check_grid(g)

@@ -1,7 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from halfwave import GridSpec, TorusField
+from halfwave.experiments import EXPERIMENTS
 
 
 @pytest.fixture
@@ -36,3 +40,10 @@ def random_analytic_field(grid, rng, support=None, decay=2.0, scale=1.0):
     for k in range(0, support + 1):
         coeff[k + n] = scale * (1.0 + k) ** (-decay) * np.exp(2j * np.pi * rng.random())
     return TorusField(grid, coeff)
+
+
+def readme_csv_columns():
+    """README's CSV column table: {experiment: [column, ...]}."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| *(\w+) *\| *([a-z0-9_, ]+?) *\|$", readme.read_text(), re.M)
+    return {name: cols.split(", ") for name, cols in rows if name in EXPERIMENTS}

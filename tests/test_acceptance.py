@@ -66,6 +66,10 @@ from halfwave.norms import BESOV, norm
 from halfwave.oracles import inflation_constant, szego_inflation_state
 from halfwave.problems import default_time_step
 
+from conftest import readme_csv_columns
+
+README_COLUMNS = readme_csv_columns()
+
 
 def _criterion(number, description, ok, detail):
     status = "PASS" if ok else "FAIL"
@@ -142,6 +146,7 @@ def test_criterion_04_decoupling_slope():
 
 def test_criterion_05_effective_dynamics_slope():
     result = run_approximation(default_config("approximation"))
+    assert result.columns == README_COLUMNS["approximation"]
     slope = result.fitted_slope
     _criterion(
         5, "physical H^1.5 distance to the effective flow has slope >= 2.5",
@@ -218,6 +223,7 @@ def test_criterion_07_hankel_spectrum_conserved():
 def test_criterion_08_inflation_ratio_and_trend():
     cfg = default_config("inflation")
     result = run_inflation(cfg)
+    assert result.columns == README_COLUMNS["inflation"]
     s = cfg.sobolev
     c_s = inflation_constant(s)
     slope = result.fitted_slope

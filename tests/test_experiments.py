@@ -6,6 +6,7 @@ import pytest
 from halfwave.experiments import (
     APPROXIMATION,
     DECOUPLING,
+    EXPERIMENTS,
     ExperimentConfig,
     HorizonRule,
     Profile,
@@ -24,6 +25,11 @@ from halfwave.experiments import (
 from halfwave import GridSpec
 from halfwave.norms import SOBOLEV, norm
 import halfwave.cli as cli
+
+from conftest import readme_csv_columns
+
+#: the CSV header of each experiment, as README's column table gives it
+README_COLUMNS = readme_csv_columns()
 
 
 class TestFitLoglogSlope:
@@ -107,6 +113,7 @@ class TestSmallRuns:
         cfg = default_config(DECOUPLING, grid_n=32,
                              horizon=HorizonRule("fixed", 10.0))
         out = run_decoupling(cfg)
+        assert out.columns == README_COLUMNS["decoupling"]
         assert out.fitted_slope == pytest.approx(2.0, abs=0.2)
         assert all(r.data["richardson"] <= 1e-6 for r in out.rows)
 
@@ -125,6 +132,7 @@ class TestSmallRuns:
                              profile=Profile("random_decay", rate=2.5,
                                              amplitude=0.3, support=6))
         out = run_spectrum_conservation(cfg)
+        assert out.columns == README_COLUMNS["spectrum"]
         assert out.passed
         kinds = {r.data["problem"] for r in out.rows}
         assert kinds == {"szego_plain", "half_wave"}
@@ -136,18 +144,21 @@ class TestSmallRuns:
                              horizon=HorizonRule("fixed", 5.0),
                              profile=Profile("custom", path=str(path)))
         out = run_besov_bound(cfg)
+        assert out.columns == README_COLUMNS["besov"]
         for row in out.rows:
             assert row.data["besov_ratio"] == pytest.approx(1.0, abs=1e-10)
 
     def test_normalform_check_small(self):
         cfg = default_config("normalform", eps_list=(0.2, 0.1, 0.05))
         out = run_normalform_check(cfg)
+        assert out.columns == README_COLUMNS["normalform"]
         assert out.passed
         assert out.notes["bracket_max"] <= 1e-10
         assert out.notes["resonance_mismatch"] == 0
 
     def test_resonance_audit_small(self):
         out = run_resonance_audit(default_config("resonances"), max_abs=5)
+        assert out.columns == README_COLUMNS["resonances"]
         assert out.passed
         listed = {(r.data["k1"], r.data["k2"], r.data["k3"], r.data["k4"])
                   for r in out.rows}
@@ -189,6 +200,7 @@ class TestStrichartz:
 
     def test_slopes(self):
         out = run_strichartz(default_config("strichartz"))
+        assert out.columns == README_COLUMNS["strichartz"]
         assert out.passed
         slopes = out.notes["slopes"]
         assert slopes["0.0"] == pytest.approx(1.0, abs=0.15)
@@ -219,8 +231,19 @@ class TestOutputs:
         cfg = default_config("strichartz", output_dir=str(tmp_path))
         result = run_and_write(cfg)
         lines = (tmp_path / "strichartz.csv").read_text().splitlines()
+        assert lines[0] == ",".join(README_COLUMNS["strichartz"])
         assert lines[0] == ",".join(result.columns)
         assert len(lines) == 1 + len(result.rows)
+        assert set(README_COLUMNS) == set(EXPERIMENTS)
+
+    def test_threads_bitwise_identical(self, tmp_path):
+        """Rows run in worker processes give the serial run's CSV bytes."""
+        for threads in (1, 2):
+            run_and_write(default_config(DECOUPLING, grid_n=32, threads=threads,
+                                         horizon=HorizonRule("fixed", 10.0),
+                                         output_dir=str(tmp_path / str(threads))))
+        serial = (tmp_path / "1" / "decoupling.csv").read_bytes()
+        assert (tmp_path / "2" / "decoupling.csv").read_bytes() == serial
 
 
 class TestCli:
@@ -250,8 +273,47 @@ class TestCli:
         code = cli.main(["--config", str(cfg), "--seed", "3"])
         assert code == 0
         payload = json.loads((tmp_path / "summary.json").read_text())
-        assert payload["config"]["seed"] == 3
-        assert payload["config"]["grid_n"] == 32
+        assert payload["config"] == {
+            "grid_n": 32,
+            "eps_list": [0.2, 0.1, 0.05, 0.025],
+            "delta_list": [0.4, 0.3, 0.2],
+            "sobolev": 1.5,
+            "horizon": {"kind": "fixed", "value": 5.0},
+            "seed": 3,
+            "profile": {"kind": "random_decay", "delta": 0.5, "rate": 2.5,
+                        "amplitude": 0.35, "support": 12, "path": None},
+            "threads": 1,
+            "dt": None,
+        }
+
+    @pytest.mark.parametrize("file_line, flags", [
+        ("grid = abc", []),
+        ("seed = 1.5", []),
+        ("dt = fast", []),
+        ("profile_support = 2.5", []),
+        ("", ["--grid", "abc"]),
+        ("", ["--seed", "1.5"]),
+        ("", ["warp"]),
+        ("", ["--warp", "9"]),
+        ("", ["--grid"]),
+        ("", ["--profile", "custom", "--profile-path", "{tmp}/missing.txt"]),
+    ], ids=["file-grid", "file-seed", "file-dt", "file-support", "flag-grid",
+            "flag-seed", "unknown-experiment", "unknown-flag", "flag-no-value",
+            "missing-profile"])
+    def test_malformed_input_exit_one(self, tmp_path, capsys, file_line, flags):
+        """Every configuration error exits 1: a malformed value in a file
+        or a flag, an unknown experiment or flag, a missing profile file."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"experiment = decoupling\nout = {tmp_path}\n{file_line}\n")
+        argv = ["--config", str(cfg)] + [f.format(tmp=tmp_path) for f in flags]
+        assert cli.main(argv) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["--help"])
+        assert exit_info.value.code == 0
+        assert "--profile-path" in capsys.readouterr().out
 
     def test_bad_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -12,6 +12,7 @@ from halfwave import (
     evolve,
     gauge_transform,
     plane_wave_solution,
+    trajectory,
 )
 from halfwave import integrate
 from halfwave.experiments import NumericalFailure, _richardson
@@ -142,11 +143,10 @@ def test_hankel_trace_monitor(grid16, rng):
 
 def test_observer_called_at_monitor_times(grid16):
     u0 = TorusField.from_modes(grid16, {1: 0.1})
-    seen = []
-    evolve(EvolutionProblem.free_half_wave(), u0, 1.0,
-           StepperConfig(dt=0.1, monitor_stride=5), observer=lambda t, u: seen.append(t))
+    seen = [t for t, _ in trajectory(EvolutionProblem.free_half_wave(), u0, 1.0,
+                                     StepperConfig(dt=0.1, monitor_stride=5))]
     assert seen[0] == 0.0
-    assert seen[-1] == pytest.approx(1.0)
+    assert seen == pytest.approx([0.0, 0.5, 1.0])
 
 
 def test_blow_up_aborts_with_last_valid_time(grid16):
@@ -189,7 +189,7 @@ def test_richardson_check_reports_small_discrepancy(grid16, rng):
 
 
 def test_no_monitors_samples_nothing(grid16, rng, monkeypatch):
-    """monitors=() takes no invariant sample; the observer still sees
+    """monitors=() takes no invariant sample; trajectory still yields
     every monitored time, and a record holds only what was asked for."""
     def forbidden(*args, **kwargs):
         raise AssertionError("monitor computed although not requested")
@@ -198,14 +198,13 @@ def test_no_monitors_samples_nothing(grid16, rng, monkeypatch):
         monkeypatch.setattr(integrate, name, forbidden)
     u0 = random_analytic_field(grid16, rng, scale=0.3)
     cfg = StepperConfig(dt=0.01, monitor_stride=20)
-    seen = []
-    _, records = evolve(EvolutionProblem.half_wave(), u0, 1.0, cfg, monitors=(),
-                        observer=lambda t, u: seen.append(t))
+    _, records = evolve(EvolutionProblem.half_wave(), u0, 1.0, cfg, monitors=())
     assert records == []
+    seen = [t for t, _ in trajectory(EvolutionProblem.half_wave(), u0, 1.0, cfg)]
     assert seen == pytest.approx([0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
     _, records = evolve(EvolutionProblem.half_wave(), u0, 1.0, cfg,
                         monitors=("charge",))
-    assert len(records) == 6
+    assert [r.time for r in records] == seen
     assert all(r.charge == pytest.approx(charge(u0), rel=1e-12) for r in records)
     assert all(r.energy is None and r.b111 is None and r.hs is None
                and r.momentum is None for r in records)

@@ -9,9 +9,12 @@ deliberately different scheme for cross-checks.
 A step count is chosen so that an integer number of steps lands exactly
 on t_end (the actual dt, never larger than requested, is reported).
 The stepping loop is the generator trajectory, which yields the state
-every monitor_stride steps; evolve samples the requested monitors there,
-other functionals of the state are read off it directly, and a pair of
-flows is compared by zipping two trajectories.  Any
+every monitor_stride steps; evolve samples the requested monitors there
+and other functionals of the state are read off it directly.  Flows
+that share a grid and a step move in lockstep as one stack: given a
+sequence of problems, trajectory steps a (rows, n_coeff) array, one row
+per problem, with one batched transform per RK stage, and each row is
+bit-for-bit the state the problem's own trajectory reaches.  Any
 non-finite coefficient aborts the run with the last valid time attached.
 """
 
@@ -24,7 +27,7 @@ import numpy as np
 from .fields import TorusField
 from .hankel import build_hankel, spectral_summary
 from .norms import besov_norm, charge, momentum, sobolev_norm
-from .problems import EvolutionProblem, energy, linear_symbol, nonlinearity
+from .problems import EvolutionProblem, _stack, energy, linear_symbol, nonlinearity
 
 IFRK4 = "ifrk4"
 MIDPOINT = "midpoint"
@@ -105,7 +108,9 @@ class _MidpointStepper:
         return coeff + self.dt * self._rhs(half)
 
 
-def make_stepper(problem: EvolutionProblem, grid, dt: float, scheme: str = IFRK4):
+def make_stepper(problem, grid, dt: float, scheme: str = IFRK4):
+    """Stepper for one problem, or for a stack of problems on one grid
+    (it then steps (rows, n_coeff) arrays)."""
     if scheme == IFRK4:
         return _IFRK4Stepper(problem, grid, dt)
     if scheme == MIDPOINT:
@@ -113,17 +118,19 @@ def make_stepper(problem: EvolutionProblem, grid, dt: float, scheme: str = IFRK4
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def trajectory(problem: EvolutionProblem, u0: TorusField, t_end: float,
-               cfg: StepperConfig):
+def trajectory(problem, u0: TorusField, t_end: float, cfg: StepperConfig):
     """Step u0 to t_end; yields (t, coeff) at t = 0, every monitor_stride
     steps and t_end.
 
-    The yielded arrays are never modified afterwards.  A non-finite
-    state raises BlowUpError with the last valid time.
+    For a sequence of problems every row starts at u0 and coeff is the
+    (rows, n_coeff) stack.  The yielded arrays are never modified
+    afterwards.  A non-finite state raises BlowUpError with the last
+    valid time.
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
-    coeff = u0.coeff
+    _, lead = _stack(problem)
+    coeff = np.tile(u0.coeff, lead + (1,))
     yield 0.0, coeff
     if t_end == 0:
         return
@@ -168,8 +175,12 @@ def evolve(
 
     A record of the requested monitors is taken at every monitored time
     (including t = 0 and t_end); with monitors=() the record list is
-    empty.  Other functionals of the state are read off trajectory.
+    empty.  Other functionals of the state are read off trajectory,
+    which also steps a stack of problems.
     """
+    if not isinstance(problem, EvolutionProblem):
+        raise ValueError("evolve takes one problem; step a stack of problems "
+                         "with trajectory")
     records = []
     coeff = u0.coeff
     try:

@@ -8,8 +8,6 @@ k >= 0 (the k = 0 mode belongs to the plus part).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .fields import GridSpec, TorusField
@@ -21,18 +19,28 @@ INVERT_D0 = "d0_inv"
 _MULTIPLIERS = (ABS_D, DERIVATIVE, INVERT_D0)
 
 
-@lru_cache(maxsize=None)
-def _padded_slots(grid: GridSpec) -> np.ndarray:
-    """Positions of band modes inside the padded spectrum (k mod M)."""
-    return np.asarray(grid.modes() % grid.padded_len)
+def _pad(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Zero-padded spectra of band coefficients along the last axis.
+
+    Mode k sits at slot k mod M: modes 0..N at slots 0..N and modes
+    -N..-1 at M-N..M-1, so the scatter is two slice copies.
+    """
+    n, m = grid.max_mode, grid.padded_len
+    padded = np.zeros(coeff.shape[:-1] + (m,), dtype=np.complex128)
+    padded[..., : n + 1] = coeff[..., n:]
+    padded[..., m - n:] = coeff[..., :n]
+    return padded
+
+
+def _band(spectrum: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The band coefficients -N..N of padded spectra (inverse of _pad)."""
+    n, m = grid.max_mode, grid.padded_len
+    return np.concatenate((spectrum[..., m - n:], spectrum[..., : n + 1]), axis=-1)
 
 
 def to_grid_values(f: TorusField) -> np.ndarray:
     """Values of f at the padded quadrature points x_j = 2 pi j / M."""
-    grid = f.grid
-    padded = np.zeros(grid.padded_len, dtype=np.complex128)
-    padded[_padded_slots(grid)] = f.coeff
-    return np.fft.ifft(padded) * grid.padded_len
+    return np.fft.ifft(_pad(f.coeff, f.grid)) * f.grid.padded_len
 
 
 def from_grid_values(grid: GridSpec, values: np.ndarray) -> TorusField:
@@ -41,8 +49,7 @@ def from_grid_values(grid: GridSpec, values: np.ndarray) -> TorusField:
     Exact whenever the sampled function is a trigonometric polynomial of
     degree < padded_len - max_mode (no aliased copy reaches the band).
     """
-    spectrum = np.fft.fft(values) / grid.padded_len
-    return TorusField(grid, spectrum[_padded_slots(grid)])
+    return TorusField(grid, _band(np.fft.fft(values), grid) / grid.padded_len)
 
 
 def inner(f: TorusField, g: TorusField) -> complex:

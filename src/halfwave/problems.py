@@ -33,7 +33,7 @@ import numpy as np
 
 from .fields import GridSpec, TorusField
 from .norms import BESOV, L4, charge, norm
-from .operators import _padded_slots
+from .operators import _band, _pad
 
 #: the linear multiplier L(k) of each dispersion, on float wavenumbers
 DISPERSIONS = {"|k|": np.abs, "k": np.positive, "0": np.zeros_like}
@@ -91,38 +91,66 @@ def _eps_squared(kind: str, eps: float) -> float:
     return eps**2
 
 
-def linear_symbol(problem: EvolutionProblem, grid: GridSpec) -> np.ndarray:
-    """Multiplier of the linear part: |k|, k, or 0."""
-    return DISPERSIONS[problem.dispersion](grid.modes().astype(np.float64))
+def _stack(problem):
+    """The problems of one problem or a stack, and the leading shape of
+    their coefficient arrays: () for one problem, (rows,) for a stack."""
+    if isinstance(problem, EvolutionProblem):
+        return (problem,), ()
+    problems = tuple(problem)
+    if not problems:
+        raise ValueError("a stack of problems must not be empty")
+    return problems, (len(problems),)
 
 
-def nonlinearity(problem: EvolutionProblem, grid: GridSpec):
+def linear_symbol(problem, grid: GridSpec) -> np.ndarray:
+    """Multiplier of the linear part: |k|, k, or 0.
+
+    For a stack of problems, one row per problem.
+    """
+    problems, lead = _stack(problem)
+    k = grid.modes().astype(np.float64)
+    return np.reshape([DISPERSIONS[p.dispersion](k) for p in problems],
+                      lead + (grid.n_coeff,))
+
+
+def nonlinearity(problem, grid: GridSpec):
     """Closure coeff -> -i c (P(|u|^2 u) - 2 q0 u) on raw coefficient arrays.
 
     The dealiased cubic term is one scatter/ifft/pointwise/fft/gather
     round trip on the padded grid, with no field wrapping, so the inner
-    stepping loop stays cheap.
+    stepping loop stays cheap.  A sequence of problems on one grid acts
+    on a (rows, n_coeff) array, one row per problem, with one batched
+    transform per direction; c and q0 are then column vectors and P_+
+    zeroes only the projected rows.
     """
-    if problem.coupling == 0:
-        zero = np.zeros(grid.n_coeff, dtype=np.complex128)
+    problems, lead = _stack(problem)
+    column = lead + (1,)
+    coupling = np.reshape([p.coupling for p in problems], column)
+    if not coupling.any():
+        zero = np.zeros(lead + (grid.n_coeff,), dtype=np.complex128)
         return lambda c: zero
 
-    slots = _padded_slots(grid)
     m = grid.padded_len
     n = grid.max_mode
-    scale = -1j * problem.coupling
-    gauge = 2.0 * problem.q0
-    project = problem.project
+    scale = -1j * coupling
+    q0 = np.reshape([p.q0 for p in problems], column)
+    gauge = 2.0 * q0 if q0.any() else None
+    projected = [p.project for p in problems]
+    if all(projected):
+        zeroed = ...
+    elif any(projected):
+        zeroed = np.flatnonzero(projected)
+    else:
+        zeroed = None
 
     def term(c):
-        padded = np.zeros(m, dtype=np.complex128)
-        padded[slots] = c
-        v = np.fft.ifft(padded)
+        v = np.fft.ifft(_pad(c, grid))
         v *= np.abs(v) ** 2
-        out = np.fft.fft(v)[slots] * (m * m)
-        if project:
-            out[:n] = 0.0
-        if gauge:
+        out = _band(np.fft.fft(v), grid)
+        out *= m * m
+        if zeroed is not None:
+            out[zeroed, :n] = 0.0
+        if gauge is not None:
             out -= gauge * c
         return scale * out
 

@@ -8,10 +8,12 @@ counts the row metrics twice.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from halfwave import experiments
+from halfwave import EvolutionProblem, GridSpec, TorusField, experiments, integrate
 from halfwave.experiments import HorizonRule, default_config, run_decoupling
+from halfwave.norms import charge
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 ROW_WORKERS = ["_approximation_row", "_besov_row", "_decoupling_row",
@@ -44,3 +46,32 @@ def test_traced_rows_counted_once(layertrace):
         result = run_decoupling(cfg)
     assert tracer.calls["experiments.row"] == len(result.rows) == 3
     assert not hasattr(experiments._decoupling_row, "__wrapped__")  # uninstalled
+
+
+def _pair(grid):
+    u0 = TorusField.from_modes(grid, {0: 0.5, 1: 0.5})
+    q0 = charge(u0)
+    return (EvolutionProblem.half_wave_gauged(0.5, q0),
+            EvolutionProblem.szego_transport(0.5, q0)), u0
+
+
+def test_traced_stepper_accepts_a_stack(layertrace):
+    grid = GridSpec.with_padding(16)
+    stack, u0 = _pair(grid)
+    with layertrace.Tracer() as tracer:
+        out = integrate.make_stepper(stack, grid, 0.01).step(np.tile(u0.coeff, (2, 1)))
+    assert out.shape == (2, grid.n_coeff)
+    assert tracer.calls["integrate.step"] == 1
+
+
+def test_traced_pair_counts_one_step_per_stacked_step(layertrace):
+    """The approximation pair is one stack: one traced step per stacked
+    step, and each of the 8 transforms of a step covers both rows."""
+    grid = GridSpec.with_padding(16)
+    (a, b), u0 = _pair(grid)
+    steps = 100
+    with layertrace.Tracer() as tracer:
+        experiments._max_hs_gap(a, b, u0, steps * 0.01, 1.5, 0.01, 10)
+    assert tracer.calls["integrate.step"] == steps
+    assert tracer.calls["operators.fft"] == steps * 8
+    assert tracer.fft_points == steps * 8 * 2 * grid.padded_len

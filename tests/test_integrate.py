@@ -6,6 +6,7 @@ from halfwave import (
     MIDPOINT,
     BlowUpError,
     EvolutionProblem,
+    GridSpec,
     PlaneWaveSpec,
     StepperConfig,
     TorusField,
@@ -18,7 +19,7 @@ from halfwave import integrate
 from halfwave.experiments import NumericalFailure, _richardson
 from halfwave.norms import charge
 
-from conftest import random_analytic_field
+from conftest import random_analytic_field, random_field
 
 
 def test_stepper_config_validation():
@@ -208,3 +209,53 @@ def test_no_monitors_samples_nothing(grid16, rng, monkeypatch):
     assert all(r.charge == pytest.approx(charge(u0), rel=1e-12) for r in records)
     assert all(r.energy is None and r.b111 is None and r.hs is None
                and r.momentum is None for r in records)
+
+
+#: stacks that mix projection and gauge rows, and a zero-coupling row
+STACKS = {
+    "gauged_and_transport": (EvolutionProblem.half_wave_gauged(0.5, 0.3),
+                             EvolutionProblem.szego_transport(0.5, 0.3)),
+    "free_and_szego": (EvolutionProblem.free_half_wave(), EvolutionProblem.szego_plain()),
+}
+
+
+@pytest.mark.parametrize("scheme, dt", [(IFRK4, 0.01), (MIDPOINT, 1e-3)])
+@pytest.mark.parametrize("n", [16, 128])
+@pytest.mark.parametrize("stack", STACKS.values(), ids=list(STACKS))
+def test_stacked_rows_equal_single_trajectories(stack, n, scheme, dt, rng):
+    """Row i of a stacked trajectory is bit for bit problem i's own
+    trajectory at every yielded time."""
+    grid = GridSpec.with_padding(n)
+    u0 = random_field(grid, rng, scale=0.5)  # negative modes: P_+ acts
+    cfg = StepperConfig(dt=dt, scheme=scheme, monitor_stride=7)
+    stacked = list(trajectory(stack, u0, 0.3, cfg))
+    for i, problem in enumerate(stack):
+        single = list(trajectory(problem, u0, 0.3, cfg))
+        assert [t for t, _ in stacked] == [t for t, _ in single]
+        for (_, rows), (_, coeff) in zip(stacked, single):
+            assert rows.shape == (len(stack), grid.n_coeff)
+            assert np.array_equal(rows[i], coeff)
+
+
+def test_stack_with_one_exploding_row_blows_up(grid16):
+    u0 = TorusField.from_modes(grid16, {1: 80.0, 0: 60.0})
+    cfg = StepperConfig(dt=10.0)
+    free = EvolutionProblem.free_half_wave()
+    assert all(np.all(np.isfinite(c)) for _, c in trajectory(free, u0, 2000.0, cfg))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUpError):
+            for _ in trajectory((free, EvolutionProblem.half_wave()), u0, 2000.0, cfg):
+                pass
+
+
+def test_stack_rejections(grid16):
+    u0 = TorusField.from_modes(grid16, {1: 0.1})
+    cfg = StepperConfig(dt=0.1)
+    stack = (EvolutionProblem.half_wave(), EvolutionProblem.szego_plain())
+    with pytest.raises(ValueError, match="trajectory"):
+        evolve(stack, u0, 1.0, cfg)
+    with pytest.raises(ValueError, match="empty"):
+        next(trajectory((), u0, 1.0, cfg))
+    for scheme in (IFRK4, MIDPOINT):
+        with pytest.raises(ValueError, match="empty"):
+            integrate.make_stepper([], grid16, 0.1, scheme)

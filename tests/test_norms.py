@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from halfwave import TorusField, norm
+from halfwave import GridSpec, TorusField, norm
 from halfwave.norms import BESOV, L1, L2, L4, MOMENTUM, SOBOLEV, besov_blocks
 from halfwave.operators import to_grid_values
 
@@ -32,6 +32,18 @@ def test_besov_blocks_tile_band(grid16):
     for _, mask in besov_blocks(grid16):
         cover += mask.astype(int)
     assert np.all(cover == 1)
+
+
+@pytest.mark.parametrize("n", [16, 128, 512])
+def test_besov_norm_equals_per_block_reference(n, rng):
+    """The batched transform gives exactly the block-by-block sum."""
+    grid = GridSpec.with_padding(n)
+    f = random_field(grid, rng)
+    want = 0.0
+    for weight, mask in besov_blocks(grid):
+        block = TorusField(grid, np.where(mask, f.coeff, 0.0))
+        want += weight * float(np.mean(np.abs(to_grid_values(block))))
+    assert norm(f, BESOV) == want
 
 
 def test_momentum_signed(grid16):

@@ -14,7 +14,7 @@ from halfwave import (
     rhs,
 )
 from halfwave.norms import SOBOLEV
-from halfwave.problems import linear_symbol
+from halfwave.problems import linear_symbol, nonlinearity
 
 from conftest import random_field
 
@@ -93,6 +93,26 @@ def test_nonlinearity_matches_field_operators(problem, grid16, rng):
     want = problem.coupling * (cubic.coeff - 2.0 * problem.q0 * u.coeff)
     got = nonlinear_term(problem, u).coeff
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_stacked_nonlinearity_rows_equal_single(grid16, rng):
+    """Row i of the stacked closure is bit for bit problem i's own closure."""
+    coeff = np.array([random_field(grid16, rng).coeff for _ in ALL_PROBLEMS])
+    got = nonlinearity(ALL_PROBLEMS, grid16)(coeff)
+    assert got.shape == coeff.shape
+    for i, problem in enumerate(ALL_PROBLEMS):
+        assert np.array_equal(got[i], nonlinearity(problem, grid16)(coeff[i]))
+    symbols = linear_symbol(ALL_PROBLEMS, grid16)
+    for i, problem in enumerate(ALL_PROBLEMS):
+        assert np.array_equal(symbols[i], linear_symbol(problem, grid16))
+
+
+def test_stacked_nonlinearity_zero_coupling_and_empty(grid16, rng):
+    free = (EvolutionProblem.free_half_wave(), EvolutionProblem.free_half_wave())
+    coeff = np.array([random_field(grid16, rng).coeff for _ in free])
+    assert np.array_equal(nonlinearity(free, grid16)(coeff), np.zeros_like(coeff))
+    with pytest.raises(ValueError, match="empty"):
+        nonlinearity((), grid16)
 
 
 class TestEnergy:

@@ -15,7 +15,6 @@ from .integrate import (
     IFRK4,
     MIDPOINT,
     BlowUpError,
-    InvariantRecord,
     StepperConfig,
     evolve,
     make_stepper,

@@ -9,8 +9,8 @@ deliberately different scheme for cross-checks.
 A step count is chosen so that an integer number of steps lands exactly
 on t_end (the actual dt, never larger than requested, is reported).
 The stepping loop is the generator trajectory, which yields the state
-every monitor_stride steps; evolve samples the requested monitors there
-and other functionals of the state are read off it directly.  Flows
+every monitor_stride steps; every functional of the flow is read off
+those states by the caller, and evolve keeps only the final one.  Flows
 that share a grid and a step move in lockstep as one stack: given a
 sequence of problems, trajectory steps a (rows, n_coeff) array, one row
 per problem, with one batched transform per RK stage, and each row is
@@ -25,14 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import TorusField
-from .hankel import build_hankel, spectral_summary
-from .norms import besov_norm, charge, momentum, sobolev_norm
-from .problems import EvolutionProblem, _stack, energy, linear_symbol, nonlinearity
+from .problems import EvolutionProblem, _stack, linear_symbol, nonlinearity
 
 IFRK4 = "ifrk4"
 MIDPOINT = "midpoint"
-
-DEFAULT_MONITORS = ("energy", "charge", "momentum", "b111", "hs")
 
 
 @dataclass(frozen=True)
@@ -50,27 +46,17 @@ class StepperConfig:
             raise ValueError("monitor_stride must be a positive integer")
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
-    """Monitors at one time; None for those not requested."""
-
-    time: float
-    energy: float | None = None
-    charge: float | None = None
-    momentum: float | None = None
-    b111: float | None = None
-    hs: float | None = None
-    hankel_trace: float | None = None
-
-
 class BlowUpError(RuntimeError):
     """Non-finite state: the discrete scheme blew up (the continuous flow
     is globally defined, so this signals a numerics problem)."""
 
-    def __init__(self, last_valid_time: float, records):
-        super().__init__(f"non-finite state after t = {last_valid_time}")
+    def __init__(self, last_valid_time: float):
+        # the value stays in args, so the error pickles back from a worker
+        super().__init__(last_valid_time)
         self.last_valid_time = last_valid_time
-        self.records = list(records)
+
+    def __str__(self):
+        return f"non-finite state after t = {self.last_valid_time}"
 
 
 class _IFRK4Stepper:
@@ -141,54 +127,22 @@ def trajectory(problem, u0: TorusField, t_end: float, cfg: StepperConfig):
     for n in range(1, n_steps + 1):
         coeff = stepper.step(coeff)
         if not np.all(np.isfinite(coeff)):
-            raise BlowUpError(t_last, ())
+            raise BlowUpError(t_last)
         t_last = n * dt
         if n % cfg.monitor_stride == 0 or n == n_steps:
             yield t_last, coeff
 
 
-def _record(problem, u, t, monitors, hs_order) -> InvariantRecord:
-    """The requested monitors at time t; None for the rest."""
-    def sample(name, fn, *args):
-        return fn(*args) if name in monitors else None
+def evolve(problem: EvolutionProblem, u0: TorusField, t_end: float,
+           cfg: StepperConfig) -> TorusField:
+    """Integrate one problem to t_end; returns the final state.
 
-    return InvariantRecord(
-        time=t,
-        energy=sample("energy", energy, problem, u),
-        charge=sample("charge", charge, u),
-        momentum=sample("momentum", momentum, u),
-        b111=sample("b111", besov_norm, u),
-        hs=sample("hs", sobolev_norm, u, hs_order),
-        hankel_trace=sample("hankel", lambda: spectral_summary(build_hankel(u)).trace_norm),
-    )
-
-
-def evolve(
-    problem: EvolutionProblem,
-    u0: TorusField,
-    t_end: float,
-    cfg: StepperConfig,
-    monitors=DEFAULT_MONITORS,
-    hs_order: float = 0.5,
-):
-    """Integrate to t_end; returns (final state, invariant records).
-
-    A record of the requested monitors is taken at every monitored time
-    (including t = 0 and t_end); with monitors=() the record list is
-    empty.  Other functionals of the state are read off trajectory,
+    Functionals of the state along the way are read off trajectory,
     which also steps a stack of problems.
     """
     if not isinstance(problem, EvolutionProblem):
         raise ValueError("evolve takes one problem; step a stack of problems "
                          "with trajectory")
-    records = []
-    coeff = u0.coeff
-    try:
-        for t, coeff in trajectory(problem, u0, t_end, cfg):
-            if monitors:
-                u = TorusField(u0.grid, coeff)
-                records.append(_record(problem, u, t, monitors, hs_order))
-    except BlowUpError as err:
-        err.records = records
-        raise
-    return TorusField(u0.grid, coeff), records
+    for _, coeff in trajectory(problem, u0, t_end, cfg):
+        pass
+    return TorusField(u0.grid, coeff)

@@ -75,3 +75,11 @@ def test_traced_pair_counts_one_step_per_stacked_step(layertrace):
     assert tracer.calls["integrate.step"] == steps
     assert tracer.calls["operators.fft"] == steps * 8
     assert tracer.fft_points == steps * 8 * 2 * grid.padded_len
+
+
+def test_integrate_binds_no_monitor_functionals():
+    """The tracer books these names as monitor time when integrate binds
+    them; the stepping loop samples nothing, so none may be bound."""
+    monitors = ("energy", "besov_norm", "sobolev_norm", "charge", "momentum",
+                "build_hankel", "spectral_summary")
+    assert [name for name in monitors if hasattr(integrate, name)] == []

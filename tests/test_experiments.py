@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from halfwave.experiments import (
@@ -285,6 +286,19 @@ class TestCli:
             "threads": 1,
             "dt": None,
         }
+
+    def test_worker_blow_up_exit_two(self, tmp_path, capsys):
+        """A blow-up inside a pool worker reaches main as the serial run's
+        numerical failure, not as a broken pool."""
+        argv = ["decoupling", "--dt", "10", "--grid", "16", "--horizon", "fixed:2000",
+                "--profile-amplitude", "80", "--out", str(tmp_path)]
+        messages = []
+        for threads in ("1", "2"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert cli.main(argv + ["--threads", threads]) == 2
+            messages.append(capsys.readouterr().err.strip().splitlines()[-1])
+        assert messages[0].startswith("numerical failure: non-finite state")
+        assert messages[1] == messages[0]
 
     @pytest.mark.parametrize("file_line, flags", [
         ("grid = abc", []),

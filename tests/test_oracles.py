@@ -97,7 +97,7 @@ def test_galerkin_agrees_with_ifrk4(grid16, rng):
     u0 = random_analytic_field(grid16, rng, scale=0.4)
     problem = EvolutionProblem.half_wave()
     reference = galerkin_reference(problem, u0, 5.0, dt=2e-4)
-    main, _ = evolve(problem, u0, 5.0, StepperConfig(dt=0.005))
+    main = evolve(problem, u0, 5.0, StepperConfig(dt=0.005))
     assert np.max(np.abs(reference.coeff - main.coeff)) <= 1e-6
 
 
@@ -157,8 +157,7 @@ def test_rational_flow_matches_pseudospectral_szego():
     n = 128
     grid = GridSpec.with_padding(n)
     u0 = TorusField.from_modes(grid, {1: 1.0, 0: 0.5})
-    pde, _ = evolve(EvolutionProblem.szego_plain(), u0, 1.0,
-                    StepperConfig(dt=0.005, monitor_stride=10**9), monitors=())
+    pde = evolve(EvolutionProblem.szego_plain(), u0, 1.0, StepperConfig(dt=0.005))
     oracle = szego_rational_flow(RationalState(0.5, 1.0, 0.0), 1.0)
     assert np.max(np.abs(pde.coeff[n:] - oracle.modes(n))) <= 1e-8
     assert np.max(np.abs(pde.coeff[:n])) == 0.0

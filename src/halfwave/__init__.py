@@ -11,24 +11,13 @@ from .hankel import (
     peller_ratio,
     spectral_summary,
 )
-from .integrate import (
-    IFRK4,
-    MIDPOINT,
-    BlowUpError,
-    StepperConfig,
-    evolve,
-    make_stepper,
-    trajectory,
-)
-from .norms import BESOV, L1, L2, L4, MOMENTUM, SOBOLEV, besov_norm, charge, momentum, norm, sobolev_norm
+from .integrate import BlowUpError, StepperConfig, evolve, make_stepper, trajectory
+from .norms import besov_norm, charge, l4_norm, momentum, sobolev_norm
 from .operators import (
-    ABS_D,
-    DERIVATIVE,
-    INVERT_D0,
-    apply_multiplier,
     conjugate,
     cubic_term,
     inner,
+    invert_d0,
     product,
     project_minus,
     project_plus,
@@ -53,11 +42,9 @@ from .problems import (
     rhs,
 )
 from .normalform import (
-    BACKWARD,
     CLOSED_FORM,
     DIRECT_SUM,
     F,
-    FORWARD,
     H0,
     QuadrupleKey,
     R,

@@ -33,13 +33,14 @@ import numpy as np
 from .fields import GridSpec, TorusField, fast_transform_length
 from .hankel import build_hankel, spectral_summary
 from .integrate import StepperConfig, evolve, trajectory
-from .norms import L4, besov_norm, charge, norm, sobolev_norm
+from .norms import besov_norm, charge, l4_norm, sobolev_norm
 from .normalform import (
     CLOSED_FORM,
     F,
     H0,
     R,
     RTILDE,
+    classify,
     enumerate_resonances,
     functional_value,
     poisson_bracket,
@@ -658,7 +659,11 @@ def run_normalform_check(cfg: ExperimentConfig) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def strichartz_ratio(n_modes: int, s: float, quadrature_nodes: int = 8) -> float:
+#: Gauss-Legendre nodes of the time integral in strichartz_ratio
+STRICHARTZ_NODES = 8
+
+
+def strichartz_ratio(n_modes: int, s: float) -> float:
     """int_0^1 ||e^{-it|D|} f||_{L4}^4 dt / ||f||_{H^{s/2}}^4 for
     f = sum_{k=0}^{n} e^{ikx}.
 
@@ -669,18 +674,18 @@ def strichartz_ratio(n_modes: int, s: float, quadrature_nodes: int = 8) -> float
     coeff = np.zeros(grid.n_coeff, dtype=np.complex128)
     coeff[grid.max_mode:] = 1.0
     f = TorusField(grid, coeff)
-    nodes, weights = np.polynomial.legendre.leggauss(quadrature_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(STRICHARTZ_NODES)
     ts = 0.5 * (nodes + 1.0)
     ws = 0.5 * weights
     k = grid.modes()
     total = 0.0
     for t, w in zip(ts, ws):
         ft = TorusField(grid, f.coeff * np.exp(-1j * np.abs(k) * t))
-        total += w * norm(ft, L4) ** 4
+        total += w * l4_norm(ft) ** 4
     return total / sobolev_norm(f, s / 2.0) ** 4
 
 
-def _strichartz_rows(cfg, s):
+def _strichartz_rows(s):
     sizes = [8, 16, 32, 64, 128, 256]
     rows = []
     pts = []
@@ -702,7 +707,7 @@ def run_strichartz(cfg: ExperimentConfig) -> SweepResult:
     """
     all_rows, slopes = [], {}
     for s in (0.0, 0.25, 0.5):
-        rows, slope = _strichartz_rows(cfg, s)
+        rows, slope = _strichartz_rows(s)
         all_rows.extend(rows)
         slopes[s] = slope
     passed = all(abs(slopes[s] - (1.0 - 2.0 * s)) <= 0.15 for s in slopes)
@@ -719,8 +724,6 @@ def run_strichartz(cfg: ExperimentConfig) -> SweepResult:
 def run_resonance_audit(cfg: ExperimentConfig, max_abs: int = 30) -> SweepResult:
     """Enumerated resonant quadruples with case labels, audited for exact
     agreement with the case-generated set."""
-    from .normalform import classify
-
     start = time.perf_counter()
     listed = enumerate_resonances(max_abs)
     cased = {q.as_tuple() for q in resonances_from_cases(max_abs)}

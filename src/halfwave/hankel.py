@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import TorusField
-from .norms import BESOV, norm
+from .norms import besov_norm
 
 #: eigenvalues below this multiple of the largest are reported as zero
 NOISE_FLOOR = 1e-13
@@ -123,6 +123,6 @@ def peller_ratio(w: TorusField) -> float:
     stays in a fixed band over any corpus of analytic fields."""
     if not np.any(w.coeff != 0):
         raise ValueError("peller_ratio requires a nonzero field")
-    besov = norm(w, BESOV)
+    besov = besov_norm(w)
     summary = spectral_summary(build_hankel(w))
     return summary.trace_norm / besov

@@ -35,13 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import TorusField
-from .norms import BESOV, charge, norm
+from .norms import besov_norm, charge
 from .operators import (
-    INVERT_D0,
-    apply_multiplier,
     conjugate,
     cubic_term,
     inner,
+    invert_d0,
     product,
     project_minus,
     project_plus,
@@ -261,10 +260,10 @@ def _generator_terms(u: TorusField):
     """
     up, um = project_plus(u), project_minus(u)
     vp, vm = to_grid_values(up), to_grid_values(um)
-    jm = to_grid_values(apply_multiplier(um, INVERT_D0))
-    jp = to_grid_values(apply_multiplier(up, INVERT_D0))
+    jm = to_grid_values(invert_d0(um))
+    jp = to_grid_values(invert_d0(up))
     j_abs_p = to_grid_values(
-        apply_multiplier(product(up, conjugate(up)), INVERT_D0)
+        invert_d0(product(up, conjugate(up)))
     )
     t1 = np.mean(jm * np.abs(vp) ** 2 * np.conj(vp))
     t2 = np.mean(jp * np.abs(vm) ** 2 * np.conj(vm))
@@ -287,12 +286,12 @@ def _generator_field(u: TorusField) -> TorusField:
     grid = u.grid
     up, um = project_plus(u), project_minus(u)
     cp, cm = conjugate(up), conjugate(um)
-    jp = apply_multiplier(up, INVERT_D0)
-    jm = apply_multiplier(um, INVERT_D0)
+    jp = invert_d0(up)
+    jm = invert_d0(um)
     abs_p = product(up, cp)
     abs_m = product(um, cm)
-    j_abs_p = apply_multiplier(abs_p, INVERT_D0)
-    j_abs_m = apply_multiplier(abs_m, INVERT_D0)
+    j_abs_p = invert_d0(abs_p)
+    j_abs_m = invert_d0(abs_m)
 
     # d/d(conj u), one projection per integral term
     g_bar = (
@@ -304,11 +303,11 @@ def _generator_field(u: TorusField) -> TorusField:
 
     # d/du, assembled with the reflection rho(f)(x) = f(-x)
     d_t1 = (
-        project_minus(apply_multiplier(reflect(triple_product(up, cp, cp)), INVERT_D0)).coeff
+        project_minus(invert_d0(reflect(triple_product(up, cp, cp)))).coeff
         + project_plus(reflect(triple_product(jm, cp, cp))).coeff
     )
     d_t2 = (
-        project_plus(apply_multiplier(reflect(triple_product(um, cm, cm)), INVERT_D0)).coeff
+        project_plus(invert_d0(reflect(triple_product(um, cm, cm)))).coeff
         + project_minus(reflect(triple_product(jp, cm, cm))).coeff
     )
     d_t3 = (
@@ -418,33 +417,25 @@ def poisson_bracket(tag_a: str, tag_b: str, u: TorusField,
 # the canonical flow chi_eps = exp(eps^2 X_F)
 # ---------------------------------------------------------------------------
 
-FORWARD = "forward"
-BACKWARD = "backward"
-
-
-def normal_form_flow(
-    u: TorusField,
-    eps: float,
-    sigma: float,
-    substeps: int = FLOW_SUBSTEPS,
-    smallness: float = FLOW_SMALLNESS,
-) -> TorusField:
+def normal_form_flow(u: TorusField, eps: float, sigma: float) -> TorusField:
     """phi_sigma(u): RK4 integration of d(phi)/d(sigma) = eps^2 X_F(phi).
 
-    Requires eps * ||u||_{B111} below the smallness threshold; the
-    sigma-equation is smooth and non-stiff, so a fixed small number of
-    substeps resolves it far below the package tolerances.
+    Requires eps * ||u||_{B111} below FLOW_SMALLNESS; the sigma-equation
+    is smooth and non-stiff, so FLOW_SUBSTEPS substeps resolve it far
+    below the package tolerances.  sigma = 1 is chi_eps, sigma = -1 its
+    inverse.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if eps * norm(u, BESOV) > smallness:
+    size = eps * besov_norm(u)
+    if size > FLOW_SMALLNESS:
         raise ValueError(
-            f"eps * ||u||_B111 = {eps * norm(u, BESOV):.3g} exceeds the "
-            f"smallness threshold {smallness}"
+            f"eps * ||u||_B111 = {size:.3g} exceeds the "
+            f"smallness threshold {FLOW_SMALLNESS}"
         )
     if eps == 0.0 or sigma == 0.0:
         return u
-    h = sigma / substeps
+    h = sigma / FLOW_SUBSTEPS
     c = u.coeff.copy()
     grid = u.grid
     scale = eps**2
@@ -452,7 +443,7 @@ def normal_form_flow(
     def rate(arr):
         return scale * _generator_field(TorusField(grid, arr)).coeff
 
-    for _ in range(substeps):
+    for _ in range(FLOW_SUBSTEPS):
         a = rate(c)
         b = rate(c + 0.5 * h * a)
         d = rate(c + 0.5 * h * b)
@@ -463,14 +454,9 @@ def normal_form_flow(
     return TorusField(grid, c)
 
 
-def chi_flow(u: TorusField, eps: float, direction: str = FORWARD,
-             substeps: int = FLOW_SUBSTEPS) -> TorusField:
-    """chi_eps(u) (forward) or its inverse (backward)."""
-    if direction == FORWARD:
-        return normal_form_flow(u, eps, 1.0, substeps)
-    if direction == BACKWARD:
-        return normal_form_flow(u, eps, -1.0, substeps)
-    raise ValueError(f"direction must be {FORWARD!r} or {BACKWARD!r}")
+def chi_flow(u: TorusField, eps: float) -> TorusField:
+    """chi_eps(u); its inverse is normal_form_flow(u, eps, -1.0)."""
+    return normal_form_flow(u, eps, 1.0)
 
 
 def taylor_residual(u: TorusField, eps: float) -> float:
@@ -480,7 +466,7 @@ def taylor_residual(u: TorusField, eps: float) -> float:
     H0 + eps^2 Rtilde up to a fourth-order remainder, so this residual
     scales like eps^4 at fixed u.
     """
-    moved = chi_flow(u, eps, FORWARD)
+    moved = chi_flow(u, eps)
     h_eps = functional_value(H0, moved) + eps**2 * functional_value(R, moved)
     target = functional_value(H0, u) + eps**2 * functional_value(RTILDE, u)
     return abs(h_eps - target)

@@ -1,14 +1,14 @@
 """Norms of band-limited torus fields.
 
-- L2 and Sobolev norms are coefficient sums (Parseval with the
-  normalized measure dx/2pi).
-- L4 and L1 are quadratures on the padded grid.  |f|^4 has degree 4N,
-  so the L4 quadrature is exact when padded_len >= 4N + 1; |f| is not
-  band-limited, so the L1 value is defined as the padded-grid quadrature
-  and carries a (documented) quadrature error.
+- The charge ||f||_{L2}^2 and Sobolev norms are coefficient sums
+  (Parseval with the normalized measure dx/2pi).
+- The L4 norm is a quadrature on the padded grid.  |f|^4 has degree 4N,
+  so it is exact when padded_len >= 4N + 1.
 - The Besov norm B^1_{1,1} uses sharp dyadic blocks: S0 keeps |k| <= 1,
   block j keeps 2^j < |k| <= 2^{j+1}, and the norm is
-  ||S0 f||_L1 + sum_j 2^j ||block_j f||_L1.
+  ||S0 f||_L1 + sum_j 2^j ||block_j f||_L1; each block's L1 norm is
+  the padded-grid quadrature (|f| is not band-limited, so it carries a
+  quadrature error).
 - Momentum sum_k k |u_k|^2 is signed and returned as a real number.
 """
 
@@ -20,15 +20,6 @@ import numpy as np
 
 from .fields import GridSpec, TorusField
 from .operators import _pad, to_grid_values
-
-L2 = "L2"
-L4 = "L4"
-L1 = "L1"
-SOBOLEV = "Hs"
-BESOV = "B111"
-MOMENTUM = "Momentum"
-
-_KINDS = (L2, L4, L1, SOBOLEV, BESOV, MOMENTUM)
 
 
 @lru_cache(maxsize=None)
@@ -50,10 +41,6 @@ def besov_blocks(grid: GridSpec):
     return tuple(blocks)
 
 
-def _l1_quadrature(field: TorusField) -> float:
-    return float(np.mean(np.abs(to_grid_values(field))))
-
-
 def besov_norm(f: TorusField) -> float:
     """sum over blocks of weight * ||block f||_L1, one batched transform
     over all blocks."""
@@ -71,6 +58,11 @@ def sobolev_norm(f: TorusField, s: float) -> float:
     return float(np.sqrt(np.sum((1.0 + k.astype(float) ** 2) ** s * np.abs(f.coeff) ** 2)))
 
 
+def l4_norm(f: TorusField) -> float:
+    """||f||_{L4} by exact quadrature on the padded grid."""
+    return float(np.mean(np.abs(to_grid_values(f)) ** 4) ** 0.25)
+
+
 def momentum(f: TorusField) -> float:
     """(Du|u) = sum_k k |u_k|^2; signed."""
     return float(np.sum(f.grid.modes() * np.abs(f.coeff) ** 2))
@@ -79,27 +71,3 @@ def momentum(f: TorusField) -> float:
 def charge(f: TorusField) -> float:
     """Q(u) = ||u||_{L2}^2."""
     return float(np.sum(np.abs(f.coeff) ** 2))
-
-
-def norm(f: TorusField, kind: str, s: float | None = None) -> float:
-    """Norm of the given kind; only the Sobolev kind carries the exponent s.
-
-    Momentum is a signed diagnostic, every other kind is nonnegative.
-    """
-    if kind == SOBOLEV:
-        if s is None:
-            raise ValueError("Sobolev norm requires the exponent s")
-        return sobolev_norm(f, s)
-    if s is not None:
-        raise ValueError(f"norm kind {kind!r} does not take an exponent")
-    if kind == L2:
-        return float(np.sqrt(np.sum(np.abs(f.coeff) ** 2)))
-    if kind == L4:
-        return float(np.mean(np.abs(to_grid_values(f)) ** 4) ** 0.25)
-    if kind == L1:
-        return _l1_quadrature(f)
-    if kind == BESOV:
-        return besov_norm(f)
-    if kind == MOMENTUM:
-        return momentum(f)
-    raise ValueError(f"unknown norm kind {kind!r}, expected one of {_KINDS}")

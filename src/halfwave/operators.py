@@ -1,4 +1,4 @@
-"""Elementary spectral operators: projections, multipliers, dealiased products.
+"""Elementary spectral operators: projections, D0^{-1}, dealiased products.
 
 Conventions: the inner product is (u|v) = (1/2pi) int u conj(v) dx, so
 Parseval is coefficient-wise, (u|v) = sum_k u_k conj(v_k), and single
@@ -11,13 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import GridSpec, TorusField
-
-ABS_D = "abs_d"
-DERIVATIVE = "d"
-INVERT_D0 = "d0_inv"
-
-_MULTIPLIERS = (ABS_D, DERIVATIVE, INVERT_D0)
-
 
 def _pad(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Zero-padded spectra of band coefficients along the last axis.
@@ -72,19 +65,13 @@ def project_minus(f: TorusField) -> TorusField:
     return TorusField(f.grid, coeff)
 
 
-def apply_multiplier(f: TorusField, which: str) -> TorusField:
-    """Fourier multiplier: |k| (abs_d), k (d), or 1/k with k=0 zeroed (d0_inv)."""
+def invert_d0(f: TorusField) -> TorusField:
+    """The multiplier 1/k with the k = 0 mode zeroed (D0^{-1})."""
     k = f.grid.modes()
-    if which == ABS_D:
-        return TorusField(f.grid, f.coeff * np.abs(k))
-    if which == DERIVATIVE:
-        return TorusField(f.grid, f.coeff * k)
-    if which == INVERT_D0:
-        inv = np.zeros_like(k, dtype=np.float64)
-        nonzero = k != 0
-        inv[nonzero] = 1.0 / k[nonzero]
-        return TorusField(f.grid, f.coeff * inv)
-    raise ValueError(f"unknown multiplier {which!r}, expected one of {_MULTIPLIERS}")
+    inv = np.zeros_like(k, dtype=np.float64)
+    nonzero = k != 0
+    inv[nonzero] = 1.0 / k[nonzero]
+    return TorusField(f.grid, f.coeff * inv)
 
 
 def conjugate(f: TorusField) -> TorusField:

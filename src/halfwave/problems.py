@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import GridSpec, TorusField
-from .norms import BESOV, L4, charge, norm
+from .norms import besov_norm, charge, l4_norm
 from .operators import _band, _pad
 
 #: the linear multiplier L(k) of each dispersion, on float wavenumbers
@@ -176,7 +176,7 @@ def energy(problem: EvolutionProblem, u: TorusField) -> float:
     symbol = linear_symbol(problem, u.grid)
     value = 0.5 * float(np.sum(symbol * np.abs(u.coeff) ** 2))
     if problem.coupling:
-        value += problem.coupling * (0.25 * norm(u, L4) ** 4 - problem.q0 * charge(u))
+        value += problem.coupling * (0.25 * l4_norm(u) ** 4 - problem.q0 * charge(u))
     return value
 
 
@@ -197,5 +197,5 @@ def default_time_step(problem: EvolutionProblem, u0: TorusField) -> float:
     set by the nonlinear timescale ~ 1/c; the free flow uses c = 1.
     """
     coupling = problem.coupling if problem.coupling > 0 else 1.0
-    b = norm(u0, BESOV)
+    b = besov_norm(u0)
     return min(0.01, 0.1 / (coupling * max(1.0, b**2)))

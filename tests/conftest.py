@@ -42,8 +42,16 @@ def random_analytic_field(grid, rng, support=None, decay=2.0, scale=1.0):
     return TorusField(grid, coeff)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_csv_columns():
     """README's CSV column table: {experiment: [column, ...]}."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    rows = re.findall(r"^\| *(\w+) *\| *([a-z0-9_, ]+?) *\|$", readme.read_text(), re.M)
+    rows = re.findall(r"^\| *(\w+) *\| *([a-z0-9_, ]+?) *\|$", README.read_text(), re.M)
     return {name: cols.split(", ") for name, cols in rows if name in EXPERIMENTS}
+
+
+def readme_quick_tour():
+    """The python block of README's "Library quick tour" section."""
+    section = README.read_text().split("## Library quick tour", 1)[1]
+    return re.search(r"^```python\n(.*?)^```$", section, re.S | re.M).group(1)

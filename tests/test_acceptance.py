@@ -66,7 +66,7 @@ from halfwave.experiments import (
     run_spectrum_conservation,
     run_strichartz,
 )
-from halfwave.norms import BESOV, norm
+from halfwave.norms import besov_norm
 from halfwave.oracles import inflation_constant, szego_inflation_state
 from halfwave.problems import default_time_step
 
@@ -91,7 +91,7 @@ def _random_support_field(grid, rng, besov_size=None):
         )
     u = TorusField(grid, coeff)
     if besov_size is not None:
-        u = (besov_size / norm(u, BESOV)) * u
+        u = (besov_size / besov_norm(u)) * u
     return u
 
 

@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 
 from halfwave import (
-    ABS_D,
-    DERIVATIVE,
-    INVERT_D0,
     GridSpec,
     TorusField,
-    apply_multiplier,
     conjugate,
     cubic_term,
     inner,
+    invert_d0,
     product,
     project_minus,
     project_plus,
@@ -59,26 +56,14 @@ class TestProjections:
 
 
 class TestMultipliers:
-    def test_abs_d(self, grid16):
-        f = TorusField.from_modes(grid16, {-2: 1.0})
-        assert apply_multiplier(f, ABS_D) == TorusField.from_modes(grid16, {-2: 2.0})
-
-    def test_derivative_signed(self, grid16):
-        f = TorusField.from_modes(grid16, {-2: 1.0})
-        assert apply_multiplier(f, DERIVATIVE) == TorusField.from_modes(grid16, {-2: -2.0})
-
     def test_inverse_derivative(self, grid16):
         f = TorusField.from_modes(grid16, {3: 1.0})
-        out = apply_multiplier(f, INVERT_D0)
+        out = invert_d0(f)
         assert out.mode(3) == pytest.approx(1.0 / 3.0)
 
     def test_inverse_derivative_kills_mean(self, grid16):
         f = TorusField.from_modes(grid16, {0: 1.0})
-        assert apply_multiplier(f, INVERT_D0) == TorusField.zeros(grid16)
-
-    def test_unknown_multiplier(self, grid16):
-        with pytest.raises(ValueError):
-            apply_multiplier(TorusField.zeros(grid16), "nope")
+        assert invert_d0(f) == TorusField.zeros(grid16)
 
 
 class TestCubicTerm:

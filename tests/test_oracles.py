@@ -14,7 +14,7 @@ from halfwave import (
     plane_wave_solution,
     rhs,
 )
-from halfwave.norms import L4, charge, momentum, norm, sobolev_norm
+from halfwave.norms import charge, l4_norm, momentum, sobolev_norm
 from halfwave.oracles import (
     RATIONAL_DT,
     RationalState,
@@ -183,7 +183,7 @@ def test_rational_l4_closed_form_matches_quadrature():
     coeff = np.zeros(2 * n + 1, dtype=np.complex128)
     coeff[n:] = state.modes(n)
     field = TorusField(GridSpec.with_padding(n), coeff)
-    assert state.l4_fourth() == pytest.approx(norm(field, L4) ** 4, rel=1e-12)
+    assert state.l4_fourth() == pytest.approx(l4_norm(field) ** 4, rel=1e-12)
     assert state.momentum() == pytest.approx(momentum(field), rel=1e-12)
 
 

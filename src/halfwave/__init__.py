@@ -30,6 +30,8 @@ from .oracles import (
     galerkin_reference,
     inflation_constant,
     plane_wave_solution,
+    quartic_sum,
+    quartic_sum_field,
     szego_inflation_state,
     szego_rational_flow,
 )
@@ -42,8 +44,6 @@ from .problems import (
     rhs,
 )
 from .normalform import (
-    CLOSED_FORM,
-    DIRECT_SUM,
     F,
     H0,
     QuadrupleKey,

@@ -35,7 +35,6 @@ from .hankel import build_hankel, spectral_summary
 from .integrate import StepperConfig, evolve, trajectory
 from .norms import besov_norm, charge, l4_norm, sobolev_norm
 from .normalform import (
-    CLOSED_FORM,
     F,
     H0,
     R,
@@ -281,15 +280,6 @@ def _slope_or_none(rows, x: str, y: str):
         return None, None
 
 
-def _check_richardson(value: float, discrepancy: float, label: str):
-    bar = 10.0 * RICHARDSON_TOLERANCE * max(abs(value), 1e-300)
-    if discrepancy > bar:
-        raise NumericalFailure(
-            f"{label}: Richardson discrepancy {discrepancy:.3e} exceeds "
-            f"{bar:.3e} (10x tolerance); reduce dt"
-        )
-
-
 def _richardson(measure, dt: float, label: str, scale: float = 1.0):
     """Measure at dt and at dt/2; returns (value at dt, discrepancy).
 
@@ -300,7 +290,12 @@ def _richardson(measure, dt: float, label: str, scale: float = 1.0):
     """
     value = measure(dt, 10)
     rich = scale * abs(value - measure(dt / 2.0, 20))
-    _check_richardson(scale * value, rich, label)
+    bar = 10.0 * RICHARDSON_TOLERANCE * max(abs(scale * value), 1e-300)
+    if rich > bar:
+        raise NumericalFailure(
+            f"{label}: Richardson discrepancy {rich:.3e} exceeds "
+            f"{bar:.3e} (10x tolerance); reduce dt"
+        )
     return value, rich
 
 
@@ -372,9 +367,8 @@ def run_decoupling(cfg: ExperimentConfig) -> SweepResult:
 def _max_hs_gap(problem_a, problem_b, u0, t_end, s, dt, stride):
     """Co-evolve two problems from u0 as one stack; max H^s difference
     at monitor times."""
-    weights = (1.0 + u0.grid.modes().astype(float) ** 2) ** s
     cfg = StepperConfig(dt=dt, monitor_stride=stride)
-    return max(math.sqrt(float(np.sum(weights * np.abs(ca - cb) ** 2)))
+    return max(sobolev_norm(TorusField(u0.grid, ca - cb), s)
                for _, (ca, cb) in trajectory((problem_a, problem_b), u0, t_end, cfg))
 
 
@@ -616,8 +610,8 @@ def run_normalform_check(cfg: ExperimentConfig) -> SweepResult:
     worst = 0.0
     for _ in range(100):
         u = _normalform_field(grid, rng)
-        lhs = poisson_bracket(F, H0, u, CLOSED_FORM) + functional_value(R, u, CLOSED_FORM)
-        worst = max(worst, abs(lhs - functional_value(RTILDE, u, CLOSED_FORM)))
+        lhs = poisson_bracket(F, H0, u) + functional_value(R, u)
+        worst = max(worst, abs(lhs - functional_value(RTILDE, u)))
     rows.append(SweepRow(data={"check": "bracket_identity", "param": 100.0,
                                "value": worst},
                          runtime=time.perf_counter() - start))
@@ -640,9 +634,7 @@ def run_normalform_check(cfg: ExperimentConfig) -> SweepResult:
                              runtime=time.perf_counter() - start))
 
     start = time.perf_counter()
-    listed = {q.as_tuple() for q in enumerate_resonances(30)}
-    cased = {q.as_tuple() for q in resonances_from_cases(30)}
-    mismatch = len(listed ^ cased)
+    _, mismatch = _resonance_audit(30)
     rows.append(SweepRow(data={"check": "resonance_mismatch", "param": 30.0,
                                "value": float(mismatch)},
                          runtime=time.perf_counter() - start))
@@ -721,13 +713,18 @@ def run_strichartz(cfg: ExperimentConfig) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
+def _resonance_audit(max_abs: int):
+    """The enumerated resonant quadruples with |k_j| <= max_abs, and the
+    size of their symmetric difference with the case-generated set."""
+    listed = enumerate_resonances(max_abs)
+    return listed, len(set(listed) ^ resonances_from_cases(max_abs))
+
+
 def run_resonance_audit(cfg: ExperimentConfig, max_abs: int = 30) -> SweepResult:
     """Enumerated resonant quadruples with case labels, audited for exact
     agreement with the case-generated set."""
     start = time.perf_counter()
-    listed = enumerate_resonances(max_abs)
-    cased = {q.as_tuple() for q in resonances_from_cases(max_abs)}
-    mismatch = len({q.as_tuple() for q in listed} ^ cased)
+    listed, mismatch = _resonance_audit(max_abs)
     rows = []
     for q in sorted(listed, key=lambda q: q.as_tuple()):
         cases = "+".join(sorted(classify(q)))

@@ -20,12 +20,14 @@ f = i / (4 phase) off the resonant set and 0 on it, which makes
     R(u)      = (||u||_{L4}^4 - 2 ||u||_{L2}^4) / 4,
     Rtilde(u) = the same quartic sum restricted to phase = 0.
 
-Every functional and Hamiltonian vector field below ships in two
-evaluations that are cross-validated against each other: a literal
-quadruple sum over the retained band ("direct_sum", O(N^3), small grids
-only) and an assembly from products, conjugations, projections and the
-inverse derivative ("closed_form", FFT-based).  On band-limited fields
-with spectral support in [-N/4, N/4] the two agree to round-off.
+Each quartic G in {R, Rtilde, F} has one closed-form derivation: its
+Hamiltonian vector field X_G, assembled from products, conjugations,
+projections and the inverse derivative (FFT-based).  Its value is read
+off that field by Euler's identity for a real quartic,
+4 G(u) = Im (u | X_G(u)).  The literal quadruple sums over the retained
+band are independent oracles (halfwave.oracles.quartic_sum and
+quartic_sum_field, O(N^3), small grids only); on band-limited fields
+the closed forms agree with them to round-off on the whole band.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .operators import (
     project_minus,
     project_plus,
     reflect,
-    to_grid_values,
     triple_product,
 )
 
@@ -63,10 +64,6 @@ RTILDE = "r_tilde"
 F = "f"
 _TAGS = (H0, R, RTILDE, F)
 
-DIRECT_SUM = "direct_sum"
-CLOSED_FORM = "closed_form"
-
-DIRECT_SUM_MAX_MODE = 32
 ENUMERATION_MAX = 40
 
 #: default smallness threshold for the canonical flow: eps * ||u||_B111
@@ -89,9 +86,43 @@ class QuadrupleKey:
         return (self.k1, self.k2, self.k3, self.k4)
 
 
+def _phase(k1, k2, k3, k4):
+    """|k1| - |k2| + |k3| - |k4|, on integers or on integer arrays."""
+    return abs(k1) - abs(k2) + abs(k3) - abs(k4)
+
+
+def _zero_sum(max_abs: int):
+    """Every zero-sum quadruple with |k_j| <= max_abs, as arrays k1..k4."""
+    rng = np.arange(-max_abs, max_abs + 1)
+    k1, k2, k3 = np.meshgrid(rng, rng, rng, indexing="ij")
+    k4 = k1 - k2 + k3
+    ok = np.abs(k4) <= max_abs
+    return k1[ok], k2[ok], k3[ok], k4[ok]
+
+
+def _coefficients(tag: str, k1, k2, k3, k4):
+    """Monomial coefficients of the quartic R, Rtilde or F.
+
+    The quartic is the sum of coefficient * u_k1 conj(u_k2) u_k3 conj(u_k4)
+    over the zero-sum set.  F: i / (4 phase), zero where phase = 0.
+    R: (1 - [k1 = k2] - [k1 = k4]) / 4, the two diagonals giving the
+    -2 ||u||_{L2}^4.  Rtilde: R's coefficient where phase = 0, zero
+    elsewhere.
+    """
+    ph = _phase(k1, k2, k3, k4)
+    if tag == F:
+        return np.where(ph != 0, 1j / (4.0 * np.where(ph != 0, ph, 1)), 0.0)
+    if tag not in (R, RTILDE):
+        raise ValueError(f"{tag!r} is not a quartic functional")
+    coef = 0.25 * (1.0 - (k1 == k2) - (k1 == k4))
+    if tag == RTILDE:
+        coef = coef * (ph == 0)
+    return coef
+
+
 def phase(q: QuadrupleKey) -> int:
     """|k1| - |k2| + |k3| - |k4|; its vanishing defines resonance."""
-    return abs(q.k1) - abs(q.k2) + abs(q.k3) - abs(q.k4)
+    return _phase(*q.as_tuple())
 
 
 def classify(q: QuadrupleKey) -> frozenset:
@@ -122,23 +153,16 @@ def f_coeff(q: QuadrupleKey) -> complex:
     """
     if not q.zero_sum:
         raise ValueError(f"{q} violates k1 - k2 + k3 - k4 = 0")
-    p = phase(q)
-    if p == 0:
-        return 0.0 + 0.0j
-    return 1j / (4.0 * p)
+    return complex(_coefficients(F, *q.as_tuple()))
 
 
 def enumerate_resonances(max_abs: int):
     """All zero-sum quadruples with |k_j| <= max_abs and phase = 0."""
     if max_abs > ENUMERATION_MAX:
         raise ValueError(f"enumeration is O(K^3); max_abs <= {ENUMERATION_MAX}")
-    rng = np.arange(-max_abs, max_abs + 1)
-    k1, k2, k3 = np.meshgrid(rng, rng, rng, indexing="ij")
-    k4 = k1 - k2 + k3
-    ok = (np.abs(k4) <= max_abs) & (
-        np.abs(k1) - np.abs(k2) + np.abs(k3) - np.abs(k4) == 0
-    )
-    quads = np.stack([k1[ok], k2[ok], k3[ok], k4[ok]], axis=1)
+    k = _zero_sum(max_abs)
+    ok = _phase(*k) == 0
+    quads = np.stack([kj[ok] for kj in k], axis=1)
     return [QuadrupleKey(*map(int, row)) for row in quads]
 
 
@@ -164,134 +188,41 @@ def resonances_from_cases(max_abs: int):
 def coefficient_identity_max_error(max_abs: int = 20) -> float:
     """Exhaustive check of i*phase*f + r = rtilde on the zero-sum set.
 
-    r is 1/4 off the k1 = k2 and k1 = k4 diagonals; rtilde is 1/4 on the
-    sign-definite cases minus those diagonals.  Returns the largest
-    absolute violation over |k_j| <= max_abs.
+    f and r are the coefficients of F and R; rtilde is r on the four
+    resonance families, which are built here from their definitions (not
+    from phase = 0), and 0 elsewhere.  Returns the largest absolute
+    violation over |k_j| <= max_abs.
     """
-    rng = np.arange(-max_abs, max_abs + 1)
-    k1, k2, k3 = np.meshgrid(rng, rng, rng, indexing="ij")
-    k4 = k1 - k2 + k3
-    ok = np.abs(k4) <= max_abs
-    k1, k2, k3, k4 = k1[ok], k2[ok], k3[ok], k4[ok]
-    ph = np.abs(k1) - np.abs(k2) + np.abs(k3) - np.abs(k4)
-    f = np.where(ph != 0, 1j / (4.0 * np.where(ph != 0, ph, 1)), 0.0)
-    off_diag = (k1 != k2) & (k1 != k4)
-    r = 0.25 * off_diag
-    sign_definite = ((k1 >= 0) & (k2 >= 0) & (k3 >= 0) & (k4 >= 0)) | (
-        (k1 <= 0) & (k2 <= 0) & (k3 <= 0) & (k4 <= 0)
-    )
-    rtilde = 0.25 * (sign_definite & off_diag)
-    return float(np.max(np.abs(1j * ph * f + r - rtilde)))
+    k1, k2, k3, k4 = k = _zero_sum(max_abs)
+    ks = np.stack(k)
+    resonant = (np.all(ks >= 0, axis=0) | np.all(ks <= 0, axis=0)
+                | ((k1 == k2) & (k3 == k4)) | ((k1 == k4) & (k3 == k2)))
+    r = _coefficients(R, *k)
+    return float(np.max(np.abs(1j * _phase(*k) * _coefficients(F, *k) + r - r * resonant)))
 
 
 # ---------------------------------------------------------------------------
-# quadruple-sum machinery (direct evaluations)
+# closed-form fields
 # ---------------------------------------------------------------------------
-
-
-def _check_direct(u: TorusField):
-    if u.grid.max_mode > DIRECT_SUM_MAX_MODE:
-        raise ValueError(
-            f"direct_sum evaluation is O(N^3); max_mode <= {DIRECT_SUM_MAX_MODE}"
-        )
-
-
-def _band_mesh(u: TorusField):
-    n = u.grid.max_mode
-    rng = np.arange(-n, n + 1)
-    k1, k2, k3 = np.meshgrid(rng, rng, rng, indexing="ij")
-    k4 = k1 - k2 + k3
-    ok = np.abs(k4) <= n
-    return n, k1[ok], k2[ok], k3[ok], k4[ok]
-
-
-def _functional_direct(tag: str, u: TorusField) -> float:
-    _check_direct(u)
-    n, k1, k2, k3, k4 = _band_mesh(u)
-    c = u.coeff
-    term = c[k1 + n] * np.conj(c[k2 + n]) * c[k3 + n] * np.conj(c[k4 + n])
-    ph = np.abs(k1) - np.abs(k2) + np.abs(k3) - np.abs(k4)
-    if tag == F:
-        coef = np.where(ph != 0, 1j / (4.0 * np.where(ph != 0, ph, 1)), 0.0)
-        total = np.sum(coef * term)
-    else:
-        weight = 1.0 - (k1 == k2) - (k1 == k4)
-        if tag == RTILDE:
-            weight = weight * (ph == 0)
-        total = 0.25 * np.sum(weight * term)
-    return float(np.real(total))
-
-
-def _vector_field_direct(tag: str, u: TorusField) -> TorusField:
-    _check_direct(u)
-    n = u.grid.max_mode
-    rng = np.arange(-n, n + 1)
-    k1, k3, k4 = np.meshgrid(rng, rng, rng, indexing="ij")
-    q = k1 + k3 - k4
-    ok = np.abs(q) <= n
-    k1, k3, k4, q = k1[ok], k3[ok], k4[ok], q[ok]
-    c = u.coeff
-    term = c[k1 + n] * c[k3 + n] * np.conj(c[k4 + n])
-    ph = np.abs(k1) - np.abs(q) + np.abs(k3) - np.abs(k4)
-    if tag == F:
-        coef = np.where(ph != 0, 1j / (4.0 * np.where(ph != 0, ph, 1)), 0.0)
-        contrib = -4j * coef * term
-    else:
-        weight = 1.0 - (k1 == q) - (k1 == k4)
-        if tag == RTILDE:
-            weight = weight * (ph == 0)
-        contrib = -1j * weight * term
-    out = np.zeros(2 * n + 1, dtype=np.complex128)
-    np.add.at(out, q + n, contrib)
-    return TorusField(u.grid, out)
-
-
-# ---------------------------------------------------------------------------
-# closed-form machinery
-# ---------------------------------------------------------------------------
-
-
-def _generator_terms(u: TorusField):
-    """The three quartic integrals whose combination gives the generator.
-
-    t1 = (D0^{-1} u_-, |u_+|^2 u_+), t2 = (D0^{-1} u_+, |u_-|^2 u_-),
-    t3 = (D0^{-1} |u_+|^2, |u_-|^2); all evaluated by exact quadrature
-    on the padded grid.
-    """
-    up, um = project_plus(u), project_minus(u)
-    vp, vm = to_grid_values(up), to_grid_values(um)
-    jm = to_grid_values(invert_d0(um))
-    jp = to_grid_values(invert_d0(up))
-    j_abs_p = to_grid_values(
-        invert_d0(product(up, conjugate(up)))
-    )
-    t1 = np.mean(jm * np.abs(vp) ** 2 * np.conj(vp))
-    t2 = np.mean(jp * np.abs(vm) ** 2 * np.conj(vm))
-    t3 = np.mean(j_abs_p * np.abs(vm) ** 2)
-    return complex(t1), complex(t2), complex(t3)
-
-
-def _generator_value(u: TorusField) -> float:
-    t1, t2, t3 = _generator_terms(u)
-    return 0.5 * float(np.imag(t1 - t2 - t3))
 
 
 def _generator_field(u: TorusField) -> TorusField:
     """Hamiltonian vector field of the generator, X_F = -2i dF/d(conj u).
 
-    Assembled from the chain rule applied to the three closed-form
-    integrals: with S = t1 - t2 - t3 and entrywise conjugation on
-    coefficient arrays, X_F = -(dS/d(conj u) - conj(dS/du)) / 2.
+    With u_+ = P_+ u and u_- = P_- u, the generator is
+    F = Im(t1 - t2 - t3) / 2 for the three quartic integrals
+
+        t1 = (D0^{-1} u_-, |u_+|^2 u_+),   t2 = (D0^{-1} u_+, |u_-|^2 u_-),
+        t3 = (D0^{-1} |u_+|^2, |u_-|^2).
+
+    The field is the chain rule applied to them: with S = t1 - t2 - t3
+    and entrywise conjugation on coefficient arrays,
+    X_F = -(dS/d(conj u) - conj(dS/du)) / 2.
     """
-    grid = u.grid
     up, um = project_plus(u), project_minus(u)
     cp, cm = conjugate(up), conjugate(um)
-    jp = invert_d0(up)
-    jm = invert_d0(um)
-    abs_p = product(up, cp)
-    abs_m = product(um, cm)
-    j_abs_p = invert_d0(abs_p)
-    j_abs_m = invert_d0(abs_m)
+    jp, jm = invert_d0(up), invert_d0(um)
+    j_abs_p, j_abs_m = invert_d0(product(up, cp)), invert_d0(product(um, cm))
 
     # d/d(conj u), one projection per integral term
     g_bar = (
@@ -316,7 +247,7 @@ def _generator_field(u: TorusField) -> TorusField:
     )
     g_u = d_t1 - d_t2 - d_t3
 
-    return TorusField(grid, -0.5 * (g_bar - np.conj(g_u)))
+    return TorusField(u.grid, -0.5 * (g_bar - np.conj(g_u)))
 
 
 def _quadratic_energy(u: TorusField) -> float:
@@ -324,25 +255,15 @@ def _quadratic_energy(u: TorusField) -> float:
     return 0.5 * float(np.sum(np.abs(k) * np.abs(u.coeff) ** 2))
 
 
-def _resonant_quartic_closed(u: TorusField) -> float:
-    """Rtilde = (||u_+||_{L4}^4 + ||u_-||_{L4}^4)/4
-    + Re((u|1)(u_-^2|u_-)) - (||u_+||_{L2}^4 + ||u_-||_{L2}^4)/2."""
-    up, um = project_plus(u), project_minus(u)
-    vp, vm = to_grid_values(up), to_grid_values(um)
-    l4p = float(np.mean(np.abs(vp) ** 4))
-    l4m = float(np.mean(np.abs(vm) ** 4))
-    qp, qm = charge(up), charge(um)
-    u0 = u.mode(0)
-    cross = complex(np.mean(vm**2 * np.conj(vm)))  # (u_-^2 | u_-)
-    return 0.25 * (l4p + l4m) + float(np.real(u0 * np.conj(cross))) - 0.5 * (qp**2 + qm**2)
-
-
 def _resonant_quartic_field(u: TorusField) -> TorusField:
+    """Hamiltonian vector field of the resonant quartic
+
+        Rtilde = (||u_+||_{L4}^4 + ||u_-||_{L4}^4) / 4
+                 + Re(conj(u_0) (u_-^2 | u_-)) - (||u_+||_{L2}^4 + ||u_-||_{L2}^4) / 2.
+    """
     up, um = project_plus(u), project_minus(u)
     qp, qm = charge(up), charge(um)
     u0 = u.mode(0)
-    vm = to_grid_values(um)
-    cross = complex(np.mean(vm**2 * np.conj(vm)))  # (u_-^2 | u_-)
     um_sq = product(um, um)
     abs_m = product(um, conjugate(um))
     ix = (
@@ -353,50 +274,30 @@ def _resonant_quartic_field(u: TorusField) -> TorusField:
         + 2.0 * u0 * project_minus(abs_m).coeff
         + np.conj(u0) * um_sq.coeff
     )
-    ix[u.grid.max_mode] += cross
+    ix[u.grid.max_mode] += inner(um_sq, um)
     return TorusField(u.grid, -1j * ix)
 
 
-def functional_value(tag: str, u: TorusField, mode: str = CLOSED_FORM) -> float:
+def functional_value(tag: str, u: TorusField) -> float:
     """Value of H0, R, Rtilde or F at u.
 
-    direct_sum evaluates the literal quadruple sums over the retained
-    band; closed_form evaluates the displayed closed expressions by
-    exact quadrature.
+    H0 is the quadratic sum; each quartic G is read off its field by
+    Euler's identity 4 G(u) = Im (u | X_G(u)).
     """
-    if tag not in _TAGS:
-        raise ValueError(f"unknown functional tag {tag!r}")
-    if mode == DIRECT_SUM:
-        if tag == H0:
-            return _quadratic_energy(u)
-        return _functional_direct(tag, u)
-    if mode != CLOSED_FORM:
-        raise ValueError(f"unknown mode {mode!r}")
     if tag == H0:
         return _quadratic_energy(u)
-    if tag == R:
-        vals = to_grid_values(u)
-        return 0.25 * float(np.mean(np.abs(vals) ** 4) - 2.0 * charge(u) ** 2)
-    if tag == RTILDE:
-        return _resonant_quartic_closed(u)
-    return _generator_value(u)
+    return 0.25 * float(np.imag(inner(u, vector_field(tag, u))))
 
 
-def vector_field(tag: str, u: TorusField, mode: str = CLOSED_FORM) -> TorusField:
+def vector_field(tag: str, u: TorusField) -> TorusField:
     """Hamiltonian vector field X(u), coefficient-wise -2i d/d(conj u_k).
 
-    X_H0 is linear (-i|D|u); the three quartic functionals have cubic
-    fields.
+    X_H0 is linear (-i|D|u); the three quartic functionals have cubic fields.
     """
     if tag not in _TAGS:
         raise ValueError(f"unknown functional tag {tag!r}")
     if tag == H0:
-        k = u.grid.modes()
-        return TorusField(u.grid, -1j * np.abs(k) * u.coeff)
-    if mode == DIRECT_SUM:
-        return _vector_field_direct(tag, u)
-    if mode != CLOSED_FORM:
-        raise ValueError(f"unknown mode {mode!r}")
+        return TorusField(u.grid, -1j * np.abs(u.grid.modes()) * u.coeff)
     if tag == R:
         cubic = cubic_term(u, u, u)
         return TorusField(u.grid, -1j * (cubic.coeff - 2.0 * charge(u) * u.coeff))
@@ -405,12 +306,9 @@ def vector_field(tag: str, u: TorusField, mode: str = CLOSED_FORM) -> TorusField
     return _generator_field(u)
 
 
-def poisson_bracket(tag_a: str, tag_b: str, u: TorusField,
-                    mode: str = CLOSED_FORM) -> float:
+def poisson_bracket(tag_a: str, tag_b: str, u: TorusField) -> float:
     """{A, B}(u) = omega(X_A, X_B) = Im (X_A(u) | X_B(u))."""
-    xa = vector_field(tag_a, u, mode)
-    xb = vector_field(tag_b, u, mode)
-    return float(np.imag(inner(xa, xb)))
+    return float(np.imag(inner(vector_field(tag_a, u), vector_field(tag_b, u))))
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +335,9 @@ def normal_form_flow(u: TorusField, eps: float, sigma: float) -> TorusField:
         return u
     h = sigma / FLOW_SUBSTEPS
     c = u.coeff.copy()
-    grid = u.grid
-    scale = eps**2
 
     def rate(arr):
-        return scale * _generator_field(TorusField(grid, arr)).coeff
+        return eps**2 * _generator_field(TorusField(u.grid, arr)).coeff
 
     for _ in range(FLOW_SUBSTEPS):
         a = rate(c)
@@ -451,7 +347,7 @@ def normal_form_flow(u: TorusField, eps: float, sigma: float) -> TorusField:
         c = c + (h / 6.0) * (a + 2.0 * b + 2.0 * d + e)
         if not np.all(np.isfinite(c)):
             raise RuntimeError("normal_form_flow: non-finite state")
-    return TorusField(grid, c)
+    return TorusField(u.grid, c)
 
 
 def chi_flow(u: TorusField, eps: float) -> TorusField:

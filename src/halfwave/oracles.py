@@ -1,11 +1,16 @@
-"""Independent ground truths: plane waves, a no-FFT integrator and the
-rational family of the cubic Szego flow.
+"""Independent ground truths: plane waves, a no-FFT integrator, the
+literal quadruple sums of the normal form and the rational family of
+the cubic Szego flow.
 
 Single modes solve every problem in closed form (the nonlinearity
 reduces to a constant phase speed), giving exact references.  The
 Galerkin reference integrator shares nothing with the production path
 except the field type: explicit midpoint in time, direct convolution
-sums for the nonlinearity, no integrating factor.  The rational-family
+sums for the nonlinearity, no integrating factor.  The quadruple sums
+give the quartics R, Rtilde, F of halfwave.normalform and their fields
+straight from the monomial coefficients, summed over every zero-sum
+quadruple of the band (O(N^3), no transform); the normal form's
+closed-form fields are checked against them.  The rational-family
 oracle solves the plain Szego flow on w = b + c e^{ix}/(1 - p e^{ix}) as
 a three-dimensional ODE and evaluates its norms as series; it uses
 numpy alone, with no transform and no field type.  Agreement between
@@ -20,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import TorusField
+from .normalform import _coefficients, _zero_sum
 from .problems import DISPERSIONS, EvolutionProblem, linear_symbol
 
 
@@ -95,6 +101,43 @@ def galerkin_reference(
         if not np.all(np.isfinite(c)):
             raise RuntimeError("galerkin_reference: non-finite state")
     return TorusField(u0.grid, c)
+
+
+# ---------------------------------------------------------------------------
+# quadruple sums of the normal-form quartics
+# ---------------------------------------------------------------------------
+
+QUARTIC_SUM_MAX_MODE = 32
+
+
+def _quadruples(u: TorusField):
+    n = u.grid.max_mode
+    if n > QUARTIC_SUM_MAX_MODE:
+        raise ValueError(
+            f"quadruple sums are O(N^3); max_mode <= {QUARTIC_SUM_MAX_MODE}")
+    return n, _zero_sum(n)
+
+
+def quartic_sum(tag: str, u: TorusField) -> float:
+    """R, Rtilde or F at u as the literal sum of
+    coefficient * u_k1 conj(u_k2) u_k3 conj(u_k4) over the zero-sum
+    quadruples of the band."""
+    n, (k1, k2, k3, k4) = _quadruples(u)
+    c = u.coeff
+    term = c[k1 + n] * np.conj(c[k2 + n]) * c[k3 + n] * np.conj(c[k4 + n])
+    return float(np.real(np.sum(_coefficients(tag, k1, k2, k3, k4) * term)))
+
+
+def quartic_sum_field(tag: str, u: TorusField) -> TorusField:
+    """The Hamiltonian field -2i dG/d(conj u_q) of the quartic G, summed
+    over quadruples: the coefficients are symmetric in k2 <-> k4, so
+    X_q = -4i sum_{k2 = q} coefficient * u_k1 u_k3 conj(u_k4)."""
+    n, (k1, k2, k3, k4) = _quadruples(u)
+    c = u.coeff
+    term = c[k1 + n] * c[k3 + n] * np.conj(c[k4 + n])
+    out = np.zeros(2 * n + 1, dtype=np.complex128)
+    np.add.at(out, k2 + n, -4j * _coefficients(tag, k1, k2, k3, k4) * term)
+    return TorusField(u.grid, out)
 
 
 # ---------------------------------------------------------------------------

@@ -84,15 +84,21 @@ def test_transport_flow_conserves_hankel_spectrum(grid16, rng):
     assert dev <= 1e-6
 
 
-def test_transport_is_translated_plain_szego(grid16, rng):
-    """v(t, x) = w(t, x - t) links the transport and plain flows."""
-    u0 = random_analytic_field(grid16, rng, scale=0.5)
-    t = 5.0
-    cfg = StepperConfig(dt=0.01)
-    plain = evolve(EvolutionProblem.szego_plain(), u0, t, cfg)
-    transport = evolve(EvolutionProblem.szego_transport(), u0, t, cfg)
-    translated = plain.coeff * np.exp(-1j * grid16.modes() * t)
-    assert np.max(np.abs(translated - transport.coeff)) <= 1e-8
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("eps", [1.0, 0.3])
+def test_transport_is_translated_plain_szego(eps, n, rng):
+    """v(t, x) = w(eps^2 t, x - t) links the transport and plain flows, and
+    the scheme keeps this exactly: the transport flow stepped at dt to T is
+    the plain flow stepped at eps^2 dt to eps^2 T, translated by T."""
+    grid = GridSpec.with_padding(n)
+    u0 = random_analytic_field(grid, rng, scale=0.5)
+    t, dt = 5.0, 0.01
+    plain = evolve(EvolutionProblem.szego_plain(), u0, eps**2 * t,
+                   StepperConfig(dt=eps**2 * dt))
+    transport = evolve(EvolutionProblem.szego_transport(eps), u0, t, StepperConfig(dt=dt))
+    translated = plain.coeff * np.exp(-1j * grid.modes() * t)
+    scale = np.max(np.abs(transport.coeff))
+    assert np.max(np.abs(translated - transport.coeff)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("n", [16, 64])

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from halfwave import (
-    CLOSED_FORM,
-    DIRECT_SUM,
     F,
     H0,
     GridSpec,
@@ -22,6 +20,8 @@ from halfwave import (
     phase,
     poisson_bracket,
     project_plus,
+    quartic_sum,
+    quartic_sum_field,
     resonances_from_cases,
     taylor_residual,
     vector_field,
@@ -35,6 +35,12 @@ from halfwave.normalform import (
 )
 
 from conftest import random_field
+
+
+#: (tag, support) cases on the N = 32 grid: support 8 is a quarter of the
+#: band (id: the tag), support 32 the whole band (id: "<tag>-full")
+QUARTIC_SUPPORTS = [pytest.param(tag, support, id=tag if support == 8 else f"{tag}-full")
+                    for support in (8, 32) for tag in (R, RTILDE, F)]
 
 
 def small_field(grid, rng, besov_size=0.45):
@@ -127,8 +133,8 @@ class TestFunctionals:
 
     def test_generator_vanishes_on_analytic_fields(self, grid32, rng):
         u = project_plus(random_field(grid32, rng, support=8))
-        assert functional_value(F, u, DIRECT_SUM) == pytest.approx(0.0, abs=1e-15)
-        assert functional_value(F, u, CLOSED_FORM) == pytest.approx(0.0, abs=1e-15)
+        assert quartic_sum(F, u) == pytest.approx(0.0, abs=1e-15)
+        assert functional_value(F, u) == pytest.approx(0.0, abs=1e-15)
 
     def test_generator_is_real(self, grid32, rng):
         """The raw complex quadruple sum has negligible imaginary part,
@@ -152,21 +158,21 @@ class TestFunctionals:
                             * u.mode(k3) * np.conj(u.mode(k4))
                         )
             assert abs(total.imag) <= 1e-12
-            assert total.real == pytest.approx(
-                functional_value(F, u, DIRECT_SUM), abs=1e-12
-            )
+            assert total.real == pytest.approx(quartic_sum(F, u), abs=1e-12)
 
-    @pytest.mark.parametrize("tag", [H0, R, RTILDE, F])
-    def test_direct_equals_closed(self, tag, grid32, rng):
-        u = random_field(grid32, rng, support=8)
-        d = functional_value(tag, u, DIRECT_SUM)
-        c = functional_value(tag, u, CLOSED_FORM)
+    @pytest.mark.parametrize("tag, support", QUARTIC_SUPPORTS)
+    def test_direct_equals_closed(self, tag, support, grid32, rng):
+        u = random_field(grid32, rng, support=support)
+        d = quartic_sum(tag, u)
+        c = functional_value(tag, u)
         assert d == pytest.approx(c, abs=1e-10 * max(1.0, abs(c)))
 
     def test_direct_sum_size_guard(self):
         big = TorusField.zeros(GridSpec.with_padding(64))
         with pytest.raises(ValueError):
-            functional_value(R, big, DIRECT_SUM)
+            quartic_sum(R, big)
+        with pytest.raises(ValueError):
+            quartic_sum_field(R, big)
 
     def test_unknown_tag_rejected(self, grid32):
         with pytest.raises(ValueError):
@@ -179,11 +185,11 @@ class TestVectorFields:
         out = vector_field(H0, u)
         assert out.mode(2) == pytest.approx(-2j)
 
-    @pytest.mark.parametrize("tag", [R, RTILDE, F])
-    def test_direct_equals_closed(self, tag, grid32, rng):
-        u = random_field(grid32, rng, support=8)
-        d = vector_field(tag, u, DIRECT_SUM)
-        c = vector_field(tag, u, CLOSED_FORM)
+    @pytest.mark.parametrize("tag, support", QUARTIC_SUPPORTS)
+    def test_direct_equals_closed(self, tag, support, grid32, rng):
+        u = random_field(grid32, rng, support=support)
+        d = quartic_sum_field(tag, u)
+        c = vector_field(tag, u)
         scale = max(1.0, float(np.max(np.abs(d.coeff))))
         assert np.max(np.abs(d.coeff - c.coeff)) <= 1e-10 * scale
 
@@ -191,15 +197,15 @@ class TestVectorFields:
     def test_cubic_homogeneity(self, tag, grid32, rng):
         u = random_field(grid32, rng, support=8)
         lam = 1.7
-        a = vector_field(tag, lam * u, CLOSED_FORM)
-        b = vector_field(tag, u, CLOSED_FORM)
+        a = vector_field(tag, lam * u)
+        b = vector_field(tag, u)
         assert np.allclose(a.coeff, lam**3 * b.coeff, atol=1e-12)
 
     def test_generator_field_plus_part_vanishes_on_analytic(self, grid32, rng):
         u = project_plus(random_field(grid32, rng, support=8))
-        x = vector_field(F, u, CLOSED_FORM)
+        x = vector_field(F, u)
         assert np.max(np.abs(project_plus(x).coeff)) <= 1e-14
-        d = vector_field(F, u, DIRECT_SUM)
+        d = quartic_sum_field(F, u)
         assert np.max(np.abs(d.coeff - x.coeff)) <= 1e-13
 
     @pytest.mark.parametrize("tag", [R, RTILDE, F])
@@ -207,12 +213,12 @@ class TestVectorFields:
         """(G(u + hv) - G(u - hv)) / 2h -> Im (v | X_G(u)) at rate h^2."""
         u = random_field(grid32, rng, support=8)
         v = random_field(grid32, rng, support=8)
-        x = vector_field(tag, u, CLOSED_FORM)
+        x = vector_field(tag, u)
         target = float(np.imag(inner(v, x)))
         errors = []
         for h in (2e-4, 1e-4):
-            plus = functional_value(tag, u + h * v, CLOSED_FORM)
-            minus = functional_value(tag, u - h * v, CLOSED_FORM)
+            plus = functional_value(tag, u + h * v)
+            minus = functional_value(tag, u - h * v)
             errors.append(abs((plus - minus) / (2 * h) - target))
         scale = max(1.0, abs(target))
         assert errors[0] <= 1e-5 * scale
@@ -225,13 +231,16 @@ class TestPoissonBracket:
         u = random_field(grid32, rng, support=8)
         assert poisson_bracket(H0, H0, u) == pytest.approx(0.0, abs=1e-14)
 
-    @pytest.mark.parametrize("mode", [DIRECT_SUM, CLOSED_FORM])
-    def test_normal_form_identity(self, mode, grid32, rng):
-        """{F, H0} + R = Rtilde on band-limited fields."""
+    def test_normal_form_identity(self, grid32, rng):
+        """{F, H0} + R = Rtilde on band-limited fields, through the closed
+        forms and through the quadruple sums."""
         for _ in range(5):
             u = random_field(grid32, rng, support=8)
-            lhs = poisson_bracket(F, H0, u, mode) + functional_value(R, u, mode)
-            assert lhs == pytest.approx(functional_value(RTILDE, u, mode), abs=1e-10)
+            lhs = poisson_bracket(F, H0, u) + functional_value(R, u)
+            assert lhs == pytest.approx(functional_value(RTILDE, u), abs=1e-10)
+            bracket = float(np.imag(inner(quartic_sum_field(F, u), vector_field(H0, u))))
+            lhs = bracket + quartic_sum(R, u)
+            assert lhs == pytest.approx(quartic_sum(RTILDE, u), abs=1e-10)
 
     def test_bracket_vanishes_on_analytic(self, grid32, rng):
         u = project_plus(random_field(grid32, rng, support=8))

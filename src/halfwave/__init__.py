@@ -14,14 +14,12 @@ from .hankel import (
 from .integrate import BlowUpError, StepperConfig, evolve, make_stepper, trajectory
 from .norms import besov_norm, charge, l4_norm, momentum, sobolev_norm
 from .operators import (
-    conjugate,
     cubic_term,
     inner,
     invert_d0,
     product,
     project_minus,
     project_plus,
-    reflect,
     triple_product,
 )
 from .oracles import (

@@ -602,42 +602,34 @@ def _normalform_field(grid, rng, scale=1.0):
 def run_normalform_check(cfg: ExperimentConfig) -> SweepResult:
     """Three audits: the bracket identity, the Taylor-remainder order,
     and the resonance enumeration against the case characterization."""
-    grid = GridSpec.with_padding(min(cfg.grid_n, 32))
+    grid = GridSpec.with_padding(cfg.grid_n)
     rng = np.random.default_rng(cfg.seed)
     rows = []
 
-    start = time.perf_counter()
-    worst = 0.0
-    for _ in range(100):
-        u = _normalform_field(grid, rng)
-        lhs = poisson_bracket(F, H0, u) + functional_value(R, u)
-        worst = max(worst, abs(lhs - functional_value(RTILDE, u)))
-    rows.append(SweepRow(data={"check": "bracket_identity", "param": 100.0,
-                               "value": worst},
-                         runtime=time.perf_counter() - start))
+    def timed_row(check, param, measure):
+        """Append one row timed over measure() alone; return its value."""
+        start = time.perf_counter()
+        value = measure()
+        rows.append(SweepRow(data={"check": check, "param": param, "value": float(value)},
+                             runtime=time.perf_counter() - start))
+        return value
 
+    def bracket_worst():
+        worst = 0.0
+        for _ in range(100):
+            u = _normalform_field(grid, rng)
+            lhs = poisson_bracket(F, H0, u) + functional_value(R, u)
+            worst = max(worst, abs(lhs - functional_value(RTILDE, u)))
+        return worst
+
+    worst = timed_row("bracket_identity", 100.0, bracket_worst)
     slopes = []
     for i in range(3):
         u = _normalform_field(grid, rng, scale=0.4)
-        start = time.perf_counter()
-        pts = []
-        for eps in cfg.eps_list:
-            res = taylor_residual(u, eps)
-            rows.append(SweepRow(data={"check": "taylor_residual",
-                                       "param": eps, "value": res},
-                                 runtime=time.perf_counter() - start))
-            pts.append((eps, res))
-        slope, _ = fit_loglog_slope(pts)
-        slopes.append(slope)
-        rows.append(SweepRow(data={"check": "taylor_slope", "param": float(i),
-                                   "value": slope},
-                             runtime=time.perf_counter() - start))
-
-    start = time.perf_counter()
-    _, mismatch = _resonance_audit(30)
-    rows.append(SweepRow(data={"check": "resonance_mismatch", "param": 30.0,
-                               "value": float(mismatch)},
-                         runtime=time.perf_counter() - start))
+        pts = [(eps, timed_row("taylor_residual", eps, partial(taylor_residual, u, eps)))
+               for eps in cfg.eps_list]
+        slopes.append(timed_row("taylor_slope", float(i), lambda: fit_loglog_slope(pts)[0]))
+    mismatch = timed_row("resonance_mismatch", 30.0, lambda: _resonance_audit(30)[1])
 
     passed = (worst <= 1e-10 and mismatch == 0
               and all(abs(s - 4.0) <= 0.3 for s in slopes))
@@ -651,44 +643,23 @@ def run_normalform_check(cfg: ExperimentConfig) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-#: Gauss-Legendre nodes of the time integral in strichartz_ratio
-STRICHARTZ_NODES = 8
-
-
 def strichartz_ratio(n_modes: int, s: float) -> float:
     """int_0^1 ||e^{-it|D|} f||_{L4}^4 dt / ||f||_{H^{s/2}}^4 for
     f = sum_{k=0}^{n} e^{ikx}.
 
-    The time integral is a Gauss-Legendre quadrature; for one-sided f the
-    free flow is a translation so the integrand is t-independent.
+    For one-sided f the free flow is a translation, so the integrand is
+    t-independent and the time integral is ||f||_{L4}^4.
     """
     grid = GridSpec.with_padding(max(n_modes, 1))
     coeff = np.zeros(grid.n_coeff, dtype=np.complex128)
     coeff[grid.max_mode:] = 1.0
     f = TorusField(grid, coeff)
-    nodes, weights = np.polynomial.legendre.leggauss(STRICHARTZ_NODES)
-    ts = 0.5 * (nodes + 1.0)
-    ws = 0.5 * weights
-    k = grid.modes()
-    total = 0.0
-    for t, w in zip(ts, ws):
-        ft = TorusField(grid, f.coeff * np.exp(-1j * np.abs(k) * t))
-        total += w * l4_norm(ft) ** 4
-    return total / sobolev_norm(f, s / 2.0) ** 4
+    return l4_norm(f) ** 4 / sobolev_norm(f, s / 2.0) ** 4
 
 
-def _strichartz_rows(s):
-    sizes = [8, 16, 32, 64, 128, 256]
-    rows = []
-    pts = []
-    for n in sizes:
-        start = time.perf_counter()
-        ratio = strichartz_ratio(n, s)
-        rows.append(SweepRow(data={"s": s, "n_modes": n, "ratio": ratio},
-                             runtime=time.perf_counter() - start))
-        pts.append((n, ratio))
-    slope, _ = fit_loglog_slope(pts)
-    return rows, slope
+def _strichartz_point(args):
+    s, n = args
+    return {"s": s, "n_modes": n, "ratio": strichartz_ratio(n, s)}
 
 
 def run_strichartz(cfg: ExperimentConfig) -> SweepResult:
@@ -697,13 +668,14 @@ def run_strichartz(cfg: ExperimentConfig) -> SweepResult:
     The predicted slope is 1 - 2s: the square-function bound fails below
     s = 1/2 and saturates at it.
     """
-    all_rows, slopes = [], {}
-    for s in (0.0, 0.25, 0.5):
-        rows, slope = _strichartz_rows(s)
-        all_rows.extend(rows)
-        slopes[s] = slope
+    orders, sizes = (0.0, 0.25, 0.5), (8, 16, 32, 64, 128, 256)
+    rows = _map_rows(_strichartz_point, [(s, n) for s in orders for n in sizes],
+                     cfg.threads)
+    slopes = {s: fit_loglog_slope([(r.data["n_modes"], r.data["ratio"])
+                                   for r in rows if r.data["s"] == s])[0]
+              for s in orders}
     passed = all(abs(slopes[s] - (1.0 - 2.0 * s)) <= 0.15 for s in slopes)
-    return SweepResult(STRICHARTZ, all_rows, slopes[0.0], None, passed,
+    return SweepResult(STRICHARTZ, rows, slopes[0.0], None, passed,
                        notes={"slopes": {str(k): v for k, v in slopes.items()},
                               "tolerance": 0.15})
 

@@ -21,9 +21,12 @@ f = i / (4 phase) off the resonant set and 0 on it, which makes
     Rtilde(u) = the same quartic sum restricted to phase = 0.
 
 Each quartic G in {R, Rtilde, F} has one closed-form derivation: its
-Hamiltonian vector field X_G, assembled from products, conjugations,
-projections and the inverse derivative (FFT-based).  Its value is read
-off that field by Euler's identity for a real quartic,
+Hamiltonian vector field X_G.  The products of X_G are taken pointwise on
+the padded grid: each input is transformed to grid values once, and each
+result comes back to band coefficients through one forward transform,
+where the projections and the inverse derivative act.  X_F is one cubic
+phi applied to (u_+, u_-) and to (u_-, u_+).  The value of G is read
+off its field by Euler's identity for a real quartic,
 4 G(u) = Im (u | X_G(u)).  The literal quadruple sums over the retained
 band are independent oracles (halfwave.oracles.quartic_sum and
 quartic_sum_field, O(N^3), small grids only); on band-limited fields
@@ -39,15 +42,12 @@ import numpy as np
 from .fields import TorusField
 from .norms import besov_norm, charge
 from .operators import (
-    conjugate,
-    cubic_term,
+    from_grid_values,
     inner,
     invert_d0,
-    product,
     project_minus,
     project_plus,
-    reflect,
-    triple_product,
+    to_grid_values,
 )
 
 # tags for the four resonance families
@@ -206,6 +206,24 @@ def coefficient_identity_max_error(max_abs: int = 20) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _phi(a: TorusField, b: TorusField) -> np.ndarray:
+    """Band coefficients of the cubic
+
+        2 (D0^{-1} b) |a|^2 + 2 a D0^{-1}|b|^2 - conj(D0^{-1} b) a^2
+        + D0^{-1}(|b|^2 b),
+
+    from grid values of a, b and D0^{-1} b, one round trip for
+    D0^{-1}|b|^2 and two forward transforms: 7 FFTs.
+    """
+    grid = a.grid
+    va, vb, vjb = to_grid_values(a), to_grid_values(b), to_grid_values(invert_d0(b))
+    abs_b = np.abs(vb) ** 2
+    j_abs_b = to_grid_values(invert_d0(from_grid_values(grid, abs_b)))
+    local = 2.0 * vjb * np.abs(va) ** 2 + 2.0 * va * j_abs_b - np.conj(vjb) * va**2
+    return (from_grid_values(grid, local).coeff
+            + invert_d0(from_grid_values(grid, abs_b * vb)).coeff)
+
+
 def _generator_field(u: TorusField) -> TorusField:
     """Hamiltonian vector field of the generator, X_F = -2i dF/d(conj u).
 
@@ -215,39 +233,16 @@ def _generator_field(u: TorusField) -> TorusField:
         t1 = (D0^{-1} u_-, |u_+|^2 u_+),   t2 = (D0^{-1} u_+, |u_-|^2 u_-),
         t3 = (D0^{-1} |u_+|^2, |u_-|^2).
 
-    The field is the chain rule applied to them: with S = t1 - t2 - t3
-    and entrywise conjugation on coefficient arrays,
-    X_F = -(dS/d(conj u) - conj(dS/du)) / 2.
+    F is real and D0^{-1} is a real odd multiplier, so
+    conj(D0^{-1} f) = -D0^{-1} conj(f), and D0^{-1}|u_+|^2 and
+    D0^{-1}|u_-|^2 are purely imaginary.  With these two facts the d/du
+    half of the chain rule is the conjugate of the d/d(conj u) half, and
+    both fold into one cubic:
+    X_F = -(P_+ phi(u_+, u_-) - P_- phi(u_-, u_+)) / 2.
     """
+    k = u.grid.modes()
     up, um = project_plus(u), project_minus(u)
-    cp, cm = conjugate(up), conjugate(um)
-    jp, jm = invert_d0(up), invert_d0(um)
-    j_abs_p, j_abs_m = invert_d0(product(up, cp)), invert_d0(product(um, cm))
-
-    # d/d(conj u), one projection per integral term
-    g_bar = (
-        2.0 * project_plus(triple_product(jm, up, cp)).coeff
-        - 2.0 * project_minus(triple_product(jp, um, cm)).coeff
-        - (-project_plus(product(up, j_abs_m)).coeff
-           + project_minus(product(um, j_abs_p)).coeff)
-    )
-
-    # d/du, assembled with the reflection rho(f)(x) = f(-x)
-    d_t1 = (
-        project_minus(invert_d0(reflect(triple_product(up, cp, cp)))).coeff
-        + project_plus(reflect(triple_product(jm, cp, cp))).coeff
-    )
-    d_t2 = (
-        project_plus(invert_d0(reflect(triple_product(um, cm, cm)))).coeff
-        + project_minus(reflect(triple_product(jp, cm, cm))).coeff
-    )
-    d_t3 = (
-        -project_plus(reflect(product(cp, j_abs_m))).coeff
-        + project_minus(reflect(product(j_abs_p, cm))).coeff
-    )
-    g_u = d_t1 - d_t2 - d_t3
-
-    return TorusField(u.grid, -0.5 * (g_bar - np.conj(g_u)))
+    return TorusField(u.grid, -0.5 * np.where(k >= 0, _phi(up, um), -_phi(um, up)))
 
 
 def _quadratic_energy(u: TorusField) -> float:
@@ -260,22 +255,25 @@ def _resonant_quartic_field(u: TorusField) -> TorusField:
 
         Rtilde = (||u_+||_{L4}^4 + ||u_-||_{L4}^4) / 4
                  + Re(conj(u_0) (u_-^2 | u_-)) - (||u_+||_{L2}^4 + ||u_-||_{L2}^4) / 2.
+
+    (u_-^2 | u_-) is mode 0 of |u_-|^2 u_-, the mean of its grid values;
+    u_-^2 has only negative modes, so one P_- covers the three minus terms.
     """
+    grid = u.grid
     up, um = project_plus(u), project_minus(u)
-    qp, qm = charge(up), charge(um)
+    vp, vm = to_grid_values(up), to_grid_values(um)
+    abs_m = np.abs(vm) ** 2
+    cubic_m = abs_m * vm
     u0 = u.mode(0)
-    um_sq = product(um, um)
-    abs_m = product(um, conjugate(um))
+    minus = cubic_m + 2.0 * u0 * abs_m + np.conj(u0) * vm**2
     ix = (
-        project_plus(cubic_term(up, up, up)).coeff
-        + project_minus(cubic_term(um, um, um)).coeff
-        - 2.0 * qp * up.coeff
-        - 2.0 * qm * um.coeff
-        + 2.0 * u0 * project_minus(abs_m).coeff
-        + np.conj(u0) * um_sq.coeff
+        project_plus(from_grid_values(grid, np.abs(vp) ** 2 * vp)).coeff
+        + project_minus(from_grid_values(grid, minus)).coeff
+        - 2.0 * charge(up) * up.coeff
+        - 2.0 * charge(um) * um.coeff
     )
-    ix[u.grid.max_mode] += inner(um_sq, um)
-    return TorusField(u.grid, -1j * ix)
+    ix[grid.max_mode] += np.mean(cubic_m)
+    return TorusField(grid, -1j * ix)
 
 
 def functional_value(tag: str, u: TorusField) -> float:
@@ -299,7 +297,8 @@ def vector_field(tag: str, u: TorusField) -> TorusField:
     if tag == H0:
         return TorusField(u.grid, -1j * np.abs(u.grid.modes()) * u.coeff)
     if tag == R:
-        cubic = cubic_term(u, u, u)
+        v = to_grid_values(u)
+        cubic = from_grid_values(u.grid, np.abs(v) ** 2 * v)
         return TorusField(u.grid, -1j * (cubic.coeff - 2.0 * charge(u) * u.coeff))
     if tag == RTILDE:
         return _resonant_quartic_field(u)

@@ -74,16 +74,6 @@ def invert_d0(f: TorusField) -> TorusField:
     return TorusField(f.grid, f.coeff * inv)
 
 
-def conjugate(f: TorusField) -> TorusField:
-    """The function conj(f): coefficients conj(f_{-k})."""
-    return TorusField(f.grid, np.conj(f.coeff[::-1]))
-
-
-def reflect(f: TorusField) -> TorusField:
-    """The function f(-x): coefficients f_{-k}."""
-    return TorusField(f.grid, f.coeff[::-1])
-
-
 def product(f: TorusField, g: TorusField) -> TorusField:
     """Exact band coefficients of the pointwise product f*g (degree <= 2N)."""
     f._check_grid(g)

@@ -11,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from halfwave import EvolutionProblem, GridSpec, TorusField, experiments, integrate
+from halfwave import EvolutionProblem, GridSpec, TorusField, experiments, integrate, normalform
 from halfwave.experiments import HorizonRule, default_config, run_decoupling
 from halfwave.norms import charge
+
+from conftest import random_field
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 ROW_WORKERS = ["_approximation_row", "_besov_row", "_decoupling_row",
@@ -83,3 +85,15 @@ def test_integrate_binds_no_monitor_functionals():
     monitors = ("energy", "besov_norm", "sobolev_norm", "charge", "momentum",
                 "build_hankel", "spectral_summary")
     assert [name for name in monitors if hasattr(integrate, name)] == []
+
+
+@pytest.mark.parametrize("tag, most", [(normalform.F, 14), (normalform.RTILDE, 5),
+                                       (normalform.R, 2)])
+def test_quartic_fields_transform_each_input_once(layertrace, tag, most):
+    """The quartic fields take products on the padded grid: X_F is two
+    7-transform cubics, X_Rtilde and X_R one transform per input and
+    per result."""
+    u = random_field(GridSpec.with_padding(32), np.random.default_rng(0))
+    with layertrace.Tracer() as tracer:
+        normalform.vector_field(tag, u)
+    assert tracer.calls["operators.fft"] <= most

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import warnings
 
 import pytest
@@ -156,6 +157,15 @@ class TestSmallRuns:
         assert out.passed
         assert out.notes["bracket_max"] <= 1e-10
         assert out.notes["resonance_mismatch"] == 0
+
+    def test_normalform_rows_report_their_own_time(self):
+        """Each row times its own check, so the rows never add up to more
+        than the run."""
+        cfg = default_config("normalform", eps_list=(0.2, 0.1, 0.05))
+        start = time.perf_counter()
+        out = run_normalform_check(cfg)
+        wall = time.perf_counter() - start
+        assert sum(row.runtime for row in out.rows) <= wall
 
     def test_resonance_audit_small(self):
         out = run_resonance_audit(default_config("resonances"), max_abs=5)

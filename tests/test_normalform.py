@@ -231,12 +231,17 @@ class TestPoissonBracket:
         u = random_field(grid32, rng, support=8)
         assert poisson_bracket(H0, H0, u) == pytest.approx(0.0, abs=1e-14)
 
-    @pytest.mark.parametrize("path", ["closed_form", "direct_sum"])
-    def test_normal_form_identity(self, path, grid32, rng):
+    @pytest.mark.parametrize("path, n, support", [
+        pytest.param("closed_form", 32, 8, id="closed_form"),
+        pytest.param("direct_sum", 32, 8, id="direct_sum"),
+        pytest.param("closed_form", 128, 128, id="closed_form-n128-full"),
+    ])
+    def test_normal_form_identity(self, path, n, support, rng):
         """{F, H0} + R = Rtilde on band-limited fields, through the closed
-        forms or through the oracle quadruple sums."""
+        forms or through the oracle quadruple sums (N <= 32 only)."""
+        grid = GridSpec.with_padding(n)
         for _ in range(5):
-            u = random_field(grid32, rng, support=8)
+            u = random_field(grid, rng, support=support)
             if path == "closed_form":
                 lhs = poisson_bracket(F, H0, u) + functional_value(R, u)
                 rhs = functional_value(RTILDE, u)

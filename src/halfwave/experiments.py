@@ -39,11 +39,12 @@ from .normalform import (
     H0,
     R,
     RTILDE,
-    classify,
-    enumerate_resonances,
+    _case_masks,
+    _case_rows,
+    _resonant_rows,
+    _row_mismatch,
     functional_value,
     poisson_bracket,
-    resonances_from_cases,
     taylor_residual,
 )
 from .operators import project_minus
@@ -606,12 +607,15 @@ def run_normalform_check(cfg: ExperimentConfig) -> SweepResult:
     rng = np.random.default_rng(cfg.seed)
     rows = []
 
+    def add_row(check, param, value, runtime):
+        rows.append(SweepRow(data={"check": check, "param": param, "value": float(value)},
+                             runtime=runtime))
+
     def timed_row(check, param, measure):
         """Append one row timed over measure() alone; return its value."""
         start = time.perf_counter()
         value = measure()
-        rows.append(SweepRow(data={"check": check, "param": param, "value": float(value)},
-                             runtime=time.perf_counter() - start))
+        add_row(check, param, value, time.perf_counter() - start)
         return value
 
     def bracket_worst():
@@ -626,8 +630,13 @@ def run_normalform_check(cfg: ExperimentConfig) -> SweepResult:
     slopes = []
     for i in range(3):
         u = _normalform_field(grid, rng, scale=0.4)
-        pts = [(eps, timed_row("taylor_residual", eps, partial(taylor_residual, u, eps)))
-               for eps in cfg.eps_list]
+        # one stacked flow per field; its time is split evenly over the rows
+        start = time.perf_counter()
+        residuals = taylor_residual(u, cfg.eps_list)
+        share = (time.perf_counter() - start) / len(cfg.eps_list)
+        pts = list(zip(cfg.eps_list, residuals))
+        for eps, residual in pts:
+            add_row("taylor_residual", eps, residual, share)
         slopes.append(timed_row("taylor_slope", float(i), lambda: fit_loglog_slope(pts)[0]))
     mismatch = timed_row("resonance_mismatch", 30.0, lambda: _resonance_audit(30)[1])
 
@@ -686,10 +695,11 @@ def run_strichartz(cfg: ExperimentConfig) -> SweepResult:
 
 
 def _resonance_audit(max_abs: int):
-    """The enumerated resonant quadruples with |k_j| <= max_abs, and the
-    size of their symmetric difference with the case-generated set."""
-    listed = enumerate_resonances(max_abs)
-    return listed, len(set(listed) ^ resonances_from_cases(max_abs))
+    """The enumerated resonant quadruples with |k_j| <= max_abs, as the
+    rows of an (n, 4) array in lexicographic order, and the size of their
+    symmetric difference with the case-generated set."""
+    listed = _resonant_rows(max_abs)
+    return listed, _row_mismatch(listed, _case_rows(max_abs), max_abs)
 
 
 def run_resonance_audit(cfg: ExperimentConfig, max_abs: int = 30) -> SweepResult:
@@ -697,11 +707,11 @@ def run_resonance_audit(cfg: ExperimentConfig, max_abs: int = 30) -> SweepResult
     agreement with the case-generated set."""
     start = time.perf_counter()
     listed, mismatch = _resonance_audit(max_abs)
+    masks = _case_masks(listed)
     rows = []
-    for q in sorted(listed, key=lambda q: q.as_tuple()):
-        cases = "+".join(sorted(classify(q)))
-        rows.append(SweepRow(data={"k1": q.k1, "k2": q.k2, "k3": q.k3,
-                                   "k4": q.k4, "cases": cases},
+    for i, (k1, k2, k3, k4) in enumerate(listed.tolist()):
+        cases = "+".join(sorted(tag for tag, mask in masks.items() if mask[i]))
+        rows.append(SweepRow(data={"k1": k1, "k2": k2, "k3": k3, "k4": k4, "cases": cases},
                              runtime=0.0))
     elapsed = time.perf_counter() - start
     if rows:

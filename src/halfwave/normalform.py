@@ -24,10 +24,13 @@ Each quartic G in {R, Rtilde, F} has one closed-form derivation: its
 Hamiltonian vector field X_G.  The products of X_G are taken pointwise on
 the padded grid: each input is transformed to grid values once, and each
 result comes back to band coefficients through one forward transform,
-where the projections and the inverse derivative act.  X_F is one cubic
-phi applied to (u_+, u_-) and to (u_-, u_+).  The value of G is read
-off its field by Euler's identity for a real quartic,
-4 G(u) = Im (u | X_G(u)).  The literal quadruple sums over the retained
+where the projections and the inverse derivative act.  X_F and X_R act
+on (rows, n_coeff) stacks with one batched transform per input and
+result; X_F is one cubic phi on a stack whose rows are (u_+, u_-) and
+(u_-, u_+), and the flows of several eps step as the rows of one array.
+The value of G is read off its field by Euler's identity for a real
+quartic, 4 G(u) = Im (u | X_G(u)).  The resonant set and the four
+families are (n, 4) integer arrays, compared as integer codes.  The literal quadruple sums over the retained
 band are independent oracles (halfwave.oracles.quartic_sum and
 quartic_sum_field, O(N^3), small grids only); on band-limited fields
 the closed forms agree with them to round-off on the whole band.
@@ -42,9 +45,11 @@ import numpy as np
 from .fields import TorusField
 from .norms import besov_norm, charge
 from .operators import (
+    _band,
+    _d0_inverse,
+    _pad,
     from_grid_values,
     inner,
-    invert_d0,
     project_minus,
     project_plus,
     to_grid_values,
@@ -125,22 +130,25 @@ def phase(q: QuadrupleKey) -> int:
     return _phase(*q.as_tuple())
 
 
+def _case_masks(quads: np.ndarray):
+    """Membership of (n, 4) integer quadruples in each of the four
+    families, from their definitions: {tag: boolean mask}."""
+    k1, k2, k3, k4 = quads.T
+    return {
+        ALL_NON_NEGATIVE: np.all(quads >= 0, axis=1),
+        ALL_NON_POSITIVE: np.all(quads <= 0, axis=1),
+        PAIR_12_34: (k1 == k2) & (k3 == k4),
+        PAIR_14_32: (k1 == k4) & (k3 == k2),
+    }
+
+
 def classify(q: QuadrupleKey) -> frozenset:
     """All satisfied resonance cases; empty iff the quadruple is in none.
 
     On the zero-sum set, an empty result forces phase(q) != 0.
     """
-    ks = q.as_tuple()
-    cases = set()
-    if all(k >= 0 for k in ks):
-        cases.add(ALL_NON_NEGATIVE)
-    if all(k <= 0 for k in ks):
-        cases.add(ALL_NON_POSITIVE)
-    if q.k1 == q.k2 and q.k3 == q.k4:
-        cases.add(PAIR_12_34)
-    if q.k1 == q.k4 and q.k3 == q.k2:
-        cases.add(PAIR_14_32)
-    return frozenset(cases)
+    masks = _case_masks(np.array([q.as_tuple()]))
+    return frozenset(tag for tag, mask in masks.items() if mask[0])
 
 
 def f_coeff(q: QuadrupleKey) -> complex:
@@ -156,33 +164,53 @@ def f_coeff(q: QuadrupleKey) -> complex:
     return complex(_coefficients(F, *q.as_tuple()))
 
 
-def enumerate_resonances(max_abs: int):
-    """All zero-sum quadruples with |k_j| <= max_abs and phase = 0."""
+def _resonant_rows(max_abs: int) -> np.ndarray:
+    """The zero-sum quadruples with |k_j| <= max_abs and phase = 0, as
+    the rows of an (n, 4) integer array in lexicographic order (the
+    zero-sum mesh runs over k1, k2, k3 in order, and k4 follows)."""
     if max_abs > ENUMERATION_MAX:
         raise ValueError(f"enumeration is O(K^3); max_abs <= {ENUMERATION_MAX}")
     k = _zero_sum(max_abs)
     ok = _phase(*k) == 0
-    quads = np.stack([kj[ok] for kj in k], axis=1)
-    return [QuadrupleKey(*map(int, row)) for row in quads]
+    return np.stack([kj[ok] for kj in k], axis=1)
 
 
-def resonances_from_cases(max_abs: int):
-    """The resonant set generated directly from the four case families."""
-    out = set()
+def _case_rows(max_abs: int) -> np.ndarray:
+    """The four resonance families with |k_j| <= max_abs, built from
+    their definitions (never from the phase) as the rows of an (n, 4)
+    integer array; a quadruple in several families repeats."""
     nonneg = np.arange(0, max_abs + 1)
     a, b, c = np.meshgrid(nonneg, nonneg, nonneg, indexing="ij")
     d = a - b + c
     ok = (d >= 0) & (d <= max_abs)
-    for row in np.stack([a[ok], b[ok], c[ok], d[ok]], axis=1):
-        t = tuple(int(x) for x in row)
-        out.add(t)
-        out.add(tuple(-x for x in t))
-    rng = range(-max_abs, max_abs + 1)
-    for i in rng:
-        for j in rng:
-            out.add((i, i, j, j))
-            out.add((i, j, j, i))
-    return {QuadrupleKey(*t) for t in out}
+    plus = np.stack([a[ok], b[ok], c[ok], d[ok]], axis=1)
+    i, j = (x.ravel() for x in np.meshgrid(np.arange(-max_abs, max_abs + 1),
+                                           np.arange(-max_abs, max_abs + 1),
+                                           indexing="ij"))
+    return np.concatenate((plus, -plus, np.stack([i, i, j, j], axis=1),
+                           np.stack([i, j, j, i], axis=1)))
+
+
+def _row_mismatch(a: np.ndarray, b: np.ndarray, max_abs: int) -> int:
+    """Size of the symmetric difference of the row sets of two (n, 4)
+    integer arrays with entries in [-max_abs, max_abs].
+
+    Each row is coded as one integer, its digits k_j + max_abs in base
+    2 max_abs + 1, so equal rows give equal codes and distinct rows
+    distinct ones.
+    """
+    weights = (2 * max_abs + 1) ** np.arange(3, -1, -1, dtype=np.int64)
+    return np.setxor1d((a + max_abs) @ weights, (b + max_abs) @ weights).size
+
+
+def enumerate_resonances(max_abs: int):
+    """All zero-sum quadruples with |k_j| <= max_abs and phase = 0."""
+    return [QuadrupleKey(*row) for row in _resonant_rows(max_abs).tolist()]
+
+
+def resonances_from_cases(max_abs: int):
+    """The resonant set generated directly from the four case families."""
+    return {QuadrupleKey(*row) for row in _case_rows(max_abs).tolist()}
 
 
 def coefficient_identity_max_error(max_abs: int = 20) -> float:
@@ -193,10 +221,8 @@ def coefficient_identity_max_error(max_abs: int = 20) -> float:
     from phase = 0), and 0 elsewhere.  Returns the largest absolute
     violation over |k_j| <= max_abs.
     """
-    k1, k2, k3, k4 = k = _zero_sum(max_abs)
-    ks = np.stack(k)
-    resonant = (np.all(ks >= 0, axis=0) | np.all(ks <= 0, axis=0)
-                | ((k1 == k2) & (k3 == k4)) | ((k1 == k4) & (k3 == k2)))
+    k = _zero_sum(max_abs)
+    resonant = np.any(list(_case_masks(np.stack(k, axis=1)).values()), axis=0)
     r = _coefficients(R, *k)
     return float(np.max(np.abs(1j * _phase(*k) * _coefficients(F, *k) + r - r * resonant)))
 
@@ -206,26 +232,31 @@ def coefficient_identity_max_error(max_abs: int = 20) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _phi(a: TorusField, b: TorusField) -> np.ndarray:
+def _phi(a: np.ndarray, b: np.ndarray, grid, inv: np.ndarray) -> np.ndarray:
     """Band coefficients of the cubic
 
         2 (D0^{-1} b) |a|^2 + 2 a D0^{-1}|b|^2 - conj(D0^{-1} b) a^2
-        + D0^{-1}(|b|^2 b),
+        + D0^{-1}(|b|^2 b)
 
-    from grid values of a, b and D0^{-1} b, one round trip for
-    D0^{-1}|b|^2 and two forward transforms: 7 FFTs.
+    for the rows of (rows, n_coeff) coefficient arrays a and b, inv the
+    multiplier of D0^{-1}: grid values of a, b and D0^{-1} b, one round
+    trip for D0^{-1}|b|^2 and two forward transforms, each one batched
+    transform over all rows: 7 FFTs.
     """
-    grid = a.grid
-    va, vb, vjb = to_grid_values(a), to_grid_values(b), to_grid_values(invert_d0(b))
+    m = grid.padded_len
+    va = np.fft.ifft(_pad(a, grid)) * m
+    vb = np.fft.ifft(_pad(b, grid)) * m
+    vjb = np.fft.ifft(_pad(b * inv, grid)) * m
     abs_b = np.abs(vb) ** 2
-    j_abs_b = to_grid_values(invert_d0(from_grid_values(grid, abs_b)))
+    j_abs_b = np.fft.ifft(_pad(_band(np.fft.fft(abs_b), grid) / m * inv, grid)) * m
     local = 2.0 * vjb * np.abs(va) ** 2 + 2.0 * va * j_abs_b - np.conj(vjb) * va**2
-    return (from_grid_values(grid, local).coeff
-            + invert_d0(from_grid_values(grid, abs_b * vb)).coeff)
+    return (_band(np.fft.fft(local), grid) / m
+            + _band(np.fft.fft(abs_b * vb), grid) / m * inv)
 
 
-def _generator_field(u: TorusField) -> TorusField:
-    """Hamiltonian vector field of the generator, X_F = -2i dF/d(conj u).
+def _generator_field(c: np.ndarray, grid) -> np.ndarray:
+    """Hamiltonian vector field of the generator, X_F = -2i dF/d(conj u),
+    of each row of (rows, n_coeff) coefficients.
 
     With u_+ = P_+ u and u_- = P_- u, the generator is
     F = Im(t1 - t2 - t3) / 2 for the three quartic integrals
@@ -239,15 +270,35 @@ def _generator_field(u: TorusField) -> TorusField:
     half of the chain rule is the conjugate of the d/d(conj u) half, and
     both fold into one cubic:
     X_F = -(P_+ phi(u_+, u_-) - P_- phi(u_-, u_+)) / 2.
+    Both orientations are rows of one stack, so phi runs once.
     """
-    k = u.grid.modes()
-    up, um = project_plus(u), project_minus(u)
-    return TorusField(u.grid, -0.5 * np.where(k >= 0, _phi(up, um), -_phi(um, up)))
+    rows, n = len(c), grid.max_mode
+    a = np.concatenate((c, c))
+    a[:rows, :n] = 0.0  # u_+ rows, then u_- rows
+    a[rows:, n:] = 0.0
+    phi = _phi(a, np.roll(a, rows, axis=0), grid, _d0_inverse(grid))
+    return -0.5 * np.where(grid.modes() >= 0, phi[:rows], -phi[rows:])
 
 
-def _quadratic_energy(u: TorusField) -> float:
-    k = u.grid.modes()
-    return 0.5 * float(np.sum(np.abs(k) * np.abs(u.coeff) ** 2))
+def _r_field(c: np.ndarray, grid) -> np.ndarray:
+    """X_R = -i (|u|^2 u - 2 ||u||_{L2}^2 u) of each row of (rows, n_coeff)
+    coefficients: one transform each way."""
+    m = grid.padded_len
+    v = np.fft.ifft(_pad(c, grid)) * m
+    cubic = _band(np.fft.fft(np.abs(v) ** 2 * v), grid) / m
+    q = np.sum(np.abs(c) ** 2, axis=-1, keepdims=True)
+    return -1j * (cubic - 2.0 * q * c)
+
+
+def _quadratic_energy(c: np.ndarray, grid) -> float:
+    """H0 of one coefficient row."""
+    return 0.5 * float(np.sum(np.abs(grid.modes()) * np.abs(c) ** 2))
+
+
+def _euler_value(c: np.ndarray, x: np.ndarray) -> float:
+    """A real quartic G read off its field x = X_G at one coefficient row
+    c by Euler's identity, 4 G(u) = Im (u | X_G(u))."""
+    return 0.25 * float(np.imag(np.vdot(x, c)))
 
 
 def _resonant_quartic_field(u: TorusField) -> TorusField:
@@ -283,8 +334,8 @@ def functional_value(tag: str, u: TorusField) -> float:
     Euler's identity 4 G(u) = Im (u | X_G(u)).
     """
     if tag == H0:
-        return _quadratic_energy(u)
-    return 0.25 * float(np.imag(inner(u, vector_field(tag, u))))
+        return _quadratic_energy(u.coeff, u.grid)
+    return _euler_value(u.coeff, vector_field(tag, u).coeff)
 
 
 def vector_field(tag: str, u: TorusField) -> TorusField:
@@ -296,13 +347,10 @@ def vector_field(tag: str, u: TorusField) -> TorusField:
         raise ValueError(f"unknown functional tag {tag!r}")
     if tag == H0:
         return TorusField(u.grid, -1j * np.abs(u.grid.modes()) * u.coeff)
-    if tag == R:
-        v = to_grid_values(u)
-        cubic = from_grid_values(u.grid, np.abs(v) ** 2 * v)
-        return TorusField(u.grid, -1j * (cubic.coeff - 2.0 * charge(u) * u.coeff))
     if tag == RTILDE:
         return _resonant_quartic_field(u)
-    return _generator_field(u)
+    field = _r_field if tag == R else _generator_field
+    return TorusField(u.grid, field(u.coeff[np.newaxis], u.grid)[0])
 
 
 def poisson_bracket(tag_a: str, tag_b: str, u: TorusField) -> float:
@@ -314,6 +362,38 @@ def poisson_bracket(tag_a: str, tag_b: str, u: TorusField) -> float:
 # the canonical flow chi_eps = exp(eps^2 X_F)
 # ---------------------------------------------------------------------------
 
+def _flow_rows(u: TorusField, eps: tuple, sigma: float) -> np.ndarray:
+    """phi_sigma(u) for each eps, as the rows of one (len(eps), n_coeff)
+    array stepped by one RK4 loop with eps^2 as a column."""
+    if any(e < 0 for e in eps):
+        raise ValueError(f"eps must be nonnegative, got {eps}")
+    b111 = besov_norm(u)
+    for e in eps:
+        if e * b111 > FLOW_SMALLNESS:
+            raise ValueError(
+                f"eps = {e}: eps * ||u||_B111 = {e * b111:.3g} exceeds the "
+                f"smallness threshold {FLOW_SMALLNESS}"
+            )
+    c = np.tile(u.coeff, (len(eps), 1))
+    if sigma == 0.0 or not any(eps):
+        return c
+    h = sigma / FLOW_SUBSTEPS
+    eps_sq = np.array([[e**2] for e in eps])
+
+    def rate(arr):
+        return eps_sq * _generator_field(arr, u.grid)
+
+    for _ in range(FLOW_SUBSTEPS):
+        k1 = rate(c)
+        k2 = rate(c + 0.5 * h * k1)
+        k3 = rate(c + 0.5 * h * k2)
+        k4 = rate(c + h * k3)
+        c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(c)):
+            raise RuntimeError("normal_form_flow: non-finite state")
+    return c
+
+
 def normal_form_flow(u: TorusField, eps: float, sigma: float) -> TorusField:
     """phi_sigma(u): RK4 integration of d(phi)/d(sigma) = eps^2 X_F(phi).
 
@@ -322,31 +402,7 @@ def normal_form_flow(u: TorusField, eps: float, sigma: float) -> TorusField:
     below the package tolerances.  sigma = 1 is chi_eps, sigma = -1 its
     inverse.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    size = eps * besov_norm(u)
-    if size > FLOW_SMALLNESS:
-        raise ValueError(
-            f"eps * ||u||_B111 = {size:.3g} exceeds the "
-            f"smallness threshold {FLOW_SMALLNESS}"
-        )
-    if eps == 0.0 or sigma == 0.0:
-        return u
-    h = sigma / FLOW_SUBSTEPS
-    c = u.coeff.copy()
-
-    def rate(arr):
-        return eps**2 * _generator_field(TorusField(u.grid, arr)).coeff
-
-    for _ in range(FLOW_SUBSTEPS):
-        a = rate(c)
-        b = rate(c + 0.5 * h * a)
-        d = rate(c + 0.5 * h * b)
-        e = rate(c + h * d)
-        c = c + (h / 6.0) * (a + 2.0 * b + 2.0 * d + e)
-        if not np.all(np.isfinite(c)):
-            raise RuntimeError("normal_form_flow: non-finite state")
-    return TorusField(u.grid, c)
+    return TorusField(u.grid, _flow_rows(u, (eps,), sigma)[0])
 
 
 def chi_flow(u: TorusField, eps: float) -> TorusField:
@@ -354,14 +410,22 @@ def chi_flow(u: TorusField, eps: float) -> TorusField:
     return normal_form_flow(u, eps, 1.0)
 
 
-def taylor_residual(u: TorusField, eps: float) -> float:
+def taylor_residual(u: TorusField, eps):
     """| (H0 + eps^2 R)(chi_eps(u)) - H0(u) - eps^2 Rtilde(u) |.
 
     The canonical transformation turns H0 + eps^2 R into
     H0 + eps^2 Rtilde up to a fourth-order remainder, so this residual
-    scales like eps^4 at fixed u.
+    scales like eps^4 at fixed u.  For a sequence of eps the flows run
+    as one stack and the result is an array, one residual per eps; a
+    float eps gives a float.
     """
-    moved = chi_flow(u, eps)
-    h_eps = functional_value(H0, moved) + eps**2 * functional_value(R, moved)
-    target = functional_value(H0, u) + eps**2 * functional_value(RTILDE, u)
-    return abs(h_eps - target)
+    single = np.ndim(eps) == 0
+    eps = (eps,) if single else tuple(eps)
+    moved = _flow_rows(u, eps, 1.0)
+    h0, r_tilde = functional_value(H0, u), functional_value(RTILDE, u)
+    residuals = np.array([
+        abs(_quadratic_energy(row, u.grid) + e**2 * _euler_value(row, x)
+            - (h0 + e**2 * r_tilde))
+        for e, row, x in zip(eps, moved, _r_field(moved, u.grid))
+    ])
+    return float(residuals[0]) if single else residuals

@@ -65,13 +65,18 @@ def project_minus(f: TorusField) -> TorusField:
     return TorusField(f.grid, coeff)
 
 
-def invert_d0(f: TorusField) -> TorusField:
-    """The multiplier 1/k with the k = 0 mode zeroed (D0^{-1})."""
-    k = f.grid.modes()
+def _d0_inverse(grid: GridSpec) -> np.ndarray:
+    """The multiplier 1/k of D0^{-1} on the band, with the k = 0 mode zeroed."""
+    k = grid.modes()
     inv = np.zeros_like(k, dtype=np.float64)
     nonzero = k != 0
     inv[nonzero] = 1.0 / k[nonzero]
-    return TorusField(f.grid, f.coeff * inv)
+    return inv
+
+
+def invert_d0(f: TorusField) -> TorusField:
+    """The multiplier 1/k with the k = 0 mode zeroed (D0^{-1})."""
+    return TorusField(f.grid, f.coeff * _d0_inverse(f.grid))
 
 
 def product(f: TorusField, g: TorusField) -> TorusField:

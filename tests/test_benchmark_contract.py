@@ -13,7 +13,7 @@ import pytest
 
 from halfwave import EvolutionProblem, GridSpec, TorusField, experiments, integrate, normalform
 from halfwave.experiments import HorizonRule, default_config, run_decoupling
-from halfwave.norms import charge
+from halfwave.norms import besov_norm, charge
 
 from conftest import random_field
 
@@ -87,13 +87,28 @@ def test_integrate_binds_no_monitor_functionals():
     assert [name for name in monitors if hasattr(integrate, name)] == []
 
 
-@pytest.mark.parametrize("tag, most", [(normalform.F, 14), (normalform.RTILDE, 5),
+@pytest.mark.parametrize("tag, most", [(normalform.F, 7), (normalform.RTILDE, 5),
                                        (normalform.R, 2)])
 def test_quartic_fields_transform_each_input_once(layertrace, tag, most):
-    """The quartic fields take products on the padded grid: X_F is two
-    7-transform cubics, X_Rtilde and X_R one transform per input and
-    per result."""
+    """The quartic fields take products on the padded grid: X_F is one
+    stacked 7-transform cubic, X_Rtilde and X_R one transform per input
+    and per result."""
     u = random_field(GridSpec.with_padding(32), np.random.default_rng(0))
     with layertrace.Tracer() as tracer:
         normalform.vector_field(tag, u)
     assert tracer.calls["operators.fft"] <= most
+
+
+def test_stacked_taylor_residual_transforms_like_one_eps(layertrace):
+    """The flows of all eps are one stack: four eps make as many
+    transforms as one, 7 per X_F stage of each RK4 substep, plus 1 for
+    the Besov norm of u, 2 for X_R of the moved states and 4 for
+    X_Rtilde of u."""
+    u = random_field(GridSpec.with_padding(32), np.random.default_rng(0), support=8)
+    u = (0.4 / besov_norm(u)) * u
+    calls = []
+    for eps in (0.2, (0.2, 0.1, 0.05, 0.025)):
+        with layertrace.Tracer() as tracer:
+            normalform.taylor_residual(u, eps)
+        calls.append(tracer.calls["operators.fft"])
+    assert calls == [normalform.FLOW_SUBSTEPS * 4 * 7 + 1 + 2 + 4] * 2

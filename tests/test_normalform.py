@@ -30,8 +30,10 @@ from halfwave.norms import besov_norm
 from halfwave.normalform import (
     ALL_NON_NEGATIVE,
     ALL_NON_POSITIVE,
+    FLOW_SMALLNESS,
     PAIR_12_34,
     PAIR_14_32,
+    _row_mismatch,
 )
 
 from conftest import random_field
@@ -301,3 +303,37 @@ class TestCanonicalFlow:
         residuals = [taylor_residual(u, e) for e in eps_values]
         slope = np.polyfit(np.log(eps_values), np.log(residuals), 1)[0]
         assert slope == pytest.approx(4.0, abs=0.3)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_stacked_taylor_residual_equals_single(n, rng):
+    """One stacked flow gives each eps the residual of its own flow, bit
+    for bit; eps = 0 leaves u in place; an eps over the smallness
+    threshold is named in the error."""
+    u = small_field(GridSpec.with_padding(n), rng, besov_size=0.4)
+    eps_values = (0.2, 0.1, 0.05, 0.025, 0.0)
+    stacked = taylor_residual(u, eps_values)
+    assert stacked.shape == (len(eps_values),)
+    for eps, residual in zip(eps_values, stacked):
+        assert residual == taylor_residual(u, eps)
+    assert stacked[-1] == 0.0
+    too_big = 2.0 * FLOW_SMALLNESS / besov_norm(u)
+    with pytest.raises(ValueError, match=f"eps = {too_big}"):
+        taylor_residual(u, (0.1, too_big, 0.05))
+
+
+@pytest.mark.parametrize("max_abs", [1, 3, 30])
+def test_row_mismatch_counts_the_symmetric_difference(max_abs):
+    """The integer-code count equals the size of the symmetric difference
+    of the row sets, with repeated rows and entries at the code's edges."""
+    rng = np.random.default_rng(max_abs)
+    for _ in range(20):
+        pool = rng.integers(-max_abs, max_abs + 1, size=(12, 4))
+        pool[0] = max_abs
+        pool[1] = -max_abs
+        pool[2] = (max_abs, -max_abs, -max_abs, max_abs)
+        a = pool[rng.integers(0, len(pool), size=15)]
+        b = pool[rng.integers(0, len(pool), size=9)]
+        expected = len(set(map(tuple, a)) ^ set(map(tuple, b)))
+        assert _row_mismatch(a, b, max_abs) == expected
+    assert _row_mismatch(pool, pool[::-1], max_abs) == 0

@@ -16,7 +16,6 @@ from .norms import besov_norm, charge, l4_norm, momentum, sobolev_norm
 from .operators import (
     cubic_term,
     inner,
-    invert_d0,
     product,
     project_minus,
     project_plus,
@@ -30,16 +29,14 @@ from .oracles import (
     plane_wave_solution,
     quartic_sum,
     quartic_sum_field,
+    szego_explicit_modes,
     szego_inflation_state,
-    szego_rational_flow,
 )
 from .problems import (
     EvolutionProblem,
     default_time_step,
     energy,
     gauge_transform,
-    nonlinear_term,
-    rhs,
 )
 from .normalform import (
     F,
@@ -48,13 +45,10 @@ from .normalform import (
     R,
     RTILDE,
     chi_flow,
-    classify,
     coefficient_identity_max_error,
     enumerate_resonances,
-    f_coeff,
     functional_value,
     normal_form_flow,
-    phase,
     poisson_bracket,
     resonances_from_cases,
     taylor_residual,

@@ -96,7 +96,10 @@ class HorizonRule:
             return self.value
         if self.kind == "inv_eps_sq":
             return self.value / eps**2
-        return (self.value / eps**2) * math.log(1.0 / eps)
+        t = (self.value / eps**2) * math.log(1.0 / eps)
+        if not t > 0:
+            raise ValueError(f"log horizon needs eps < 1: T = {t:.3g} at eps = {eps}")
+        return t
 
 
 @dataclass(frozen=True)

@@ -83,10 +83,6 @@ class QuadrupleKey:
     k3: int
     k4: int
 
-    @property
-    def zero_sum(self) -> bool:
-        return self.k1 - self.k2 + self.k3 - self.k4 == 0
-
     def as_tuple(self):
         return (self.k1, self.k2, self.k3, self.k4)
 
@@ -125,11 +121,6 @@ def _coefficients(tag: str, k1, k2, k3, k4):
     return coef
 
 
-def phase(q: QuadrupleKey) -> int:
-    """|k1| - |k2| + |k3| - |k4|; its vanishing defines resonance."""
-    return _phase(*q.as_tuple())
-
-
 def _case_masks(quads: np.ndarray):
     """Membership of (n, 4) integer quadruples in each of the four
     families, from their definitions: {tag: boolean mask}."""
@@ -140,28 +131,6 @@ def _case_masks(quads: np.ndarray):
         PAIR_12_34: (k1 == k2) & (k3 == k4),
         PAIR_14_32: (k1 == k4) & (k3 == k2),
     }
-
-
-def classify(q: QuadrupleKey) -> frozenset:
-    """All satisfied resonance cases; empty iff the quadruple is in none.
-
-    On the zero-sum set, an empty result forces phase(q) != 0.
-    """
-    masks = _case_masks(np.array([q.as_tuple()]))
-    return frozenset(tag for tag, mask in masks.items() if mask[0])
-
-
-def f_coeff(q: QuadrupleKey) -> complex:
-    """Generator coefficient i / (4 phase), zero on the resonant set.
-
-    Defined on the momentum-conserving (zero-sum) set only.  The phase
-    flips sign under (k1,k2,k3,k4) -> (k2,k1,k4,k3), so the purely
-    imaginary coefficient obeys f(q) = conj(f(swap)) - the relation that
-    makes the assembled quartic real-valued.
-    """
-    if not q.zero_sum:
-        raise ValueError(f"{q} violates k1 - k2 + k3 - k4 = 0")
-    return complex(_coefficients(F, *q.as_tuple()))
 
 
 def _resonant_rows(max_abs: int) -> np.ndarray:

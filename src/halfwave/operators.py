@@ -74,11 +74,6 @@ def _d0_inverse(grid: GridSpec) -> np.ndarray:
     return inv
 
 
-def invert_d0(f: TorusField) -> TorusField:
-    """The multiplier 1/k with the k = 0 mode zeroed (D0^{-1})."""
-    return TorusField(f.grid, f.coeff * _d0_inverse(f.grid))
-
-
 def product(f: TorusField, g: TorusField) -> TorusField:
     """Exact band coefficients of the pointwise product f*g (degree <= 2N)."""
     f._check_grid(g)

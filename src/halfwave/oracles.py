@@ -1,5 +1,5 @@
 """Independent ground truths: plane waves, a no-FFT integrator, the
-literal quadruple sums of the normal form and the rational family of
+literal quadruple sums of the normal form and the explicit formula of
 the cubic Szego flow.
 
 Single modes solve every problem in closed form (the nonlinearity
@@ -10,11 +10,13 @@ sums for the nonlinearity, no integrating factor.  The quadruple sums
 give the quartics R, Rtilde, F of halfwave.normalform and their fields
 straight from the monomial coefficients, summed over every zero-sum
 quadruple of the band (O(N^3), no transform); the normal form's
-closed-form fields are checked against them.  The rational-family
-oracle solves the plain Szego flow on w = b + c e^{ix}/(1 - p e^{ix}) as
-a three-dimensional ODE and evaluates its norms as series; it uses
-numpy alone, with no transform and no field type.  Agreement between
-independent paths is evidence, not shared bias.
+closed-form fields are checked against them.  The explicit formula of
+Gerard & Grellier (Trans. AMS 367, 2015) gives every mode of the plain
+Szego solution from polynomial data through two Hankel matrices, with
+no time step; on w = b + c e^{ix}/(1 - p e^{ix}) it yields the rational
+family, whose norms are summed as series.  It uses numpy alone, with no
+transform and no field type.  Agreement between independent paths is
+evidence, not shared bias.
 """
 
 from __future__ import annotations
@@ -141,13 +143,8 @@ def quartic_sum_field(tag: str, u: TorusField) -> TorusField:
 
 
 # ---------------------------------------------------------------------------
-# rational family of the cubic Szego flow
+# the explicit formula of the cubic Szego flow and its rational family
 # ---------------------------------------------------------------------------
-
-#: RK4 step of the rational-family flow (unit-size data); halving it moves
-#: the inflation ratio by under 2e-10 for delta in [0.05, 0.4]
-RATIONAL_DT = 1e-3
-
 
 @dataclass(frozen=True)
 class RationalState:
@@ -216,69 +213,45 @@ class RationalState:
         return math.sqrt(abs(self.b) ** 2 + abs(self.c) ** 2 * tail)
 
 
-def szego_rational_field(b: complex, c: complex, p: complex):
-    """(b', c', p') of i w_t = P_+(|w|^2 w) on the rational family.
+def _hankel_flow(g: np.ndarray, t: float) -> np.ndarray:
+    """e^{-i t G G^H} for a square matrix G, by one eigh of G G^H."""
+    vals, vecs = np.linalg.eigh(g @ g.conj().T)
+    return (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
 
-    On the circle conj(w) = conj(b) + conj(c) / (z - conj(p)), so
 
-        P_+(|w|^2 w) = conj(b) w^2 + conj(c) (w(z)^2 - w(conj p)^2) / (z - conj p),
+def szego_explicit_modes(w0, t: float, n_modes: int) -> np.ndarray:
+    """Modes 0 .. n_modes of the plain Szego solution at time t from the
+    analytic polynomial data w0[0..N], by the explicit formula
 
-    the dropped part conj(c) w(conj p)^2 / (z - conj p) having only
-    negative modes.  With u = z/(1 - p z) the divided difference is
-    (2bc + c^2 (u(z) + u(conj p))) / (lam (1 - p z)), whose modes are
-    A p^k + (c^2/lam) k p^{k-1} with A = (2bc + c^2 conj(p)/lam) / lam.
-    Modes 0, 1 and 2 of w are b, c and c p, which fixes the three rates.
-    Requires c != 0.
+        w(t)_k = (A^k e^{-i t H^2} w0 | 1),   A = e^{-i t H^2} e^{i t K^2} S*,
+
+    with the Hankel matrices H[j, k] = w0_{j+k} and K[j, k] = w0_{j+k+1}
+    (H^2 = H H^H, K^2 = K K^H) and the backward shift S*, which drops the
+    first entry of a vector.  The polynomials of degree <= N carry all
+    of it, so the modes are exact past N too, up to round-off.
     """
-    lam = 1.0 - (p.real * p.real + p.imag * p.imag)
-    bb, cb = b.conjugate(), c.conjugate()
-    c2 = c * c
-    a = (2.0 * b * c + c2 * p.conjugate() / lam) / lam
-    mode0 = bb * b * b + cb * a
-    mode1 = 2.0 * bb * b * c + cb * (a * p + c2 / lam)
-    mode2 = bb * (2.0 * b * c * p + c2) + cb * p * (a * p + 2.0 * c2 / lam)
-    db = -1j * mode0
-    dc = -1j * mode1
-    return db, dc, (-1j * mode2 - dc * p) / c
+    w0 = np.asarray(w0, dtype=np.complex128)
+    n = len(w0) - 1
+    padded = np.concatenate((w0, np.zeros(n + 1, dtype=np.complex128)))
+    index = np.add.outer(np.arange(n + 1), np.arange(n + 1))
+    flow_h = _hankel_flow(padded[index], t)
+    shifted = (flow_h @ _hankel_flow(padded[index + 1], -t))[:, :n]
+    v = flow_h @ w0
+    out = np.empty(n_modes + 1, dtype=np.complex128)
+    for k in range(n_modes + 1):
+        out[k] = v[0]
+        v = shifted @ v[1:]
+    return out
 
 
-def szego_rational_flow(state: RationalState, t: float,
-                        dt: float = RATIONAL_DT) -> RationalState:
-    """Plain Szego solution from a rational state, by RK4 on (b, c, p).
-
-    Takes ceil(t / dt) equal steps.  The flow keeps the family, and its
-    charge, momentum and L4 norm are conserved to the RK4 accuracy.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if state.c == 0:
-        raise ValueError("c = 0 is a constant state; its pole parameter has no dynamics")
-    y = (complex(state.b), complex(state.c), complex(state.p))
-    n_steps = math.ceil(t / dt - 1e-12) if t > 0 else 0
-    h = t / n_steps if n_steps else 0.0
-
-    def shift(k, f):
-        return tuple(yi + f * ki for yi, ki in zip(y, k))
-
-    for _ in range(n_steps):
-        k1 = szego_rational_field(*y)
-        k2 = szego_rational_field(*shift(k1, 0.5 * h))
-        k3 = szego_rational_field(*shift(k2, 0.5 * h))
-        k4 = szego_rational_field(*shift(k3, h))
-        y = tuple(yi + (h / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-                  for yi, r1, r2, r3, r4 in zip(y, k1, k2, k3, k4))
-    return RationalState(*y)
-
-
-def szego_inflation_state(eps: float, delta: float, t: float,
-                          dt: float = RATIONAL_DT) -> RationalState:
+def szego_inflation_state(eps: float, delta: float, t: float) -> RationalState:
     """Plain Szego solution at time t from eps (e^{ix} + delta).
 
-    Integrates the unit-size data e^{ix} + delta and rescales through
-    w(t) = eps W(eps^2 t); dt is a step in the time of W.
+    The solution stays in the rational family, so modes 0, 1 and 2 of
+    the explicit formula fix it: b = w_0, c = w_1 and p = w_2 / w_1.
     """
-    unit = szego_rational_flow(RationalState(delta, 1.0, 0.0), eps**2 * t, dt)
-    return RationalState(eps * unit.b, eps * unit.c, unit.p)
+    b, c, cp = szego_explicit_modes([eps * delta, eps], t, 2)
+    return RationalState(complex(b), complex(c), complex(cp / c))
 
 
 def inflation_constant(s: float) -> float:

@@ -157,17 +157,6 @@ def nonlinearity(problem, grid: GridSpec):
     return term
 
 
-def nonlinear_term(problem: EvolutionProblem, u: TorusField) -> TorusField:
-    """N(u) = c (P(|u|^2 u) - 2 q0 u), the right-hand side minus L u, times i."""
-    return TorusField(u.grid, 1j * nonlinearity(problem, u.grid)(u.coeff))
-
-
-def rhs(problem: EvolutionProblem, u: TorusField) -> TorusField:
-    """du/dt = -i (L u + N(u))."""
-    lin = linear_symbol(problem, u.grid) * u.coeff
-    return TorusField(u.grid, -1j * lin + nonlinearity(problem, u.grid)(u.coeff))
-
-
 def energy(problem: EvolutionProblem, u: TorusField) -> float:
     """The Hamiltonian (Lu,u)/2 + c (||u||_{L4}^4 / 4 - q0 ||u||_{L2}^2).
 

@@ -1,12 +1,16 @@
-"""What the benchmark's tracer (benchmarks/layertrace.py) reads from the package.
+"""What the benchmark (benchmarks/) reads from the package.
 
-The tracer wraps the functions named in LAYER_FUNCS and every
-`experiments` attribute matching its row-worker pattern.  A missing name
-breaks `benchmarks/run.py --trace 1` in Tracer.install; an extra match
-counts the row metrics twice.
+The benchmark modules import names from halfwave, and the tracer
+(benchmarks/layertrace.py) wraps the functions named in LAYER_FUNCS and
+every `experiments` attribute matching its row-worker pattern.  A
+missing name breaks `benchmarks/run.py`; an extra match counts the row
+metrics twice.
 """
 
+import ast
+import importlib
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -28,6 +32,38 @@ def layertrace(monkeypatch):
     import layertrace
 
     return layertrace
+
+
+@pytest.mark.parametrize("module", ["workloads", "unitcost", "check"])
+def test_benchmark_modules_import(module, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    importlib.import_module(module)
+
+
+def _halfwave_names(tree):
+    """(module, name) for each halfwave name a benchmark file imports, in
+    any scope, and for each attribute it reads off an imported halfwave
+    module (`from halfwave import experiments as ex`, then `ex.X`)."""
+    imported, modules = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "halfwave":
+            for alias in node.names:
+                imported.append((node.module, alias.name))
+                value = getattr(importlib.import_module(node.module), alias.name, None)
+                if isinstance(value, ModuleType):
+                    modules[alias.asname or alias.name] = value.__name__
+    reads = [(modules[node.value.id], node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in modules]
+    return imported + reads
+
+
+@pytest.mark.parametrize("path", sorted(BENCHMARKS.glob("*.py")), ids=lambda p: p.name)
+def test_benchmark_halfwave_names_resolve(path):
+    """Every halfwave name a benchmark file imports or reads off a
+    halfwave module exists, including imports inside functions."""
+    for module, name in _halfwave_names(ast.parse(path.read_text())):
+        assert hasattr(importlib.import_module(module), name), f"{path.name}: {module}.{name}"
 
 
 def test_layer_funcs_resolve(layertrace):

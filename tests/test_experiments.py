@@ -7,11 +7,13 @@ import pytest
 
 from halfwave.experiments import (
     APPROXIMATION,
+    BESOV_BOUND,
     DECOUPLING,
     EXPERIMENTS,
     ExperimentConfig,
     HorizonRule,
     Profile,
+    SPECTRUM,
     build_initial_state,
     default_config,
     fit_loglog_slope,
@@ -82,6 +84,11 @@ class TestConfig:
         )
         with pytest.raises(ValueError):
             HorizonRule("sometimes", 1.0)
+
+    def test_log_horizon_needs_eps_below_one(self):
+        for eps in (1.0, 2.0):
+            with pytest.raises(ValueError):
+                HorizonRule("log", 1.0).time_for(eps)
 
 
 class TestProfiles:
@@ -266,6 +273,15 @@ class TestCli:
 
     def test_config_error_exit_one(self, capsys):
         assert cli.main(["decoupling", "--eps", "0.1,0.2"]) == 1
+
+    @pytest.mark.parametrize("experiment", [BESOV_BOUND, APPROXIMATION, SPECTRUM])
+    def test_log_horizon_at_eps_one_exits_one(self, experiment, tmp_path, capsys):
+        """T = log(1/eps)/eps^2 is 0 at eps = 1: no row may be measured at t = 0."""
+        code = cli.main([experiment, "--grid", "16", "--eps", "1,0.5,0.25",
+                         "--horizon", "log:1", "--out", str(tmp_path)])
+        assert code == 1
+        assert "log horizon" in capsys.readouterr().err
+        assert not (tmp_path / f"{experiment}.csv").exists()
 
     def test_unknown_experiment_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -6,13 +6,12 @@ from halfwave import (
     TorusField,
     cubic_term,
     inner,
-    invert_d0,
     product,
     project_minus,
     project_plus,
     triple_product,
 )
-from halfwave.operators import from_grid_values, to_grid_values
+from halfwave.operators import _d0_inverse, from_grid_values, to_grid_values
 
 from conftest import random_field
 
@@ -56,12 +55,12 @@ class TestProjections:
 class TestMultipliers:
     def test_inverse_derivative(self, grid16):
         f = TorusField.from_modes(grid16, {3: 1.0})
-        out = invert_d0(f)
+        out = TorusField(grid16, f.coeff * _d0_inverse(grid16))
         assert out.mode(3) == pytest.approx(1.0 / 3.0)
 
     def test_inverse_derivative_kills_mean(self, grid16):
         f = TorusField.from_modes(grid16, {0: 1.0})
-        assert invert_d0(f) == TorusField.zeros(grid16)
+        assert TorusField(grid16, f.coeff * _d0_inverse(grid16)) == TorusField.zeros(grid16)
 
 
 class TestCubicTerm:

@@ -12,16 +12,15 @@ from halfwave import (
     evolve,
     galerkin_reference,
     plane_wave_solution,
-    rhs,
 )
 from halfwave.norms import charge, l4_norm, momentum, sobolev_norm
 from halfwave.oracles import (
-    RATIONAL_DT,
     RationalState,
     inflation_constant,
+    szego_explicit_modes,
     szego_inflation_state,
-    szego_rational_flow,
 )
+from halfwave.problems import linear_symbol, nonlinearity
 
 from conftest import random_analytic_field
 
@@ -66,13 +65,15 @@ def test_plane_wave_satisfies_discrete_residual(problem, grid16):
     to second order in the step."""
     spec = PlaneWaveSpec(0.3, 2, problem)
     t = 0.7
+    symbol, term = linear_symbol(problem, grid16), nonlinearity(problem, grid16)
     errs = []
     for h in (1e-3, 5e-4):
         fwd = plane_wave_solution(spec, t + h, grid16)
         bwd = plane_wave_solution(spec, t - h, grid16)
         mid = plane_wave_solution(spec, t, grid16)
         diff = (fwd.coeff - bwd.coeff) / (2.0 * h)
-        errs.append(np.max(np.abs(diff - rhs(problem, mid).coeff)))
+        rhs = -1j * symbol * mid.coeff + term(mid.coeff)
+        errs.append(np.max(np.abs(diff - rhs)))
     assert errs[0] <= 2e-6
     assert errs[0] / max(errs[1], 1e-300) == pytest.approx(4.0, rel=0.1)
 
@@ -129,9 +130,9 @@ def test_galerkin_preconditions(grid16):
         galerkin_reference(EvolutionProblem.half_wave(), big, 1.0, dt=1e-3)
 
 
-def _inflation_ratio(delta, dt=RATIONAL_DT, s=1.5, eps=0.1):
+def _inflation_ratio(delta, s=1.5, eps=0.1):
     t_star = math.pi / (2.0 * eps**2 * delta)
-    state = szego_inflation_state(eps, delta, t_star, dt)
+    state = szego_inflation_state(eps, delta, t_star)
     return state.sobolev_norm(s) * delta ** (2 * s - 1) / eps
 
 
@@ -143,8 +144,8 @@ def test_rational_flow_conserves_charge_momentum_and_l4():
     state = RationalState(delta, 1.0, 0.0)
     first = (state.charge(), state.momentum(), state.l4_fourth())
     worst = 0.0
-    for _ in range(10):
-        state = szego_rational_flow(state, t_star / 10)
+    for i in range(1, 11):
+        state = szego_inflation_state(1.0, delta, i * t_star / 10)
         now = (state.charge(), state.momentum(), state.l4_fourth())
         worst = max(worst, max(abs(a - b) / b for a, b in zip(now, first)))
     assert worst <= 1e-10
@@ -158,8 +159,8 @@ def test_rational_flow_matches_pseudospectral_szego():
     grid = GridSpec.with_padding(n)
     u0 = TorusField.from_modes(grid, {1: 1.0, 0: 0.5})
     pde = evolve(EvolutionProblem.szego_plain(), u0, 1.0, StepperConfig(dt=0.005))
-    oracle = szego_rational_flow(RationalState(0.5, 1.0, 0.0), 1.0)
-    assert np.max(np.abs(pde.coeff[n:] - oracle.modes(n))) <= 1e-8
+    oracle = szego_explicit_modes([0.5, 1.0], 1.0, n)
+    assert np.max(np.abs(pde.coeff[n:] - oracle)) <= 1e-8
     assert np.max(np.abs(pde.coeff[:n])) == 0.0
 
 
@@ -187,11 +188,6 @@ def test_rational_l4_closed_form_matches_quadrature():
     assert state.momentum() == pytest.approx(momentum(field), rel=1e-12)
 
 
-def test_rational_inflation_ratio_converged_in_step():
-    for delta in (0.4, 0.05):
-        assert abs(_inflation_ratio(delta) - _inflation_ratio(delta, RATIONAL_DT / 2)) <= 1e-8
-
-
 def test_rational_inflation_ratio_tends_to_constant():
     c_s = inflation_constant(1.5)
     assert c_s == pytest.approx(4.0 * math.sqrt(6.0), rel=1e-14)
@@ -201,5 +197,22 @@ def test_rational_inflation_ratio_tends_to_constant():
 def test_rational_state_preconditions():
     with pytest.raises(ValueError):
         RationalState(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        szego_rational_flow(RationalState(1.0, 0.0, 0.5), 1.0)
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_szego_flows_match_explicit_formula(n, rng):
+    """Plain Szego on random analytic data of degree 8 against the
+    explicit formula; the transport flow against its translated, gauged
+    and slowed form v_k(t) = e^{-ikt} e^{2i eps^2 q0 t} w_k(eps^2 t)."""
+    grid = GridSpec.with_padding(n)
+    u0 = random_analytic_field(grid, rng, support=8, scale=0.5)
+    w0, t, eps, q0 = u0.coeff[n:n + 9], 3.0, 0.7, 0.3
+    cfg = StepperConfig(dt=0.005)
+    plain = evolve(EvolutionProblem.szego_plain(), u0, t, cfg)
+    transport = evolve(EvolutionProblem.szego_transport(eps, q0), u0, t, cfg)
+    exact = szego_explicit_modes(w0, t, n)
+    moved = (np.exp(-1j * np.arange(n + 1) * t + 2j * eps**2 * q0 * t)
+             * szego_explicit_modes(w0, eps**2 * t, n))
+    assert np.max(np.abs(plain.coeff[n:] - exact)) <= 1e-10
+    assert np.max(np.abs(transport.coeff[n:] - moved)) <= 1e-10
+    assert not plain.coeff[:n].any() and not transport.coeff[:n].any()

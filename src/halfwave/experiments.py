@@ -93,12 +93,13 @@ class HorizonRule:
 
     def time_for(self, eps: float) -> float:
         if self.kind == "fixed":
-            return self.value
-        if self.kind == "inv_eps_sq":
-            return self.value / eps**2
-        t = (self.value / eps**2) * math.log(1.0 / eps)
-        if not t > 0:
-            raise ValueError(f"log horizon needs eps < 1: T = {t:.3g} at eps = {eps}")
+            t = self.value
+        elif self.kind == "inv_eps_sq":
+            t = self.value / eps**2
+        else:
+            t = (self.value / eps**2) * math.log(1.0 / eps)
+        if not 0 < t < math.inf:
+            raise ValueError(f"{self.kind} horizon: T = {t:.3g} at eps = {eps} is not in (0, inf)")
         return t
 
 
@@ -205,11 +206,10 @@ def build_initial_state(cfg: ExperimentConfig, grid: GridSpec,
         u = TorusField(grid, coeff)
     else:
         u = _load_custom_profile(prof.path, grid)
+    if not np.any(u.coeff):
+        raise ValueError(f"the {prof.kind} initial profile is zero on the band")
     if normalize_sobolev is not None:
-        h = sobolev_norm(u, normalize_sobolev)
-        if h == 0:
-            raise ValueError("cannot normalize the zero profile")
-        u = (1.0 / h) * u
+        u = (1.0 / sobolev_norm(u, normalize_sobolev)) * u
     return u
 
 
@@ -553,22 +553,24 @@ def _spectrum_row(args):
     t_end = cfg.horizon.time_for(1.0)
     dt = cfg.dt if cfg.dt is not None else default_time_step(problem, u0)
     before = spectral_summary(build_hankel(u0))
+    finals = []  # the summary at t_end of each run, dt first
 
-    def final_summary(step):
-        uf = evolve(problem, u0, t_end, StepperConfig(dt=step))
+    def final_trace(step, stride):
+        uf = evolve(problem, u0, t_end, StepperConfig(dt=step, monitor_stride=stride))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # half-wave grows negative modes
-            return spectral_summary(build_hankel(uf))
+            finals.append(spectral_summary(build_hankel(uf)))
+        return finals[-1].trace_norm
 
-    after = final_summary(dt)
+    _, rich = _richardson(final_trace, dt, f"spectrum {kind}",
+                          scale=1.0 / before.trace_norm)
+    after = finals[0]
     top = min(10, int(np.sum(before.hw2_eigenvalues > 0)))
     eig_dev = float(np.max(
         np.abs(after.hw2_eigenvalues[:top] - before.hw2_eigenvalues[:top])
         / before.hw2_eigenvalues[:top]
     ))
     trace_dev = abs(after.trace_norm - before.trace_norm) / before.trace_norm
-    after_half = final_summary(dt / 2.0)
-    rich = abs(after_half.trace_norm - after.trace_norm) / before.trace_norm
     return {"problem": kind, "eig_dev": eig_dev, "trace_dev": trace_dev,
             "horizon": t_end, "dt": dt, "richardson": rich}
 

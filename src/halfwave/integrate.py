@@ -54,14 +54,14 @@ class BlowUpError(RuntimeError):
 
 
 class _IFRK4Stepper:
-    """One RK4 step on y(tau) = e^{i tau L} u, with exact linear phase."""
+    """One RK4 step of du/dt = -i L u + N(u) on y(tau) = e^{i tau L} u, with
+    exact linear phase; L = symbol (0: plain RK4), N = nonlinear."""
 
-    def __init__(self, problem, grid, dt):
+    def __init__(self, symbol, nonlinear, dt):
         self.dt = dt
-        symbol = linear_symbol(problem, grid)
         self.e_half = np.exp(-0.5j * dt * symbol)
         self.e_full = self.e_half**2
-        self._nl = nonlinearity(problem, grid)
+        self._nl = nonlinear
 
     def step(self, coeff):
         dt, eh, ef = self.dt, self.e_half, self.e_full
@@ -75,7 +75,7 @@ class _IFRK4Stepper:
 def make_stepper(problem, grid, dt: float):
     """IFRK4 stepper for one problem, or for a stack of problems on one
     grid (it then steps (rows, n_coeff) arrays)."""
-    return _IFRK4Stepper(problem, grid, dt)
+    return _IFRK4Stepper(linear_symbol(problem, grid), nonlinearity(problem, grid), dt)
 
 
 def trajectory(problem, u0: TorusField, t_end: float, cfg: StepperConfig):

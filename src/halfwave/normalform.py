@@ -21,19 +21,22 @@ f = i / (4 phase) off the resonant set and 0 on it, which makes
     Rtilde(u) = the same quartic sum restricted to phase = 0.
 
 Each quartic G in {R, Rtilde, F} has one closed-form derivation: its
-Hamiltonian vector field X_G.  The products of X_G are taken pointwise on
-the padded grid: each input is transformed to grid values once, and each
-result comes back to band coefficients through one forward transform,
-where the projections and the inverse derivative act.  X_F and X_R act
-on (rows, n_coeff) stacks with one batched transform per input and
-result; X_F is one cubic phi on a stack whose rows are (u_+, u_-) and
-(u_-, u_+), and the flows of several eps step as the rows of one array.
-The value of G is read off its field by Euler's identity for a real
-quartic, 4 G(u) = Im (u | X_G(u)).  The resonant set and the four
-families are (n, 4) integer arrays, compared as integer codes.  The literal quadruple sums over the retained
+Hamiltonian vector field X_G, on (rows, n_coeff) stacks with products
+taken pointwise on the padded grid, one batched transform per input and
+result.  X_R is operators._cubic less the gauge term.  R's coefficient
+vanishes on the pair families except on the diagonal k1 = k2 = k3 = k4,
+which lies in the sign families; these share only the zero quadruple, so
+Rtilde(u) = R(u_{>=0}) + R(u_{<=0}) + |u_0|^4 / 4 and X_Rtilde is one
+X_R on the stack (u_{>=0}, u_{<=0}).  X_F is one cubic phi on a stack
+whose rows are (u_+, u_-) and (u_-, u_+).  chi_eps is stepped by the
+IFRK4 stepper of halfwave.integrate with zero symbol, the flows of
+several eps as the rows of one array.  The value of G is read off its
+field by Euler's identity for a real quartic, 4 G(u) = Im (u | X_G(u)).
+The resonant set and the four families are (n, 4) integer arrays,
+compared as integer codes.  The literal quadruple sums over the retained
 band are independent oracles (halfwave.oracles.quartic_sum and
-quartic_sum_field, O(N^3), small grids only); on band-limited fields
-the closed forms agree with them to round-off on the whole band.
+quartic_sum_field, O(N^3), small grids only); on band-limited fields the
+closed forms agree with them to round-off on the whole band.
 """
 
 from __future__ import annotations
@@ -43,17 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import TorusField
-from .norms import besov_norm, charge
-from .operators import (
-    _band,
-    _d0_inverse,
-    _pad,
-    from_grid_values,
-    inner,
-    project_minus,
-    project_plus,
-    to_grid_values,
-)
+from .integrate import _IFRK4Stepper
+from .norms import besov_norm
+from .operators import _band, _cubic, _d0_inverse, _pad, inner
 
 # tags for the four resonance families
 ALL_NON_NEGATIVE = "all_non_negative"
@@ -67,7 +62,6 @@ H0 = "h0"
 R = "r"
 RTILDE = "r_tilde"
 F = "f"
-_TAGS = (H0, R, RTILDE, F)
 
 ENUMERATION_MAX = 40
 
@@ -252,11 +246,23 @@ def _generator_field(c: np.ndarray, grid) -> np.ndarray:
 def _r_field(c: np.ndarray, grid) -> np.ndarray:
     """X_R = -i (|u|^2 u - 2 ||u||_{L2}^2 u) of each row of (rows, n_coeff)
     coefficients: one transform each way."""
-    m = grid.padded_len
-    v = np.fft.ifft(_pad(c, grid)) * m
-    cubic = _band(np.fft.fft(np.abs(v) ** 2 * v), grid) / m
     q = np.sum(np.abs(c) ** 2, axis=-1, keepdims=True)
-    return -1j * (cubic - 2.0 * q * c)
+    return -1j * (_cubic(c, grid) - 2.0 * q * c)
+
+
+def _rtilde_field(c: np.ndarray, grid) -> np.ndarray:
+    """X_Rtilde = P_{>=0} X_R(u_{>=0}) + P_{<=0} X_R(u_{<=0}) - i |u_0|^2 u_0 e_0
+    of each row of (rows, n_coeff) coefficients, both halves one X_R stack."""
+    rows, n = len(c), grid.max_mode
+    a = np.concatenate((c, c))
+    a[:rows, :n] = 0.0  # u_{>=0} rows, then u_{<=0} rows
+    a[rows:, n + 1:] = 0.0
+    x = _r_field(a, grid)
+    x[:rows, :n] = 0.0
+    x[rows:, n + 1:] = 0.0
+    out = x[:rows] + x[rows:]
+    out[:, n] -= 1j * np.abs(c[:, n]) ** 2 * c[:, n]
+    return out
 
 
 def _quadratic_energy(c: np.ndarray, grid) -> float:
@@ -270,30 +276,8 @@ def _euler_value(c: np.ndarray, x: np.ndarray) -> float:
     return 0.25 * float(np.imag(np.vdot(x, c)))
 
 
-def _resonant_quartic_field(u: TorusField) -> TorusField:
-    """Hamiltonian vector field of the resonant quartic
-
-        Rtilde = (||u_+||_{L4}^4 + ||u_-||_{L4}^4) / 4
-                 + Re(conj(u_0) (u_-^2 | u_-)) - (||u_+||_{L2}^4 + ||u_-||_{L2}^4) / 2.
-
-    (u_-^2 | u_-) is mode 0 of |u_-|^2 u_-, the mean of its grid values;
-    u_-^2 has only negative modes, so one P_- covers the three minus terms.
-    """
-    grid = u.grid
-    up, um = project_plus(u), project_minus(u)
-    vp, vm = to_grid_values(up), to_grid_values(um)
-    abs_m = np.abs(vm) ** 2
-    cubic_m = abs_m * vm
-    u0 = u.mode(0)
-    minus = cubic_m + 2.0 * u0 * abs_m + np.conj(u0) * vm**2
-    ix = (
-        project_plus(from_grid_values(grid, np.abs(vp) ** 2 * vp)).coeff
-        + project_minus(from_grid_values(grid, minus)).coeff
-        - 2.0 * charge(up) * up.coeff
-        - 2.0 * charge(um) * um.coeff
-    )
-    ix[grid.max_mode] += np.mean(cubic_m)
-    return TorusField(grid, -1j * ix)
+#: the rows field of each quartic functional
+_QUARTIC_FIELDS = {R: _r_field, RTILDE: _rtilde_field, F: _generator_field}
 
 
 def functional_value(tag: str, u: TorusField) -> float:
@@ -312,14 +296,11 @@ def vector_field(tag: str, u: TorusField) -> TorusField:
 
     X_H0 is linear (-i|D|u); the three quartic functionals have cubic fields.
     """
-    if tag not in _TAGS:
-        raise ValueError(f"unknown functional tag {tag!r}")
     if tag == H0:
         return TorusField(u.grid, -1j * np.abs(u.grid.modes()) * u.coeff)
-    if tag == RTILDE:
-        return _resonant_quartic_field(u)
-    field = _r_field if tag == R else _generator_field
-    return TorusField(u.grid, field(u.coeff[np.newaxis], u.grid)[0])
+    if tag not in _QUARTIC_FIELDS:
+        raise ValueError(f"unknown functional tag {tag!r}")
+    return TorusField(u.grid, _QUARTIC_FIELDS[tag](u.coeff[np.newaxis], u.grid)[0])
 
 
 def poisson_bracket(tag_a: str, tag_b: str, u: TorusField) -> float:
@@ -333,7 +314,7 @@ def poisson_bracket(tag_a: str, tag_b: str, u: TorusField) -> float:
 
 def _flow_rows(u: TorusField, eps: tuple, sigma: float) -> np.ndarray:
     """phi_sigma(u) for each eps, as the rows of one (len(eps), n_coeff)
-    array stepped by one RK4 loop with eps^2 as a column."""
+    array with eps^2 as a column, stepped by IFRK4 with zero symbol."""
     if any(e < 0 for e in eps):
         raise ValueError(f"eps must be nonnegative, got {eps}")
     b111 = besov_norm(u)
@@ -346,18 +327,11 @@ def _flow_rows(u: TorusField, eps: tuple, sigma: float) -> np.ndarray:
     c = np.tile(u.coeff, (len(eps), 1))
     if sigma == 0.0 or not any(eps):
         return c
-    h = sigma / FLOW_SUBSTEPS
     eps_sq = np.array([[e**2] for e in eps])
-
-    def rate(arr):
-        return eps_sq * _generator_field(arr, u.grid)
-
+    stepper = _IFRK4Stepper(0.0, lambda arr: eps_sq * _generator_field(arr, u.grid),
+                            sigma / FLOW_SUBSTEPS)
     for _ in range(FLOW_SUBSTEPS):
-        k1 = rate(c)
-        k2 = rate(c + 0.5 * h * k1)
-        k3 = rate(c + 0.5 * h * k2)
-        k4 = rate(c + h * k3)
-        c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        c = stepper.step(c)
         if not np.all(np.isfinite(c)):
             raise RuntimeError("normal_form_flow: non-finite state")
     return c

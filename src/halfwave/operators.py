@@ -31,6 +31,18 @@ def _band(spectrum: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.concatenate((spectrum[..., m - n:], spectrum[..., : n + 1]), axis=-1)
 
 
+def _cubic(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Band coefficients of |u|^2 u for each row of band coefficients: the
+    dealiased cubic, one transform each way on the padded grid (degree
+    3N < padded_len - N keeps the band alias-free)."""
+    m = grid.padded_len
+    v = np.fft.ifft(_pad(coeff, grid))
+    v *= np.abs(v) ** 2
+    out = _band(np.fft.fft(v), grid)
+    out *= m * m
+    return out
+
+
 def to_grid_values(f: TorusField) -> np.ndarray:
     """Values of f at the padded quadrature points x_j = 2 pi j / M."""
     return np.fft.ifft(_pad(f.coeff, f.grid)) * f.grid.padded_len

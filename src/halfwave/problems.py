@@ -33,7 +33,7 @@ import numpy as np
 
 from .fields import GridSpec, TorusField
 from .norms import besov_norm, charge, l4_norm
-from .operators import _band, _pad
+from .operators import _cubic
 
 #: the linear multiplier L(k) of each dispersion, on float wavenumbers
 DISPERSIONS = {"|k|": np.abs, "k": np.positive, "0": np.zeros_like}
@@ -116,12 +116,12 @@ def linear_symbol(problem, grid: GridSpec) -> np.ndarray:
 def nonlinearity(problem, grid: GridSpec):
     """Closure coeff -> -i c (P(|u|^2 u) - 2 q0 u) on raw coefficient arrays.
 
-    The dealiased cubic term is one scatter/ifft/pointwise/fft/gather
-    round trip on the padded grid, with no field wrapping, so the inner
-    stepping loop stays cheap.  A sequence of problems on one grid acts
-    on a (rows, n_coeff) array, one row per problem, with one batched
-    transform per direction; c and q0 are then column vectors and P_+
-    zeroes only the projected rows.
+    The dealiased cubic term is operators._cubic, one round trip on the
+    padded grid with no field wrapping, so the inner stepping loop stays
+    cheap.  A sequence of problems on one grid acts on a (rows, n_coeff)
+    array, one row per problem, with one batched transform per
+    direction; c and q0 are then column vectors and P_+ zeroes only the
+    projected rows.
     """
     problems, lead = _stack(problem)
     column = lead + (1,)
@@ -130,7 +130,6 @@ def nonlinearity(problem, grid: GridSpec):
         zero = np.zeros(lead + (grid.n_coeff,), dtype=np.complex128)
         return lambda c: zero
 
-    m = grid.padded_len
     n = grid.max_mode
     scale = -1j * coupling
     q0 = np.reshape([p.q0 for p in problems], column)
@@ -144,10 +143,7 @@ def nonlinearity(problem, grid: GridSpec):
         zeroed = None
 
     def term(c):
-        v = np.fft.ifft(_pad(c, grid))
-        v *= np.abs(v) ** 2
-        out = _band(np.fft.fft(v), grid)
-        out *= m * m
+        out = _cubic(c, grid)
         if zeroed is not None:
             out[zeroed, :n] = 0.0
         if gauge is not None:

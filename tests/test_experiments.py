@@ -12,8 +12,10 @@ from halfwave.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
     HorizonRule,
+    NumericalFailure,
     Profile,
     SPECTRUM,
+    _spectrum_row,
     build_initial_state,
     default_config,
     fit_loglog_slope,
@@ -90,6 +92,13 @@ class TestConfig:
             with pytest.raises(ValueError):
                 HorizonRule("log", 1.0).time_for(eps)
 
+    @pytest.mark.parametrize("rule", [HorizonRule("fixed", math.inf),
+                                      HorizonRule("inv_eps_sq", 1e308),
+                                      HorizonRule("log", 1e308)])
+    def test_horizon_must_be_finite(self, rule):
+        with pytest.raises(ValueError, match="horizon"):
+            rule.time_for(0.2)
+
 
 class TestProfiles:
     def test_single_mode_plus_constant(self):
@@ -106,6 +115,15 @@ class TestProfiles:
         b = build_initial_state(cfg, grid, normalize_sobolev=1.5)
         assert a == b
         assert sobolev_norm(a, 1.5) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("profile", [Profile(amplitude=0.0), Profile(support=-1),
+                                         Profile("single_mode_plus_constant",
+                                                 amplitude=0.0)])
+    @pytest.mark.parametrize("normalize", [None, 1.5])
+    def test_zero_profile_is_rejected(self, profile, normalize):
+        cfg = default_config(DECOUPLING, profile=profile)
+        with pytest.raises(ValueError, match="profile is zero"):
+            build_initial_state(cfg, GridSpec.with_padding(8), normalize_sobolev=normalize)
 
     def test_custom_profile(self, tmp_path):
         path = tmp_path / "field.txt"
@@ -145,6 +163,12 @@ class TestSmallRuns:
         assert out.passed
         kinds = {r.data["problem"] for r in out.rows}
         assert kinds == {"szego_plain", "half_wave"}
+
+    def test_spectrum_row_fails_loudly_on_coarse_dt(self):
+        """At dt = 1 the half-wave trace norm moves by about 17% between dt
+        and dt/2, above the 10x-tolerance bar of the Richardson helper."""
+        with pytest.raises(NumericalFailure, match="spectrum half_wave"):
+            _spectrum_row((default_config(SPECTRUM, dt=1.0), "half_wave"))
 
     def test_besov_single_mode_ratio_one(self, tmp_path):
         path = tmp_path / "f.txt"
@@ -282,6 +306,23 @@ class TestCli:
         assert code == 1
         assert "log horizon" in capsys.readouterr().err
         assert not (tmp_path / f"{experiment}.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        ([BESOV_BOUND, "--eps", "0.5,0.25,0.125", "--horizon", "fixed:inf"],
+         "fixed horizon"),
+        ([DECOUPLING, "--horizon", "inv_eps_sq:1e308"], "inv_eps_sq horizon"),
+        ([DECOUPLING, "--horizon", "fixed:1", "--profile-amplitude", "0"],
+         "profile is zero"),
+        ([SPECTRUM, "--profile-amplitude", "0"], "profile is zero"),
+        ([SPECTRUM, "--profile-support", "-1"], "profile is zero"),
+    ])
+    def test_unusable_input_exits_one(self, argv, message, tmp_path, capsys):
+        """An infinite horizon or a zero initial profile is a configuration
+        error: exit 1 before any row is measured or any CSV written."""
+        code = cli.main(argv + ["--grid", "16", "--out", str(tmp_path)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / f"{argv[0]}.csv").exists()
 
     def test_unknown_experiment_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -9,10 +9,16 @@ against its acceptance band.  Conventions shared by all experiments:
   times a rescaled one at the same time, so rescaled measurements map to
   physical ones by an explicit power of eps; columns state which frame
   they report.
-- Every row carries the dt used and a Richardson discrepancy: the
-  measured quantity is recomputed with dt/2 and the difference recorded.
-  A run fails loudly when that discrepancy exceeds 10x the experiment
-  tolerance (a relative 1e-2 of the measured value by default).
+- Every row carries the step it was measured at and a Richardson
+  discrepancy: the measured quantity is recomputed with exactly twice
+  the steps and the difference recorded.  A run fails loudly when that
+  discrepancy exceeds 10x the experiment tolerance (a relative 1e-2 of
+  the measured value by default).
+- Without a configured dt, the decoupling, approximation and besov rows
+  pick their step: from 10x the default step down, the first step whose
+  discrepancy is within the squared tolerance (1e-4 relative) is taken,
+  each trial's half-step run doubling as the next trial, and the
+  default step under the 10x bar is the fallback (see _richardson).
 - Identical config and seed give bitwise-identical CSV output; wall
   times appear only in the JSON summary.
 """
@@ -32,7 +38,7 @@ import numpy as np
 
 from .fields import GridSpec, TorusField, fast_transform_length
 from .hankel import build_hankel, spectral_summary
-from .integrate import StepperConfig, evolve, trajectory
+from .integrate import BlowUpError, StepperConfig, evolve, step_count, trajectory
 from .norms import besov_norm, charge, l4_norm, sobolev_norm
 from .normalform import (
     F,
@@ -163,6 +169,8 @@ class ExperimentConfig:
             raise ValueError("grid_n must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
 
 def default_config(experiment: str, **overrides) -> ExperimentConfig:
@@ -284,23 +292,57 @@ def _slope_or_none(rows, x: str, y: str):
         return None, None
 
 
-def _richardson(measure, dt: float, label: str, scale: float = 1.0):
-    """Measure at dt and at dt/2; returns (value at dt, discrepancy).
+def _richardson(measure, t_end: float, dt: float, label: str, scale: float = 1.0,
+                search: bool = False):
+    """Measure at a step and at half of it; returns (value, step, discrepancy).
 
-    measure(dt, stride) runs with the given step and monitor stride; the
-    dt/2 run doubles the stride, so both sample the same times.  The
-    discrepancy scale * |value - value_half| is checked against the
-    loud-failure bar of the reported value scale * value.
+    measure(dt, stride) runs to t_end with the given step and monitor
+    stride.  A step h is taken as t_end / n with n = step_count(t_end, h),
+    the half step run takes exactly 2n steps at twice the stride, so both
+    sample the same times, and the reported step is t_end / n.  The
+    discrepancy is scale * |value - value_half|.
+
+    Without search the pair is (dt, dt/2) at strides 10 and 20, and a
+    discrepancy above 10x RICHARDSON_TOLERANCE of scale * value is a
+    NumericalFailure.  With search, dt is the fallback step: the rungs
+    tau = 10 dt, tau/2 and tau/4 run at strides 1, 2 and 4, so they
+    sample the times of the stride-10 run at dt, and each rung's
+    half-step run (the last one at tau/8) is the next rung's coarse
+    run.  The first rung whose discrepancy is at most
+    RICHARDSON_TOLERANCE**2 of scale * value is accepted; a rung whose
+    runs blow up is rejected.  When no rung passes, the pair at 10 and
+    20 steps per tau runs as without search (that is (dt, dt/2)
+    whenever tau holds a whole number of steps dt).
     """
-    value = measure(dt, 10)
-    rich = scale * abs(value - measure(dt / 2.0, 20))
+    n = step_count(t_end, dt)
+    if search:
+        coarse = -(-n // 10)  # steps of the tau rung
+
+        def trial(steps):
+            try:
+                return measure(t_end / steps, steps // coarse)
+            except BlowUpError:
+                return None  # rejects the rungs this run belongs to
+
+        v = trial(coarse)
+        for rung in range(3):
+            steps = coarse << rung
+            v_half = trial(2 * steps)
+            if v is not None and v_half is not None:
+                rich = scale * abs(v - v_half)
+                if rich <= RICHARDSON_TOLERANCE**2 * abs(scale * v):
+                    return v, t_end / steps, rich
+            v = v_half
+        n = 10 * coarse
+    value = measure(t_end / n, 10)
+    rich = scale * abs(value - measure(t_end / (2 * n), 20))
     bar = 10.0 * RICHARDSON_TOLERANCE * max(abs(scale * value), 1e-300)
-    if rich > bar:
+    if not rich <= bar:
         raise NumericalFailure(
             f"{label}: Richardson discrepancy {rich:.3e} exceeds "
             f"{bar:.3e} (10x tolerance); reduce dt"
         )
-    return value, rich
+    return value, t_end / n, rich
 
 
 def _peak(functional, problem, u0, t_end, dt, stride):
@@ -344,10 +386,10 @@ def _decoupling_row(args):
     t_end = cfg.horizon.time_for(eps)
     problem = EvolutionProblem.half_wave_scaled(eps)
     dt = cfg.dt if cfg.dt is not None else default_time_step(problem, u0)
-    sup, rich = _richardson(partial(_peak, _minus_h_half, problem, u0, t_end), dt,
-                            f"decoupling eps={eps}")
+    sup, step, rich = _richardson(partial(_peak, _minus_h_half, problem, u0, t_end),
+                                  t_end, dt, f"decoupling eps={eps}", search=cfg.dt is None)
     return {"eps": eps, "sup_minus_h_half": sup, "horizon": t_end,
-            "dt": dt, "richardson": rich}
+            "dt": step, "richardson": rich}
 
 
 def run_decoupling(cfg: ExperimentConfig) -> SweepResult:
@@ -387,12 +429,12 @@ def _approximation_row(args):
     problem_a = EvolutionProblem.half_wave_gauged(eps, q0)
     problem_b = EvolutionProblem.szego_transport(eps, q0)
     dt = cfg.dt if cfg.dt is not None else default_time_step(problem_a, u0)
-    rescaled, rich = _richardson(
+    rescaled, step, rich = _richardson(
         partial(_max_hs_gap, problem_a, problem_b, u0, t_end, cfg.sobolev),
-        dt, f"approximation eps={eps}", scale=eps)
+        t_end, dt, f"approximation eps={eps}", scale=eps, search=cfg.dt is None)
     return {"eps": eps, "hs_error_physical": eps * rescaled,
             "hs_error_rescaled": rescaled, "horizon": t_end,
-            "dt": dt, "richardson": rich}
+            "dt": step, "richardson": rich}
 
 
 def run_approximation(cfg: ExperimentConfig) -> SweepResult:
@@ -424,11 +466,11 @@ def _besov_row(args):
     t_end = cfg.horizon.time_for(eps)
     dt = cfg.dt if cfg.dt is not None else default_time_step(problem, u0)
     b0 = besov_norm(u0)
-    ratio, rich = _richardson(
+    ratio, step, rich = _richardson(
         lambda dt, stride: _peak(besov_norm, problem, u0, t_end, dt, stride) / b0,
-        dt, f"besov eps={eps}")
+        t_end, dt, f"besov eps={eps}", search=cfg.dt is None)
     return {"eps": eps, "besov_ratio": ratio, "horizon": t_end,
-            "dt": dt, "richardson": rich}
+            "dt": step, "richardson": rich}
 
 
 def run_besov_bound(cfg: ExperimentConfig) -> SweepResult:
@@ -475,15 +517,15 @@ def _inflation_row(args):
     u0, t_star = _inflation_start(cfg, eps, delta)
     dt = cfg.dt if cfg.dt is not None else default_time_step(
         EvolutionProblem.szego_plain(), u0)
-    hs, rich = _richardson(partial(_inflation_hs, u0, t_star, s), dt,
-                           f"inflation eps={eps} delta={delta}")
+    hs, step, rich = _richardson(partial(_inflation_hs, u0, t_star, s), t_star, dt,
+                                 f"inflation eps={eps} delta={delta}")
     ratio = hs * delta ** (2 * s - 1) / eps
     growth = hs / eps
     # invert the large-k asymptotics ||w||_{H^s}^2 ~ Gamma(2s+1) eps^2 lam^{1-2s}
     lam_est = (math.gamma(2 * s + 1) * eps**2 / hs**2) ** (1.0 / (2 * s - 1))
     return {"eps": eps, "delta": delta, "hs_at_tstar": hs, "ratio": ratio,
             "growth": growth, "one_minus_p2_est": lam_est,
-            "grid_n": u0.grid.max_mode, "t_star": t_star, "dt": dt,
+            "grid_n": u0.grid.max_mode, "t_star": t_star, "dt": step,
             "richardson": rich}
 
 
@@ -562,8 +604,8 @@ def _spectrum_row(args):
             finals.append(spectral_summary(build_hankel(uf)))
         return finals[-1].trace_norm
 
-    _, rich = _richardson(final_trace, dt, f"spectrum {kind}",
-                          scale=1.0 / before.trace_norm)
+    _, step, rich = _richardson(final_trace, t_end, dt, f"spectrum {kind}",
+                                scale=1.0 / before.trace_norm)
     after = finals[0]
     top = min(10, int(np.sum(before.hw2_eigenvalues > 0)))
     eig_dev = float(np.max(
@@ -572,7 +614,7 @@ def _spectrum_row(args):
     ))
     trace_dev = abs(after.trace_norm - before.trace_norm) / before.trace_norm
     return {"problem": kind, "eig_dev": eig_dev, "trace_dev": trace_dev,
-            "horizon": t_end, "dt": dt, "richardson": rich}
+            "horizon": t_end, "dt": step, "richardson": rich}
 
 
 def run_spectrum_conservation(cfg: ExperimentConfig) -> SweepResult:

@@ -7,7 +7,8 @@ The independent cross-check is oracles.galerkin_reference, which shares
 no code with this path.
 
 A step count is chosen so that an integer number of steps lands exactly
-on t_end (the actual dt, never larger than requested, is reported).
+on t_end (the actual dt, never larger than requested, is reported);
+step_count is that rule, and a dt of t_end / n gives back exactly n.
 The stepping loop is the generator trajectory, which yields the state
 every monitor_stride steps; every functional of the flow is read off
 those states by the caller, and evolve keeps only the final one.  Flows
@@ -78,6 +79,15 @@ def make_stepper(problem, grid, dt: float):
     return _IFRK4Stepper(linear_symbol(problem, grid), nonlinearity(problem, grid), dt)
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Number of equal steps of size at most dt that land on t_end.
+
+    A ratio t_end / dt within a relative 1e-12 above an integer counts as
+    that integer, so step_count(t_end, t_end / n) == n despite round-off.
+    """
+    return max(1, int(np.ceil(t_end / dt * (1.0 - 1e-12))))
+
+
 def trajectory(problem, u0: TorusField, t_end: float, cfg: StepperConfig):
     """Step u0 to t_end; yields (t, coeff) at t = 0, every monitor_stride
     steps and t_end.
@@ -94,7 +104,7 @@ def trajectory(problem, u0: TorusField, t_end: float, cfg: StepperConfig):
     yield 0.0, coeff
     if t_end == 0:
         return
-    n_steps = max(1, int(np.ceil(t_end / cfg.dt - 1e-12)))
+    n_steps = step_count(t_end, cfg.dt)
     dt = t_end / n_steps
     stepper = make_stepper(problem, u0.grid, dt)
     t_last = 0.0

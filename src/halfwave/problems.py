@@ -180,6 +180,8 @@ def default_time_step(problem: EvolutionProblem, u0: TorusField) -> float:
 
     The integrating factor makes the linear phase exact, so the step is
     set by the nonlinear timescale ~ 1/c; the free flow uses c = 1.
+    The sweeps that search their step (experiments._richardson) take it
+    as the finest rung, their fallback, and sample every 10 dt.
     """
     coupling = problem.coupling if problem.coupling > 0 else 1.0
     b = besov_norm(u0)

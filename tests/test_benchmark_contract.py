@@ -115,6 +115,24 @@ def test_traced_pair_counts_one_step_per_stacked_step(layertrace):
     assert tracer.fft_points == steps * 8 * 2 * grid.padded_len
 
 
+def test_traced_ladder_steps_every_rung_through_make_stepper(layertrace):
+    """The step search runs each trial rung once, through make_stepper:
+    the traced steps are the sum of the rung runs, tau = 10 dt0 up to
+    the accepted rung's half step, and each stepper took its rung's
+    count at step t_end / count."""
+    cfg = default_config("approximation", grid_n=32, seed=1,
+                         horizon=HorizonRule("fixed", 1.0))
+    with layertrace.Tracer() as tracer:
+        row = experiments._approximation_row((cfg, 1.0))
+    coarse = 10  # tau = 10 * 0.01 on the horizon 1
+    accepted = round(row["horizon"] / row["dt"])
+    runs = [coarse << j for j in range((accepted // coarse).bit_length() + 1)]
+    assert runs[-2:] == [accepted, 2 * accepted]
+    assert [rec.steps for rec in tracer.steppers] == runs
+    assert [rec.dt for rec in tracer.steppers] == [1.0 / n for n in runs]
+    assert tracer.calls["integrate.step"] == sum(runs)
+
+
 def test_integrate_binds_no_monitor_functionals():
     """The tracer books these names as monitor time when integrate binds
     them; the stepping loop samples nothing, so none may be bound."""

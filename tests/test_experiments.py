@@ -2,6 +2,7 @@ import json
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,11 @@ from halfwave.experiments import (
     HorizonRule,
     NumericalFailure,
     Profile,
+    RICHARDSON_TOLERANCE,
     SPECTRUM,
+    _approximation_row,
+    _besov_row,
+    _decoupling_row,
     _spectrum_row,
     build_initial_state,
     default_config,
@@ -92,6 +97,11 @@ class TestConfig:
             with pytest.raises(ValueError):
                 HorizonRule("log", 1.0).time_for(eps)
 
+    @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -0.01])
+    def test_dt_must_be_positive_and_finite(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            default_config(BESOV_BOUND, dt=dt)
+
     @pytest.mark.parametrize("rule", [HorizonRule("fixed", math.inf),
                                       HorizonRule("inv_eps_sq", 1e308),
                                       HorizonRule("log", 1e308)])
@@ -143,6 +153,20 @@ class TestSmallRuns:
         assert out.columns == README_COLUMNS["decoupling"]
         assert out.fitted_slope == pytest.approx(2.0, abs=0.2)
         assert all(r.data["richardson"] <= 1e-6 for r in out.rows)
+
+    @pytest.mark.parametrize("worker, experiment, column", [
+        (_decoupling_row, DECOUPLING, "sup_minus_h_half"),
+        (_approximation_row, APPROXIMATION, "hs_error_physical"),
+        (_besov_row, BESOV_BOUND, "besov_ratio")])
+    def test_given_dt_disables_the_step_search(self, worker, experiment, column):
+        """Without a dt the row searches coarser steps and reports the one
+        it accepts; a given dt is the row's step."""
+        cfg = default_config(experiment, grid_n=8, horizon=HorizonRule("fixed", 1.0))
+        searched = worker((cfg, 0.2))
+        fixed = worker((replace(cfg, dt=0.01), 0.2))
+        assert searched["dt"] > 0.01
+        assert fixed["dt"] == 0.01
+        assert searched["richardson"] <= RICHARDSON_TOLERANCE**2 * searched[column]
 
     def test_decoupling_rejects_nonanalytic_profile(self, tmp_path):
         path = tmp_path / "f.txt"
@@ -323,6 +347,32 @@ class TestCli:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / f"{argv[0]}.csv").exists()
+
+    @pytest.mark.parametrize("argv, t_end", [
+        ([BESOV_BOUND, "--horizon", "fixed:1", "--dt", "5"], 1.0),
+        ([APPROXIMATION, "--horizon", "fixed:3", "--dt", "10"], 3.0),
+        ([BESOV_BOUND, "--horizon", "fixed:1", "--dt", "inf"], None),
+    ], ids=["besov-dt5", "approximation-dt10", "besov-dtinf"])
+    def test_single_step_rows_are_never_quietly_exact(self, argv, t_end, tmp_path, capsys):
+        """A dt at or above T is one step of T against two steps of T/2:
+        the row reports step T and a real discrepancy, or the run exits 2
+        on it.  A non-finite dt is a configuration error (exit 1)."""
+        code = cli.main(argv + ["--grid", "8", "--eps", "0.5,0.25,0.125",
+                                "--out", str(tmp_path)])
+        if t_end is None:
+            assert code == 1
+            assert "dt must be positive and finite" in capsys.readouterr().err
+            return
+        assert code in (0, 2)
+        if code == 2:
+            assert "Richardson discrepancy" in capsys.readouterr().err
+            return
+        lines = (tmp_path / f"{argv[0]}.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            assert float(row["dt"]) == t_end
+            assert float(row["richardson"]) > 0.0
 
     def test_unknown_experiment_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -18,7 +18,7 @@ from halfwave import (
     trajectory,
 )
 from halfwave import integrate
-from halfwave.experiments import NumericalFailure, _richardson
+from halfwave.experiments import HorizonRule, NumericalFailure, _richardson
 from halfwave.norms import charge
 
 from conftest import random_analytic_field, random_field
@@ -202,11 +202,124 @@ def test_richardson_check_reports_small_discrepancy(grid16, rng):
         ends.append(t)
         return TorusField(grid16, coeff).mode(1).real
 
-    _, disc = _richardson(mode_one, 0.01, "half_wave mode 1")
+    _, step, disc = _richardson(mode_one, 2.0, 0.01, "half_wave mode 1")
     assert disc <= 1e-8
+    assert step == 0.01
     assert ends == pytest.approx([2.0, 2.0])
     with pytest.raises(NumericalFailure):
-        _richardson(lambda dt, stride: dt, 0.01, "dt itself")
+        _richardson(lambda dt, stride: dt, 2.0, 0.01, "dt itself")
+
+
+def test_step_count_inverts_the_step():
+    """A step of t_end / n gives back exactly n steps, far beyond the
+    counts where an absolute tolerance on t_end / dt rounds up."""
+    for t_end in (1.0, 3.0, 1600.0, 50.0 / 0.025**2 * 0.3):
+        for n in (1, 7, 9818, 239660, 3_200_001):
+            assert integrate.step_count(t_end, t_end / n) == n
+    assert integrate.step_count(1.0, 5.0) == 1
+    assert integrate.step_count(1.0, 0.3) == 4
+
+
+class _Recorder:
+    """A measure for _richardson: records (steps, stride) of each call and
+    returns value(dt), or raises BlowUpError where value returns None."""
+
+    def __init__(self, t_end, value):
+        self.t_end, self.value, self.calls = t_end, value, []
+
+    def __call__(self, dt, stride):
+        self.calls.append((integrate.step_count(self.t_end, dt), stride))
+        out = self.value(dt)
+        if out is None:
+            raise BlowUpError(0.0)
+        return out
+
+
+def test_richardson_half_run_takes_twice_the_steps():
+    """At T = log(1/eps)/eps^2 for eps = 0.05, dt = 0.01 takes 119830
+    steps; the dt/2 run takes exactly 239660 (a ceiling of T / 0.005
+    gives 239659), so its stride-20 samples are the dt run's times."""
+    t_end = HorizonRule("log", 1.0).time_for(0.05)
+    measure = _Recorder(t_end, lambda dt: 1.0)
+    _, step, _ = _richardson(measure, t_end, 0.01, "log horizon")
+    assert measure.calls == [(119830, 10), (239660, 20)]
+    assert step == t_end / 119830
+
+
+def test_richardson_single_step_compares_two_runs():
+    """dt/2 >= T still halves the step: one step of T against two, and
+    the reported step is T, not the requested dt."""
+    measure = _Recorder(1.0, lambda dt: 1.0 + dt / 8)
+    value, step, rich = _richardson(measure, 1.0, 5.0, "one step")
+    assert measure.calls == [(1, 10), (2, 20)]
+    assert (value, step, rich) == (1.125, 1.0, 0.0625)
+
+
+class TestRichardsonLadder:
+    """The search over tau = 10 dt, tau/2, tau/4 (T = 1, dt = 0.01)."""
+
+    @pytest.mark.parametrize("c, step, calls", [
+        (0.5, 0.1, [(10, 1), (20, 2)]),
+        (5.0, 0.05, [(10, 1), (20, 2), (40, 4)]),
+        (50.0, 0.025, [(10, 1), (20, 2), (40, 4), (80, 8)]),
+    ])
+    def test_accepts_the_coarsest_passing_rung(self, c, step, calls):
+        """With v(h) = 1 + c h^4 the rung discrepancy is c (15/16) h^4: the
+        first rung under 1e-4 is taken, and each rung's half-step run is
+        the next rung's coarse run, measured once."""
+        measure = _Recorder(1.0, lambda dt: 1.0 + c * dt**4)
+        value, got, rich = _richardson(measure, 1.0, 0.01, "ladder", search=True)
+        assert got == pytest.approx(step, rel=1e-15)
+        assert value == 1.0 + c * got**4
+        assert rich <= 1e-4 * value
+        assert measure.calls == calls
+
+    def test_no_rung_passes_falls_back_to_dt(self):
+        """The existing dt-itself case: every rung fails, then the (dt, dt/2)
+        pair runs and its 10x bar still raises."""
+        measure = _Recorder(1.0, lambda dt: dt)
+        with pytest.raises(NumericalFailure, match="dt itself"):
+            _richardson(measure, 1.0, 0.01, "dt itself", search=True)
+        assert measure.calls == [(10, 1), (20, 2), (40, 4), (80, 8), (100, 10), (200, 20)]
+
+    def test_fallback_reports_dt_when_it_passes(self):
+        measure = _Recorder(1.0, lambda dt: 1.0 + dt)
+        value, step, rich = _richardson(measure, 1.0, 0.01, "linear", search=True)
+        assert (value, step) == (1.01, 0.01)
+        assert rich == pytest.approx(0.005)
+        assert measure.calls[-2:] == [(100, 10), (200, 20)]
+
+    def test_trial_blow_up_rejects_only_its_rung(self):
+        """A blow-up at tau rejects rung tau; tau/2 is tried next."""
+        measure = _Recorder(1.0, lambda dt: None if dt > 0.06 else 1.0 + dt**4)
+        _, step, _ = _richardson(measure, 1.0, 0.01, "blow-up", search=True)
+        assert step == 0.05
+        assert measure.calls == [(10, 1), (20, 2), (40, 4)]
+
+    def test_fallback_blow_up_propagates(self):
+        measure = _Recorder(1.0, lambda dt: None)
+        with pytest.raises(BlowUpError):
+            _richardson(measure, 1.0, 0.01, "always", search=True)
+        assert measure.calls[-1] == (100, 10)
+
+    def test_every_rung_samples_the_same_times(self, grid16, rng):
+        """Every trial rung and the fallback pair yield the sample times of
+        the stride-10 run at dt, here including a t_end that dt does not
+        divide (T = 0.97: 97 steps of 0.01, tau rung 10 steps)."""
+        u0 = random_analytic_field(grid16, rng, scale=0.3)
+        times = []
+
+        def measure(dt, stride):
+            cfg = StepperConfig(dt=dt, monitor_stride=stride)
+            times.append([t for t, _ in trajectory(EvolutionProblem.half_wave(),
+                                                   u0, 0.97, cfg)])
+            return 1.0 + dt  # no rung passes: all six runs happen
+
+        _richardson(measure, 0.97, 0.01, "times", search=True)
+        assert len(times) == 6
+        for other in times[1:]:
+            assert other == pytest.approx(times[0], rel=1e-14, abs=1e-15)
+        assert len(times[0]) == 11
 
 
 #: stacks that mix projection and gauge rows, and a zero-coupling row

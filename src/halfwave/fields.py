@@ -5,6 +5,11 @@ coefficients on the retained band k = -N..N.  All products are evaluated
 on a zero-padded grid of length M: a triple product of degree-N
 polynomials has degree 3N, so M >= 4N + 1 guarantees that no aliased
 copy wraps back into the retained band.
+
+An analytic state (modes 0..N only) under a projected flow needs less:
+|u|^2 u then has modes -N..2N, and P_+ keeps 0..N, which no aliased copy
+reaches once M >= 2N + 1.  The integrator steps such states on
+_AnalyticGrid, whose band is modes 0..N.
 """
 
 from __future__ import annotations
@@ -38,19 +43,24 @@ class GridSpec:
     max_mode: int
     padded_len: int
 
+    #: the smallest alias-free padded length is _PAD_FACTOR * N + 1
+    _PAD_FACTOR = 4
+
     def __post_init__(self):
         if self.max_mode < 1:
             raise ValueError(f"max_mode must be >= 1, got {self.max_mode}")
-        if self.padded_len < 4 * self.max_mode + 1:
+        least = self._PAD_FACTOR * self.max_mode + 1
+        if self.padded_len < least:
             raise ValueError(
-                f"padded_len must be >= 4*max_mode + 1 = {4 * self.max_mode + 1}, "
+                f"padded_len must be >= {self._PAD_FACTOR}*max_mode + 1 = {least}, "
                 f"got {self.padded_len}"
             )
 
     @classmethod
     def with_padding(cls, max_mode: int) -> "GridSpec":
-        """Grid with the default padded length (smallest 5-smooth >= 4N+1)."""
-        return cls(max_mode, fast_transform_length(4 * max_mode + 1))
+        """Grid with the default padded length (smallest 5-smooth >=
+        4N+1, or 2N+1 for an analytic grid)."""
+        return cls(max_mode, fast_transform_length(cls._PAD_FACTOR * max_mode + 1))
 
     @property
     def n_coeff(self) -> int:
@@ -59,6 +69,22 @@ class GridSpec:
     def modes(self) -> np.ndarray:
         """Integer wavenumbers of the retained band, in order -N..N."""
         return np.arange(-self.max_mode, self.max_mode + 1)
+
+
+@dataclass(frozen=True)
+class _AnalyticGrid(GridSpec):
+    """The band 0..max_mode of an analytic state under a projected flow;
+    P_+(|u|^2 u) there is alias-free once padded_len >= 2N + 1."""
+
+    _PAD_FACTOR = 2
+
+    @property
+    def n_coeff(self) -> int:
+        return self.max_mode + 1
+
+    def modes(self) -> np.ndarray:
+        """Integer wavenumbers of the retained band, in order 0..N."""
+        return np.arange(self.max_mode + 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,9 +14,17 @@ every monitor_stride steps; every functional of the flow is read off
 those states by the caller, and evolve keeps only the final one.  Flows
 that share a grid and a step move in lockstep as one stack: given a
 sequence of problems, trajectory steps a (rows, n_coeff) array, one row
-per problem, with one batched transform per RK stage, and each row is
-bit-for-bit the state the problem's own trajectory reaches.  Any
-non-finite coefficient aborts the run with the last valid time attached.
+per problem, with one batched transform per RK stage.  Any non-finite
+coefficient aborts the run with the last valid time attached.
+
+Projected flows (P = P_+) keep the modes k < 0 of analytic data exactly
+zero, so when every row is projected and u0 is analytic, trajectory
+steps modes 0..N alone with transforms of length >= 2N + 1 instead of
+4N + 1 (fields._AnalyticGrid).  A stack row is bit for bit the state the
+problem's own trajectory reaches when both take the same path: always
+on data with a negative mode, and on analytic data for an all-projected
+stack.  A projected row in a mixed stack on analytic data takes the full
+band and agrees with its own (analytic) trajectory to round-off.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import TorusField
+from .fields import TorusField, _AnalyticGrid
 from .problems import EvolutionProblem, _stack, linear_symbol, nonlinearity
 
 
@@ -84,8 +92,12 @@ def step_count(t_end: float, dt: float) -> int:
 
     A ratio t_end / dt within a relative 1e-12 above an integer counts as
     that integer, so step_count(t_end, t_end / n) == n despite round-off.
+    A ratio that overflows to infinity is a ValueError.
     """
-    return max(1, int(np.ceil(t_end / dt * (1.0 - 1e-12))))
+    ratio = t_end / dt * (1.0 - 1e-12)
+    if not np.isfinite(ratio):
+        raise ValueError(f"t_end / dt = {t_end} / {dt} is not a finite step count")
+    return max(1, int(np.ceil(ratio)))
 
 
 def trajectory(problem, u0: TorusField, t_end: float, cfg: StepperConfig):
@@ -95,20 +107,26 @@ def trajectory(problem, u0: TorusField, t_end: float, cfg: StepperConfig):
     For a sequence of problems every row starts at u0 and coeff is the
     (rows, n_coeff) stack.  The yielded arrays are never modified
     afterwards.  A non-finite state raises BlowUpError with the last
-    valid time.
+    valid time.  On the analytic path (see the module docstring) the
+    yielded arrays still hold the whole band, zero on modes k < 0.
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
-    _, lead = _stack(problem)
+    problems, lead = _stack(problem)
     coeff = np.tile(u0.coeff, lead + (1,))
     yield 0.0, coeff
     if t_end == 0:
         return
     n_steps = step_count(t_end, cfg.dt)
     dt = t_end / n_steps
-    stepper = make_stepper(problem, u0.grid, dt)
+    grid, n = u0.grid, u0.grid.max_mode
+    analytic = all(p.project for p in problems) and not u0.coeff[:n].any()
+    if analytic:
+        grid, coeff = _AnalyticGrid.with_padding(n), coeff[..., n:]
+        negative = np.zeros(lead + (n,), dtype=np.complex128)
+    stepper = make_stepper(problem, grid, dt)
     t_last = 0.0
-    for n in range(1, n_steps + 1):
+    for i in range(1, n_steps + 1):
         # a blowing-up step overflows on its way to the non-finite state
         # reported below; only the step is wrapped, never the yield, so
         # the caller's own numpy warnings stay on
@@ -116,9 +134,9 @@ def trajectory(problem, u0: TorusField, t_end: float, cfg: StepperConfig):
             coeff = stepper.step(coeff)
         if not np.all(np.isfinite(coeff)):
             raise BlowUpError(t_last)
-        t_last = n * dt
-        if n % cfg.monitor_stride == 0 or n == n_steps:
-            yield t_last, coeff
+        t_last = i * dt
+        if i % cfg.monitor_stride == 0 or i == n_steps:
+            yield t_last, np.concatenate((negative, coeff), axis=-1) if analytic else coeff
 
 
 def evolve(problem: EvolutionProblem, u0: TorusField, t_end: float,

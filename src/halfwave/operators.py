@@ -15,26 +15,38 @@ from .fields import GridSpec, TorusField
 def _pad(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Zero-padded spectra of band coefficients along the last axis.
 
-    Mode k sits at slot k mod M: modes 0..N at slots 0..N and modes
-    -N..-1 at M-N..M-1, so the scatter is two slice copies.
+    Mode k sits at slot k mod M: modes 0..N at slots 0..N and the
+    negative modes -N..-1 (none on an analytic grid) at M-N..M-1, so the
+    scatter is two slice copies.
     """
-    n, m = grid.max_mode, grid.padded_len
+    n, m, neg = grid.max_mode, grid.padded_len, _negative_modes(grid)
     padded = np.zeros(coeff.shape[:-1] + (m,), dtype=np.complex128)
-    padded[..., : n + 1] = coeff[..., n:]
-    padded[..., m - n:] = coeff[..., :n]
+    padded[..., : n + 1] = coeff[..., neg:]
+    padded[..., m - neg:] = coeff[..., :neg]
     return padded
 
 
 def _band(spectrum: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """The band coefficients -N..N of padded spectra (inverse of _pad)."""
-    n, m = grid.max_mode, grid.padded_len
-    return np.concatenate((spectrum[..., m - n:], spectrum[..., : n + 1]), axis=-1)
+    """The band coefficients of padded spectra (inverse of _pad)."""
+    n, m, neg = grid.max_mode, grid.padded_len, _negative_modes(grid)
+    return np.concatenate((spectrum[..., m - neg:], spectrum[..., : n + 1]), axis=-1)
+
+
+def _negative_modes(grid: GridSpec) -> int:
+    """How many modes k < 0 the band holds: N, or 0 on an analytic grid."""
+    return grid.n_coeff - grid.max_mode - 1
 
 
 def _cubic(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Band coefficients of |u|^2 u for each row of band coefficients: the
-    dealiased cubic, one transform each way on the padded grid (degree
-    3N < padded_len - N keeps the band alias-free)."""
+    dealiased cubic, one transform each way on the padded grid.
+
+    On a full band the degree 3N < padded_len - N keeps it alias-free
+    (M >= 4N + 1).  On an analytic grid only modes 0..N are returned,
+    which no aliased copy of modes -N..2N reaches once M >= 2N + 1; the
+    modes k < 0 of |u|^2 u are dropped there, so it computes
+    P_+(|u|^2 u).
+    """
     m = grid.padded_len
     v = np.fft.ifft(_pad(coeff, grid))
     v *= np.abs(v) ** 2

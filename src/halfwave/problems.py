@@ -33,7 +33,7 @@ import numpy as np
 
 from .fields import GridSpec, TorusField
 from .norms import besov_norm, charge, l4_norm
-from .operators import _cubic
+from .operators import _cubic, _negative_modes
 
 #: the linear multiplier L(k) of each dispersion, on float wavenumbers
 DISPERSIONS = {"|k|": np.abs, "k": np.positive, "0": np.zeros_like}
@@ -121,7 +121,8 @@ def nonlinearity(problem, grid: GridSpec):
     cheap.  A sequence of problems on one grid acts on a (rows, n_coeff)
     array, one row per problem, with one batched transform per
     direction; c and q0 are then column vectors and P_+ zeroes only the
-    projected rows.
+    projected rows.  On an analytic grid (modes 0..N, all rows
+    projected) _cubic already returns P_+(|u|^2 u).
     """
     problems, lead = _stack(problem)
     column = lead + (1,)
@@ -130,7 +131,7 @@ def nonlinearity(problem, grid: GridSpec):
         zero = np.zeros(lead + (grid.n_coeff,), dtype=np.complex128)
         return lambda c: zero
 
-    n = grid.max_mode
+    neg = _negative_modes(grid)
     scale = -1j * coupling
     q0 = np.reshape([p.q0 for p in problems], column)
     gauge = 2.0 * q0 if q0.any() else None
@@ -145,7 +146,7 @@ def nonlinearity(problem, grid: GridSpec):
     def term(c):
         out = _cubic(c, grid)
         if zeroed is not None:
-            out[zeroed, :n] = 0.0
+            out[zeroed, :neg] = 0.0
         if gauge is not None:
             out -= gauge * c
         return scale * out

@@ -15,7 +15,8 @@ from types import ModuleType
 import numpy as np
 import pytest
 
-from halfwave import EvolutionProblem, GridSpec, TorusField, experiments, integrate, normalform
+from halfwave import (EvolutionProblem, GridSpec, TorusField, experiments,
+                      fast_transform_length, integrate, normalform)
 from halfwave.experiments import HorizonRule, default_config, run_decoupling
 from halfwave.norms import besov_norm, charge
 
@@ -113,6 +114,22 @@ def test_traced_pair_counts_one_step_per_stacked_step(layertrace):
     assert tracer.calls["integrate.step"] == steps
     assert tracer.calls["operators.fft"] == steps * 8
     assert tracer.fft_points == steps * 8 * 2 * grid.padded_len
+
+
+def test_traced_inflation_row_steps_on_the_analytic_transform(layertrace):
+    """An inflation row is two plain Szego runs (dt, dt/2) on analytic
+    data, both through make_stepper: each of the 8 transforms of a step
+    has length fast_transform_length(2N + 1), not the padded 4N + 1."""
+    cfg = default_config("inflation", eps_list=(1.0,), delta_list=(0.8,), dt=0.05)
+    with layertrace.Tracer() as tracer:
+        row = experiments._inflation_row((cfg, 1.0, 0.8))
+    runs = [rec.steps for rec in tracer.steppers]
+    assert len(runs) == 2 and runs[1] == 2 * runs[0]
+    steps = tracer.calls["integrate.step"]
+    assert steps == sum(runs)
+    n = row["grid_n"]
+    assert tracer.fft_points == steps * 8 * fast_transform_length(2 * n + 1)
+    assert fast_transform_length(2 * n + 1) < GridSpec.with_padding(n).padded_len
 
 
 def test_traced_ladder_steps_every_rung_through_make_stepper(layertrace):

@@ -13,6 +13,7 @@ from halfwave.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
     HorizonRule,
+    INFLATION,
     NumericalFailure,
     Profile,
     RICHARDSON_TOLERANCE,
@@ -303,13 +304,19 @@ class TestOutputs:
         assert set(README_COLUMNS) == set(EXPERIMENTS)
 
     def test_threads_bitwise_identical(self, tmp_path):
-        """Rows run in worker processes give the serial run's CSV bytes."""
-        for threads in (1, 2):
-            run_and_write(default_config(DECOUPLING, grid_n=32, threads=threads,
-                                         horizon=HorizonRule("fixed", 10.0),
-                                         output_dir=str(tmp_path / str(threads))))
-        serial = (tmp_path / "1" / "decoupling.csv").read_bytes()
-        assert (tmp_path / "2" / "decoupling.csv").read_bytes() == serial
+        """Rows run in worker processes give the serial run's CSV bytes,
+        on the analytic Szego path (inflation, spectrum) as elsewhere."""
+        for experiment, overrides in [
+            (DECOUPLING, dict(grid_n=32, horizon=HorizonRule("fixed", 10.0))),
+            (INFLATION, dict(eps_list=(1.0,), delta_list=(0.8, 0.6, 0.4))),
+            (SPECTRUM, dict(horizon=HorizonRule("fixed", 5.0))),
+        ]:
+            for threads in (1, 2):
+                run_and_write(default_config(experiment, threads=threads,
+                                             output_dir=str(tmp_path / str(threads)),
+                                             **overrides))
+            serial = (tmp_path / "1" / f"{experiment}.csv").read_bytes()
+            assert (tmp_path / "2" / f"{experiment}.csv").read_bytes() == serial
 
 
 class TestCli:
@@ -339,10 +346,13 @@ class TestCli:
          "profile is zero"),
         ([SPECTRUM, "--profile-amplitude", "0"], "profile is zero"),
         ([SPECTRUM, "--profile-support", "-1"], "profile is zero"),
+        ([BESOV_BOUND, "--eps", "0.5,0.25,0.125", "--horizon", "fixed:1", "--dt", "1e-320"],
+         "finite step count"),
     ])
     def test_unusable_input_exits_one(self, argv, message, tmp_path, capsys):
-        """An infinite horizon or a zero initial profile is a configuration
-        error: exit 1 before any row is measured or any CSV written."""
+        """An infinite horizon, a zero initial profile or a dt too small
+        to count steps is a configuration error: exit 1 before any row is
+        measured or any CSV written."""
         code = cli.main(argv + ["--grid", "16", "--out", str(tmp_path)])
         assert code == 1
         assert message in capsys.readouterr().err

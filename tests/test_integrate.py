@@ -348,6 +348,23 @@ def test_stacked_rows_equal_single_trajectories(stack, n, dt, rng):
             assert np.array_equal(rows[i], coeff)
 
 
+@pytest.mark.parametrize("n", [16, 128])
+def test_mixed_stack_on_analytic_data_matches_to_round_off(n, rng):
+    """On analytic data a lone Szego flow steps modes 0..N on the short
+    transform, while a stack with a half-wave row steps the whole band:
+    the Szego rows then agree to round-off, not bit for bit."""
+    grid = GridSpec.with_padding(n)
+    u0 = random_analytic_field(grid, rng, support=8, scale=0.5)
+    cfg = StepperConfig(dt=0.01, monitor_stride=7)
+    pair = (EvolutionProblem.szego_plain(), EvolutionProblem.half_wave())
+    stacked = list(trajectory(pair, u0, 0.3, cfg))
+    single = list(trajectory(pair[0], u0, 0.3, cfg))
+    assert [t for t, _ in stacked] == [t for t, _ in single]
+    for (_, rows), (_, coeff) in zip(stacked[1:], single[1:]):
+        assert not coeff[:n].any()
+        assert np.max(np.abs(rows[0] - coeff)) <= 1e-12 * np.max(np.abs(coeff))
+
+
 def test_stack_with_one_exploding_row_blows_up(grid16):
     u0 = TorusField.from_modes(grid16, {1: 80.0, 0: 60.0})
     cfg = StepperConfig(dt=10.0)

@@ -11,7 +11,7 @@ from .hankel import (
     peller_ratio,
     spectral_summary,
 )
-from .integrate import BlowUpError, StepperConfig, evolve, make_stepper, trajectory
+from .integrate import BlowUpError, evolve, make_stepper, trajectory
 from .norms import besov_norm, charge, l4_norm, momentum, sobolev_norm
 from .operators import (
     cubic_term,

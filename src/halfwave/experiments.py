@@ -38,7 +38,7 @@ import numpy as np
 
 from .fields import GridSpec, TorusField, fast_transform_length
 from .hankel import build_hankel, spectral_summary
-from .integrate import BlowUpError, StepperConfig, evolve, step_count, trajectory
+from .integrate import BlowUpError, evolve, step_count, trajectory
 from .norms import besov_norm, charge, l4_norm, sobolev_norm
 from .normalform import (
     F,
@@ -154,8 +154,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if len(self.eps_list) == 0:
             raise ValueError("eps_list must be nonempty")
-        if any(e <= 0 for e in self.eps_list):
-            raise ValueError("eps values must be positive")
+        if any(not (e > 0 and 0 < e * e < math.inf) for e in self.eps_list):
+            raise ValueError("eps values must be positive and finite, with finite nonzero eps^2")
         if any(a <= b for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ValueError("eps_list must be strictly decreasing")
         if self.experiment in (APPROXIMATION, INFLATION) and not self.sobolev > 1:
@@ -347,9 +347,8 @@ def _richardson(measure, t_end: float, dt: float, label: str, scale: float = 1.0
 
 def _peak(functional, problem, u0, t_end, dt, stride):
     """Largest functional(u(t)) over the monitored times, t = 0 included."""
-    cfg = StepperConfig(dt=dt, monitor_stride=stride)
     return max(functional(TorusField(u0.grid, coeff))
-               for _, coeff in trajectory(problem, u0, t_end, cfg))
+               for _, coeff in trajectory(problem, u0, t_end, dt, stride))
 
 
 def _timed(worker, param) -> SweepRow:
@@ -413,9 +412,8 @@ def run_decoupling(cfg: ExperimentConfig) -> SweepResult:
 def _max_hs_gap(problem_a, problem_b, u0, t_end, s, dt, stride):
     """Co-evolve two problems from u0 as one stack; max H^s difference
     at monitor times."""
-    cfg = StepperConfig(dt=dt, monitor_stride=stride)
     return max(sobolev_norm(TorusField(u0.grid, ca - cb), s)
-               for _, (ca, cb) in trajectory((problem_a, problem_b), u0, t_end, cfg))
+               for _, (ca, cb) in trajectory((problem_a, problem_b), u0, t_end, dt, stride))
 
 
 def _approximation_row(args):
@@ -505,20 +503,15 @@ def _inflation_start(cfg, eps, delta):
     return u0, math.pi / (2.0 * eps**2 * delta)
 
 
-def _inflation_hs(u0, t_star, s, dt, stride):
-    uf = evolve(EvolutionProblem.szego_plain(), u0, t_star,
-                StepperConfig(dt=dt, monitor_stride=stride))
-    return sobolev_norm(uf, s)
-
-
 def _inflation_row(args):
     cfg, eps, delta = args
     s = cfg.sobolev
     u0, t_star = _inflation_start(cfg, eps, delta)
-    dt = cfg.dt if cfg.dt is not None else default_time_step(
-        EvolutionProblem.szego_plain(), u0)
-    hs, step, rich = _richardson(partial(_inflation_hs, u0, t_star, s), t_star, dt,
-                                 f"inflation eps={eps} delta={delta}")
+    problem = EvolutionProblem.szego_plain()
+    dt = cfg.dt if cfg.dt is not None else default_time_step(problem, u0)
+    hs, step, rich = _richardson(
+        lambda dt, _: sobolev_norm(evolve(problem, u0, t_star, dt), s),
+        t_star, dt, f"inflation eps={eps} delta={delta}")
     ratio = hs * delta ** (2 * s - 1) / eps
     growth = hs / eps
     # invert the large-k asymptotics ||w||_{H^s}^2 ~ Gamma(2s+1) eps^2 lam^{1-2s}
@@ -535,8 +528,8 @@ def run_inflation(cfg: ExperimentConfig) -> SweepResult:
     Measures ||w(t*)||_{H^s} at t* = pi/(2 eps^2 delta): the ratio
     ||w(t*)||_{H^s} delta^{2s-1} / eps against the band [1/3, 3], and the
     slope of the growth ratio against delta, which should sit at
-    -(2s - 1) within 20 percent.  A half-wave rerun at the largest eps
-    and first delta records how closely the full flow tracks the Szego
+    -(2s - 1) within 20 percent.  A half-wave run at the largest eps and
+    first delta records how closely the full flow tracks the Szego
     prediction at t*.
 
     The verdict still applies the band [1/3, 3] to the raw ratio, which
@@ -558,27 +551,25 @@ def run_inflation(cfg: ExperimentConfig) -> SweepResult:
     notes = {"ratio_band": [1.0 / 3.0, 3.0], "slope_target": target,
              "slope_tolerance": 0.2 * abs(target),
              "one_minus_p2_slope": concentration_slope}
-    eps0, delta0 = cfg.eps_list[0], cfg.delta_list[0]
-    notes["halfwave_check"] = _inflation_halfwave_check(cfg, eps0, delta0)
+    # rows[0] is the Szego row at (eps_list[0], delta_list[0])
+    notes["halfwave_check"] = _inflation_halfwave_check(cfg, rows[0].data["hs_at_tstar"])
     return SweepResult(INFLATION, rows, slope, ci, band_ok and slope_ok, notes=notes)
 
 
-def _inflation_halfwave_check(cfg, eps, delta):
-    """H^s size of the full half-wave solution at t*, next to the Szego one.
+def _inflation_halfwave_check(cfg, szego_hs):
+    """H^s size of the full half-wave solution at t* from the first eps
+    and delta, next to the Szego value szego_hs of that row.
 
     Exploratory (t* sits beyond the proven approximation horizon); no
     pass band is attached.
     """
+    eps, delta = cfg.eps_list[0], cfg.delta_list[0]
     u0, t_star = _inflation_start(cfg, eps, delta)
     # the half-wave run keeps fast rotating phases, so it gets a finer
     # step than the stiffness-free Szego sweep
     dt = min(0.01, cfg.dt) if cfg.dt is not None else 0.01
-    scfg = StepperConfig(dt=dt, monitor_stride=10**9)
-    pair = (EvolutionProblem.szego_plain(), EvolutionProblem.half_wave())
-    for _, (wf, uf) in trajectory(pair, u0, t_star, scfg):
-        pass  # the last state yielded is the one at t*
-    return {"szego_hs": sobolev_norm(TorusField(u0.grid, wf), cfg.sobolev),
-            "halfwave_hs": sobolev_norm(TorusField(u0.grid, uf), cfg.sobolev),
+    uf = evolve(EvolutionProblem.half_wave(), u0, t_star, dt)
+    return {"szego_hs": szego_hs, "halfwave_hs": sobolev_norm(uf, cfg.sobolev),
             "t_star": t_star, "eps": eps, "delta": delta}
 
 
@@ -597,8 +588,8 @@ def _spectrum_row(args):
     before = spectral_summary(build_hankel(u0))
     finals = []  # the summary at t_end of each run, dt first
 
-    def final_trace(step, stride):
-        uf = evolve(problem, u0, t_end, StepperConfig(dt=step, monitor_stride=stride))
+    def final_trace(step, _):
+        uf = evolve(problem, u0, t_end, step)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # half-wave grows negative modes
             finals.append(spectral_summary(build_hankel(uf)))

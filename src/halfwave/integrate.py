@@ -8,10 +8,12 @@ no code with this path.
 
 A step count is chosen so that an integer number of steps lands exactly
 on t_end (the actual dt, never larger than requested, is reported);
-step_count is that rule, and a dt of t_end / n gives back exactly n.
-The stepping loop is the generator trajectory, which yields the state
-every monitor_stride steps; every functional of the flow is read off
-those states by the caller, and evolve keeps only the final one.  Flows
+step_count is that rule and the one check on a step: a dt of t_end / n
+gives back exactly n, and a dt that is not positive or asks for more
+than _MAX_STEPS steps is a ValueError.  The stepping loop is the
+generator trajectory, which yields the state every stride steps; every
+functional of the flow is read off those states by the caller, and
+evolve returns the final state alone.  Flows
 that share a grid and a step move in lockstep as one stack: given a
 sequence of problems, trajectory steps a (rows, n_coeff) array, one row
 per problem, with one batched transform per RK stage.  Any non-finite
@@ -29,24 +31,15 @@ band and agrees with its own (analytic) trajectory to round-off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fields import TorusField, _AnalyticGrid
 from .problems import EvolutionProblem, _stack, linear_symbol, nonlinearity
 
 
-@dataclass(frozen=True)
-class StepperConfig:
-    dt: float
-    monitor_stride: int = 10
-
-    def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.monitor_stride < 1:
-            raise ValueError("monitor_stride must be a positive integer")
+#: the most steps one run may take, so that a tiny dt is a ValueError and
+#: not a run that never ends
+_MAX_STEPS = 10**9
 
 
 class BlowUpError(RuntimeError):
@@ -92,32 +85,39 @@ def step_count(t_end: float, dt: float) -> int:
 
     A ratio t_end / dt within a relative 1e-12 above an integer counts as
     that integer, so step_count(t_end, t_end / n) == n despite round-off.
-    A ratio that overflows to infinity is a ValueError.
+    A dt that is not positive (NaN included), and a ratio above
+    _MAX_STEPS or not finite, is a ValueError.
     """
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     ratio = t_end / dt * (1.0 - 1e-12)
-    if not np.isfinite(ratio):
-        raise ValueError(f"t_end / dt = {t_end} / {dt} is not a finite step count")
+    if not ratio <= _MAX_STEPS:
+        raise ValueError(f"t_end / dt = {t_end} / {dt} is not a finite step count "
+                         f"of at most {_MAX_STEPS:.0e}")
     return max(1, int(np.ceil(ratio)))
 
 
-def trajectory(problem, u0: TorusField, t_end: float, cfg: StepperConfig):
-    """Step u0 to t_end; yields (t, coeff) at t = 0, every monitor_stride
-    steps and t_end.
+def trajectory(problem, u0: TorusField, t_end: float, dt: float, stride: int = 10):
+    """Step u0 to t_end at a step of at most dt; yields (t, coeff) at
+    t = 0, every stride steps and t_end.
 
     For a sequence of problems every row starts at u0 and coeff is the
     (rows, n_coeff) stack.  The yielded arrays are never modified
     afterwards.  A non-finite state raises BlowUpError with the last
     valid time.  On the analytic path (see the module docstring) the
-    yielded arrays still hold the whole band, zero on modes k < 0.
+    yielded arrays still hold the whole band, zero on modes k < 0.  The
+    arguments are checked before the state at t = 0 is yielded.
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
+    if stride < 1:
+        raise ValueError(f"stride must be a positive integer, got {stride}")
+    n_steps = step_count(t_end, dt)
     problems, lead = _stack(problem)
     coeff = np.tile(u0.coeff, lead + (1,))
     yield 0.0, coeff
     if t_end == 0:
         return
-    n_steps = step_count(t_end, cfg.dt)
     dt = t_end / n_steps
     grid, n = u0.grid, u0.grid.max_mode
     analytic = all(p.project for p in problems) and not u0.coeff[:n].any()
@@ -135,13 +135,13 @@ def trajectory(problem, u0: TorusField, t_end: float, cfg: StepperConfig):
         if not np.all(np.isfinite(coeff)):
             raise BlowUpError(t_last)
         t_last = i * dt
-        if i % cfg.monitor_stride == 0 or i == n_steps:
+        if i % stride == 0 or i == n_steps:
             yield t_last, np.concatenate((negative, coeff), axis=-1) if analytic else coeff
 
 
-def evolve(problem: EvolutionProblem, u0: TorusField, t_end: float,
-           cfg: StepperConfig) -> TorusField:
-    """Integrate one problem to t_end; returns the final state.
+def evolve(problem: EvolutionProblem, u0: TorusField, t_end: float, dt: float) -> TorusField:
+    """Integrate one problem to t_end at a step of at most dt; returns the
+    final state.
 
     Functionals of the state along the way are read off trajectory,
     which also steps a stack of problems.
@@ -149,6 +149,6 @@ def evolve(problem: EvolutionProblem, u0: TorusField, t_end: float,
     if not isinstance(problem, EvolutionProblem):
         raise ValueError("evolve takes one problem; step a stack of problems "
                          "with trajectory")
-    for _, coeff in trajectory(problem, u0, t_end, cfg):
-        pass
+    # one stride of the whole run: the states yielded are u0 and the last
+    *_, (_, coeff) = trajectory(problem, u0, t_end, dt, stride=step_count(t_end, dt))
     return TorusField(u0.grid, coeff)

@@ -52,8 +52,8 @@ class EvolutionProblem:
     def __post_init__(self):
         if self.dispersion not in DISPERSIONS:
             raise ValueError(f"unknown dispersion {self.dispersion!r}")
-        if not self.coupling >= 0:
-            raise ValueError(f"{self.kind} requires coupling >= 0, got {self.coupling}")
+        if not 0 <= self.coupling < np.inf:
+            raise ValueError(f"{self.kind} requires a finite coupling >= 0, got {self.coupling}")
         if not self.q0 >= 0:
             raise ValueError(f"{self.kind} requires q0 >= 0, got {self.q0}")
 
@@ -88,7 +88,7 @@ class EvolutionProblem:
 def _eps_squared(kind: str, eps: float) -> float:
     if not eps > 0:
         raise ValueError(f"{kind} requires eps > 0, got {eps}")
-    return eps**2
+    return eps * eps
 
 
 def _stack(problem):
@@ -182,8 +182,12 @@ def default_time_step(problem: EvolutionProblem, u0: TorusField) -> float:
     The integrating factor makes the linear phase exact, so the step is
     set by the nonlinear timescale ~ 1/c; the free flow uses c = 1.
     The sweeps that search their step (experiments._richardson) take it
-    as the finest rung, their fallback, and sample every 10 dt.
+    as the finest rung, their fallback, and sample every 10 dt.  A state
+    too large for any positive step is a ValueError.
     """
     coupling = problem.coupling if problem.coupling > 0 else 1.0
     b = besov_norm(u0)
-    return min(0.01, 0.1 / (coupling * max(1.0, b**2)))
+    dt = min(0.01, 0.1 / (coupling * max(1.0, b * b)))
+    if not dt > 0:
+        raise ValueError(f"no positive time step for ||u0||_B111 = {b:.3g} at coupling {coupling}")
+    return dt

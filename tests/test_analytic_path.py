@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfwave import EvolutionProblem, GridSpec, StepperConfig, TorusField, trajectory
+from halfwave import EvolutionProblem, GridSpec, TorusField, trajectory
 from halfwave.integrate import make_stepper, step_count
 
 T_END, DT = 0.2, 0.05
@@ -50,7 +50,7 @@ def _hand_stepped(problem, u0):
 
 
 def _final(problem, u0):
-    *_, (_, coeff) = trajectory(problem, u0, T_END, StepperConfig(dt=DT))
+    *_, (_, coeff) = trajectory(problem, u0, T_END, DT)
     return coeff
 
 

@@ -4,11 +4,14 @@ The benchmark modules import names from halfwave, and the tracer
 (benchmarks/layertrace.py) wraps the functions named in LAYER_FUNCS and
 every `experiments` attribute matching its row-worker pattern.  A
 missing name breaks `benchmarks/run.py`; an extra match counts the row
-metrics twice.
+metrics twice.  Seed 0 of each workload also runs here against
+benchmarks/references.json, so an output the benchmark would count as a
+failed unit fails a test first.
 """
 
 import ast
 import importlib
+import json
 from pathlib import Path
 from types import ModuleType
 
@@ -23,6 +26,9 @@ from halfwave.norms import besov_norm, charge
 from conftest import random_field
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+#: the workloads whose outputs benchmarks/references.json stores
+REFERENCE_WORKLOADS = sorted(json.loads((BENCHMARKS / "references.json").read_text())
+                             ["workloads"])
 ROW_WORKERS = ["_approximation_row", "_besov_row", "_decoupling_row",
                "_inflation_row", "_spectrum_row"]
 
@@ -33,6 +39,16 @@ def layertrace(monkeypatch):
     import layertrace
 
     return layertrace
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """The benchmark's workloads and correctness gate (workloads, check)."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import check
+    import workloads
+
+    return workloads, check
 
 
 @pytest.mark.parametrize("module", ["workloads", "unitcost", "check"])
@@ -132,6 +148,22 @@ def test_traced_inflation_row_steps_on_the_analytic_transform(layertrace):
     assert fast_transform_length(2 * n + 1) < GridSpec.with_padding(n).padded_len
 
 
+def test_traced_halfwave_check_steps_one_row(layertrace):
+    """The inflation half-wave check steps the half-wave flow alone: one
+    stepper outside the rows, each of its 8 transforms a step covering one
+    row of the padded 4N + 1 grid.  The rows' own runs keep the analytic
+    transform."""
+    cfg = default_config("inflation", eps_list=(1.0,), delta_list=(0.8,), dt=0.05)
+    with layertrace.Tracer() as tracer:
+        result = experiments.run_inflation(cfg)
+    n = result.rows[0].data["grid_n"]
+    rows = [rec.steps for rec in tracer.steppers if rec.row is not None]
+    check = [rec.steps for rec in tracer.steppers if rec.row is None]
+    assert len(rows) == 2 and len(check) == 1
+    row_points = sum(rows) * 8 * fast_transform_length(2 * n + 1)
+    assert tracer.fft_points - row_points == check[0] * 8 * GridSpec.with_padding(n).padded_len
+
+
 def test_traced_ladder_steps_every_rung_through_make_stepper(layertrace):
     """The step search runs each trial rung once, through make_stepper:
     the traced steps are the sum of the rung runs, tau = 10 dt0 up to
@@ -183,3 +215,23 @@ def test_stacked_taylor_residual_transforms_like_one_eps(layertrace):
             normalform.taylor_residual(u, eps)
         calls.append(tracer.calls["operators.fft"])
     assert calls == [normalform.FLOW_SUBSTEPS * 4 * 7 + 1 + 2 + 2] * 2
+
+
+def test_reference_workloads_are_the_benchmark_workloads(bench):
+    workloads, _ = bench
+    assert sorted(workloads.WORKLOADS) == REFERENCE_WORKLOADS
+
+
+@pytest.mark.parametrize("name", REFERENCE_WORKLOADS)
+def test_seed_zero_unit_matches_reference(name, bench, tmp_path):
+    """Seed 0 of each workload, run as the benchmark runs a unit, matches
+    benchmarks/references.json: the written CSV and summary.json and the
+    returned result, within the benchmark's own tolerances."""
+    workloads, check = bench
+    workload = workloads.WORKLOADS[name]
+    seed = workload.input_seed(0)
+    reference = check.load_references()["workloads"][name][str(seed)]
+    result, extra = workload.run_unit(seed, tmp_path)
+    problems = check.check_files(tmp_path, result.experiment, reference)
+    problems += check.compare(check.snapshot(result, extra), reference, "result")
+    assert problems == []

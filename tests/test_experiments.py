@@ -28,13 +28,14 @@ from halfwave.experiments import (
     run_and_write,
     run_besov_bound,
     run_decoupling,
+    run_inflation,
     run_normalform_check,
     run_resonance_audit,
     run_spectrum_conservation,
     run_strichartz,
     strichartz_ratio,
 )
-from halfwave import GridSpec
+from halfwave import EvolutionProblem, GridSpec, TorusField, evolve
 from halfwave.norms import sobolev_norm
 import halfwave.cli as cli
 
@@ -97,6 +98,12 @@ class TestConfig:
         for eps in (1.0, 2.0):
             with pytest.raises(ValueError):
                 HorizonRule("log", 1.0).time_for(eps)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, 1e300, 1e-200, 0.0, -0.1])
+    def test_eps_must_have_a_finite_nonzero_square(self, eps):
+        """The couplings and horizons are built from eps^2."""
+        with pytest.raises(ValueError, match="eps values must be positive and finite"):
+            default_config(BESOV_BOUND, eps_list=(eps,))
 
     @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -0.01])
     def test_dt_must_be_positive_and_finite(self, dt):
@@ -194,6 +201,19 @@ class TestSmallRuns:
         and dt/2, above the 10x-tolerance bar of the Richardson helper."""
         with pytest.raises(NumericalFailure, match="spectrum half_wave"):
             _spectrum_row((default_config(SPECTRUM, dt=1.0), "half_wave"))
+
+    def test_inflation_halfwave_check_steps_the_half_wave_alone(self):
+        """The check reuses the lead Szego row's H^s(t*) and steps only the
+        half-wave flow, at dt = min(0.01, cfg.dt), from eps (e^{ix} + delta)
+        on the row's band."""
+        cfg = default_config(INFLATION, eps_list=(1.0,), delta_list=(0.8,), dt=0.05)
+        result = run_inflation(cfg)
+        row, check = result.rows[0].data, result.notes["halfwave_check"]
+        assert check["szego_hs"] == row["hs_at_tstar"]
+        assert (check["eps"], check["delta"], check["t_star"]) == (1.0, 0.8, row["t_star"])
+        u0 = TorusField.from_modes(GridSpec.with_padding(row["grid_n"]), {1: 1.0, 0: 0.8})
+        uf = evolve(EvolutionProblem.half_wave(), u0, row["t_star"], 0.01)
+        assert check["halfwave_hs"] == sobolev_norm(uf, cfg.sobolev)
 
     def test_besov_single_mode_ratio_one(self, tmp_path):
         path = tmp_path / "f.txt"
@@ -348,14 +368,26 @@ class TestCli:
         ([SPECTRUM, "--profile-support", "-1"], "profile is zero"),
         ([BESOV_BOUND, "--eps", "0.5,0.25,0.125", "--horizon", "fixed:1", "--dt", "1e-320"],
          "finite step count"),
+        ([DECOUPLING, "--eps", "inf"], "eps values must be positive and finite"),
+        ([DECOUPLING, "--eps", "1e300", "--horizon", "fixed:1"], "finite nonzero eps^2"),
+        ([DECOUPLING, "--profile-amplitude", "1e200", "--horizon", "fixed:1"],
+         "no positive time step for ||u0||_B111"),
+        ([BESOV_BOUND, "--eps", "0.5,0.25,0.125", "--horizon", "fixed:1", "--dt", "1e-300"],
+         "finite step count"),
     ])
     def test_unusable_input_exits_one(self, argv, message, tmp_path, capsys):
-        """An infinite horizon, a zero initial profile or a dt too small
-        to count steps is a configuration error: exit 1 before any row is
-        measured or any CSV written."""
+        """An infinite horizon, an eps with no finite square, a zero
+        initial profile, a profile too large for a positive step or a dt
+        too small to count steps is a configuration error: exit 1 with one
+        `config error:` line, before any row is measured or any CSV
+        written."""
+        start = time.perf_counter()
         code = cli.main(argv + ["--grid", "16", "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 5.0
         assert code == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert message in err
         assert not (tmp_path / f"{argv[0]}.csv").exists()
 
     @pytest.mark.parametrize("argv, t_end", [

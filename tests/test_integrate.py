@@ -9,7 +9,6 @@ from halfwave import (
     EvolutionProblem,
     GridSpec,
     PlaneWaveSpec,
-    StepperConfig,
     TorusField,
     energy,
     evolve,
@@ -24,17 +23,24 @@ from halfwave.norms import charge
 from conftest import random_analytic_field, random_field
 
 
-def test_stepper_config_validation():
-    with pytest.raises(ValueError):
-        StepperConfig(dt=0.0)
-    with pytest.raises(ValueError):
-        StepperConfig(dt=0.1, monitor_stride=0)
+def test_stepper_config_validation(grid16):
+    """A step that is not positive or a stride below 1 is rejected before
+    the state at t = 0 is yielded."""
+    u0 = TorusField.from_modes(grid16, {1: 0.1})
+    problem = EvolutionProblem.half_wave()
+    for dt in (0.0, np.nan):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            next(trajectory(problem, u0, 1.0, dt))
+        with pytest.raises(ValueError, match="dt must be positive"):
+            evolve(problem, u0, 1.0, dt)
+    with pytest.raises(ValueError, match="stride"):
+        next(trajectory(problem, u0, 1.0, 0.1, stride=0))
 
 
 def test_plane_wave_long_run(grid16):
     problem = EvolutionProblem.half_wave()
     u0 = TorusField.from_modes(grid16, {1: 0.1})
-    final = evolve(problem, u0, 10.0, StepperConfig(dt=0.01))
+    final = evolve(problem, u0, 10.0, 0.01)
     exact = plane_wave_solution(PlaneWaveSpec(0.1, 1, problem), 10.0, grid16)
     assert np.max(np.abs(final.coeff - exact.coeff)) <= 1e-10
 
@@ -43,7 +49,7 @@ def test_szego_single_mode_exact(grid16):
     problem = EvolutionProblem.szego_plain()
     c, k, t = 0.4 + 0.2j, 3, 7.0
     u0 = TorusField.from_modes(grid16, {k: c})
-    final = evolve(problem, u0, t, StepperConfig(dt=0.01))
+    final = evolve(problem, u0, t, 0.01)
     want = c * np.exp(-1j * abs(c) ** 2 * t)
     assert final.mode(k) == pytest.approx(want, abs=1e-11)
 
@@ -51,7 +57,7 @@ def test_szego_single_mode_exact(grid16):
 def test_free_flow_translates_coefficients(grid16, rng):
     u0 = random_analytic_field(grid16, rng)
     t = 3.0
-    final = evolve(EvolutionProblem.free_half_wave(), u0, t, StepperConfig(dt=0.05))
+    final = evolve(EvolutionProblem.free_half_wave(), u0, t, 0.05)
     want = u0.coeff * np.exp(-1j * np.abs(grid16.modes()) * t)
     assert np.max(np.abs(final.coeff - want)) <= 1e-12
 
@@ -61,9 +67,8 @@ def test_gauge_equivalence_over_time(grid16, rng):
     u0 = random_analytic_field(grid16, rng, scale=0.5)
     eps, t = 0.3, 10.0
     q0 = charge(u0)
-    cfg = StepperConfig(dt=0.01)
-    scaled = evolve(EvolutionProblem.half_wave_scaled(eps), u0, t, cfg)
-    gauged = evolve(EvolutionProblem.half_wave_gauged(eps, q0), u0, t, cfg)
+    scaled = evolve(EvolutionProblem.half_wave_scaled(eps), u0, t, 0.01)
+    gauged = evolve(EvolutionProblem.half_wave_gauged(eps, q0), u0, t, 0.01)
     assert np.max(np.abs(gauge_transform(scaled, t, eps, q0).coeff - gauged.coeff)) <= 1e-8
 
 
@@ -74,7 +79,7 @@ def test_transport_flow_conserves_hankel_spectrum(grid16, rng):
 
     u0 = random_analytic_field(grid16, rng, support=4, scale=0.3)
     before = spectral_summary(build_hankel(u0))
-    final = evolve(EvolutionProblem.szego_transport(), u0, 10.0, StepperConfig(dt=0.01))
+    final = evolve(EvolutionProblem.szego_transport(), u0, 10.0, 0.01)
     after = spectral_summary(build_hankel(final))
     # compare eigenvalues carrying real weight; on this narrow band the
     # deep tail sits at the truncation-bleed floor of the discretization
@@ -94,8 +99,8 @@ def test_transport_is_translated_plain_szego(eps, n, rng):
     u0 = random_analytic_field(grid, rng, scale=0.5)
     t, dt = 5.0, 0.01
     plain = evolve(EvolutionProblem.szego_plain(), u0, eps**2 * t,
-                   StepperConfig(dt=eps**2 * dt))
-    transport = evolve(EvolutionProblem.szego_transport(eps), u0, t, StepperConfig(dt=dt))
+                   eps**2 * dt)
+    transport = evolve(EvolutionProblem.szego_transport(eps), u0, t, dt)
     translated = plain.coeff * np.exp(-1j * grid.modes() * t)
     scale = np.max(np.abs(transport.coeff))
     assert np.max(np.abs(translated - transport.coeff)) <= 1e-13 * scale
@@ -111,11 +116,11 @@ def test_szego_scaling_identity(n, rng):
     w0 = random_analytic_field(grid, rng, scale=0.5)
     t, dt = 1.0, 0.01
     problem = EvolutionProblem.szego_plain()
-    base = evolve(problem, w0, t, StepperConfig(dt=dt)).coeff
+    base = evolve(problem, w0, t, dt).coeff
 
     def scaled(lam):
         u0 = TorusField(grid, lam * w0.coeff)
-        return evolve(problem, u0, t / lam**2, StepperConfig(dt=dt / lam**2)).coeff
+        return evolve(problem, u0, t / lam**2, dt / lam**2).coeff
 
     # powers of two rescale without rounding, so the identity is bitwise
     assert np.array_equal(scaled(2.0), 2.0 * base)
@@ -135,9 +140,8 @@ def test_translation_commutes_with_flow(problem, n, a, rng):
     grid = GridSpec.with_padding(n)
     u0 = random_field(grid, rng, scale=0.5)  # negative modes: P_+ acts
     shift = np.exp(-1j * grid.modes() * a)
-    cfg = StepperConfig(dt=0.01)
-    stepped_then_shifted = shift * evolve(problem, u0, 1.0, cfg).coeff
-    shifted_then_stepped = evolve(problem, TorusField(grid, shift * u0.coeff), 1.0, cfg).coeff
+    stepped_then_shifted = shift * evolve(problem, u0, 1.0, 0.01).coeff
+    shifted_then_stepped = evolve(problem, TorusField(grid, shift * u0.coeff), 1.0, 0.01).coeff
     err = np.max(np.abs(stepped_then_shifted - shifted_then_stepped))
     assert err <= 1e-13 * np.max(np.abs(stepped_then_shifted))
 
@@ -147,8 +151,7 @@ def test_free_flows_coincide_on_analytic_data(grid16, rng):
     translate analytic data identically (the zero-coupling limit of the
     effective-dynamics comparison)."""
     u0 = random_analytic_field(grid16, rng)
-    cfg = StepperConfig(dt=0.05)
-    a = evolve(EvolutionProblem.free_half_wave(), u0, 4.0, cfg)
+    a = evolve(EvolutionProblem.free_half_wave(), u0, 4.0, 0.05)
     b = u0.coeff * np.exp(-1j * grid16.modes() * 4.0)  # transport phases
     assert np.max(np.abs(a.coeff - b)) <= 1e-12
 
@@ -156,7 +159,7 @@ def test_free_flows_coincide_on_analytic_data(grid16, rng):
 def test_observer_called_at_monitor_times(grid16):
     u0 = TorusField.from_modes(grid16, {1: 0.1})
     seen = [t for t, _ in trajectory(EvolutionProblem.free_half_wave(), u0, 1.0,
-                                     StepperConfig(dt=0.1, monitor_stride=5))]
+                                     0.1, 5)]
     assert seen[0] == 0.0
     assert seen == pytest.approx([0.0, 0.5, 1.0])
 
@@ -168,7 +171,7 @@ def test_blow_up_aborts_with_last_valid_time(grid16):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BlowUpError) as info:
-            evolve(EvolutionProblem.half_wave(), u0, 2000.0, StepperConfig(dt=10.0))
+            evolve(EvolutionProblem.half_wave(), u0, 2000.0, 10.0)
     assert info.value.last_valid_time >= 0.0
 
 
@@ -185,7 +188,9 @@ def test_conservation_smoke(grid16, rng):
     u0 = random_analytic_field(grid16, rng, scale=0.4)
     for problem in (EvolutionProblem.half_wave(), EvolutionProblem.szego_plain()):
         states = [TorusField(grid16, coeff) for _, coeff in
-                  trajectory(problem, u0, 5.0, StepperConfig(dt=0.01, monitor_stride=50))]
+                  trajectory(problem, u0, 5.0, 0.01, 50)]
+        # evolve samples nothing on the way and reaches the same final state
+        assert np.array_equal(evolve(problem, u0, 5.0, 0.01).coeff, states[-1].coeff)
         energies = np.array([energy(problem, u) for u in states])
         charges = np.array([charge(u) for u in states])
         assert np.max(np.abs(energies - energies[0])) <= 1e-10 * max(1.0, abs(energies[0]))
@@ -198,7 +203,7 @@ def test_richardson_check_reports_small_discrepancy(grid16, rng):
 
     def mode_one(dt, stride):
         *_, (t, coeff) = trajectory(EvolutionProblem.half_wave(), u0, 2.0,
-                                    StepperConfig(dt=dt, monitor_stride=stride))
+                                    dt, stride)
         ends.append(t)
         return TorusField(grid16, coeff).mode(1).real
 
@@ -218,6 +223,23 @@ def test_step_count_inverts_the_step():
             assert integrate.step_count(t_end, t_end / n) == n
     assert integrate.step_count(1.0, 5.0) == 1
     assert integrate.step_count(1.0, 0.3) == 4
+
+
+@pytest.mark.parametrize("t_end, dt, message", [
+    (1.0, 0.0, "dt must be positive"),
+    (1.0, -0.1, "dt must be positive"),
+    (1.0, np.nan, "dt must be positive"),
+    (1.0, 1e-300, "finite step count"),
+    (1.0, 1e-320, "finite step count"),
+    (np.inf, 0.1, "finite step count"),
+    (1.0, 0.999e-9, "finite step count"),
+])
+def test_step_count_rejects_unusable_steps(t_end, dt, message):
+    """A step that is not positive, or one that would take more than
+    _MAX_STEPS steps, is a ValueError and never a loop that does not end."""
+    with pytest.raises(ValueError, match=message):
+        integrate.step_count(t_end, dt)
+    assert integrate.step_count(1.0, 1e-9) == integrate._MAX_STEPS
 
 
 class _Recorder:
@@ -310,9 +332,8 @@ class TestRichardsonLadder:
         times = []
 
         def measure(dt, stride):
-            cfg = StepperConfig(dt=dt, monitor_stride=stride)
             times.append([t for t, _ in trajectory(EvolutionProblem.half_wave(),
-                                                   u0, 0.97, cfg)])
+                                                   u0, 0.97, dt, stride)])
             return 1.0 + dt  # no rung passes: all six runs happen
 
         _richardson(measure, 0.97, 0.01, "times", search=True)
@@ -338,10 +359,9 @@ def test_stacked_rows_equal_single_trajectories(stack, n, dt, rng):
     trajectory at every yielded time."""
     grid = GridSpec.with_padding(n)
     u0 = random_field(grid, rng, scale=0.5)  # negative modes: P_+ acts
-    cfg = StepperConfig(dt=dt, monitor_stride=7)
-    stacked = list(trajectory(stack, u0, 0.3, cfg))
+    stacked = list(trajectory(stack, u0, 0.3, dt, 7))
     for i, problem in enumerate(stack):
-        single = list(trajectory(problem, u0, 0.3, cfg))
+        single = list(trajectory(problem, u0, 0.3, dt, 7))
         assert [t for t, _ in stacked] == [t for t, _ in single]
         for (_, rows), (_, coeff) in zip(stacked, single):
             assert rows.shape == (len(stack), grid.n_coeff)
@@ -355,10 +375,9 @@ def test_mixed_stack_on_analytic_data_matches_to_round_off(n, rng):
     the Szego rows then agree to round-off, not bit for bit."""
     grid = GridSpec.with_padding(n)
     u0 = random_analytic_field(grid, rng, support=8, scale=0.5)
-    cfg = StepperConfig(dt=0.01, monitor_stride=7)
     pair = (EvolutionProblem.szego_plain(), EvolutionProblem.half_wave())
-    stacked = list(trajectory(pair, u0, 0.3, cfg))
-    single = list(trajectory(pair[0], u0, 0.3, cfg))
+    stacked = list(trajectory(pair, u0, 0.3, 0.01, 7))
+    single = list(trajectory(pair[0], u0, 0.3, 0.01, 7))
     assert [t for t, _ in stacked] == [t for t, _ in single]
     for (_, rows), (_, coeff) in zip(stacked[1:], single[1:]):
         assert not coeff[:n].any()
@@ -367,23 +386,21 @@ def test_mixed_stack_on_analytic_data_matches_to_round_off(n, rng):
 
 def test_stack_with_one_exploding_row_blows_up(grid16):
     u0 = TorusField.from_modes(grid16, {1: 80.0, 0: 60.0})
-    cfg = StepperConfig(dt=10.0)
     free = EvolutionProblem.free_half_wave()
-    assert all(np.all(np.isfinite(c)) for _, c in trajectory(free, u0, 2000.0, cfg))
+    assert all(np.all(np.isfinite(c)) for _, c in trajectory(free, u0, 2000.0, 10.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BlowUpError):
-            for _ in trajectory((free, EvolutionProblem.half_wave()), u0, 2000.0, cfg):
+            for _ in trajectory((free, EvolutionProblem.half_wave()), u0, 2000.0, 10.0):
                 pass
 
 
 def test_stack_rejections(grid16):
     u0 = TorusField.from_modes(grid16, {1: 0.1})
-    cfg = StepperConfig(dt=0.1)
     stack = (EvolutionProblem.half_wave(), EvolutionProblem.szego_plain())
     with pytest.raises(ValueError, match="trajectory"):
-        evolve(stack, u0, 1.0, cfg)
+        evolve(stack, u0, 1.0, 0.1)
     with pytest.raises(ValueError, match="empty"):
-        next(trajectory((), u0, 1.0, cfg))
+        next(trajectory((), u0, 1.0, 0.1))
     with pytest.raises(ValueError, match="empty"):
         integrate.make_stepper([], grid16, 0.1)

@@ -7,7 +7,6 @@ from halfwave import (
     EvolutionProblem,
     GridSpec,
     PlaneWaveSpec,
-    StepperConfig,
     TorusField,
     evolve,
     galerkin_reference,
@@ -98,7 +97,7 @@ def test_galerkin_agrees_with_ifrk4(grid16, rng):
     u0 = random_analytic_field(grid16, rng, scale=0.4)
     problem = EvolutionProblem.half_wave()
     reference = galerkin_reference(problem, u0, 5.0, dt=2e-4)
-    main = evolve(problem, u0, 5.0, StepperConfig(dt=0.005))
+    main = evolve(problem, u0, 5.0, 0.005)
     assert np.max(np.abs(reference.coeff - main.coeff)) <= 1e-6
 
 
@@ -158,7 +157,7 @@ def test_rational_flow_matches_pseudospectral_szego():
     n = 128
     grid = GridSpec.with_padding(n)
     u0 = TorusField.from_modes(grid, {1: 1.0, 0: 0.5})
-    pde = evolve(EvolutionProblem.szego_plain(), u0, 1.0, StepperConfig(dt=0.005))
+    pde = evolve(EvolutionProblem.szego_plain(), u0, 1.0, 0.005)
     oracle = szego_explicit_modes([0.5, 1.0], 1.0, n)
     assert np.max(np.abs(pde.coeff[n:] - oracle)) <= 1e-8
     assert np.max(np.abs(pde.coeff[:n])) == 0.0
@@ -207,9 +206,8 @@ def test_szego_flows_match_explicit_formula(n, rng):
     grid = GridSpec.with_padding(n)
     u0 = random_analytic_field(grid, rng, support=8, scale=0.5)
     w0, t, eps, q0 = u0.coeff[n:n + 9], 3.0, 0.7, 0.3
-    cfg = StepperConfig(dt=0.005)
-    plain = evolve(EvolutionProblem.szego_plain(), u0, t, cfg)
-    transport = evolve(EvolutionProblem.szego_transport(eps, q0), u0, t, cfg)
+    plain = evolve(EvolutionProblem.szego_plain(), u0, t, 0.005)
+    transport = evolve(EvolutionProblem.szego_transport(eps, q0), u0, t, 0.005)
     exact = szego_explicit_modes(w0, t, n)
     moved = (np.exp(-1j * np.arange(n + 1) * t + 2j * eps**2 * q0 * t)
              * szego_explicit_modes(w0, eps**2 * t, n))

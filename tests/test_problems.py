@@ -32,6 +32,12 @@ def test_problem_validation():
             make(-0.5)
     with pytest.raises(ValueError):
         EvolutionProblem.szego_transport(0.5, -1.0)
+    # an eps whose square overflows gives no finite coupling
+    for bad in (dict(coupling=np.inf), dict(coupling=np.nan)):
+        with pytest.raises(ValueError, match="finite coupling"):
+            EvolutionProblem(**{"dispersion": "|k|", "project": False, **bad})
+    with pytest.raises(ValueError, match="finite coupling"):
+        EvolutionProblem.half_wave_scaled(1e300)
     # transport with eps=1, q0=0 is the plain transport-form equation
     EvolutionProblem.szego_transport()
 
@@ -158,3 +164,11 @@ def test_default_time_step_scales_with_eps(grid16):
     assert small == pytest.approx(0.01)
     big_coupling = default_time_step(EvolutionProblem.half_wave_scaled(10.0), u)
     assert big_coupling < 0.01
+
+
+def test_default_time_step_rejects_a_state_too_large_for_a_step(grid16):
+    """||u0||_B111^2 overflows: no positive step results, and the error
+    names the norm instead of returning 0."""
+    u = TorusField.from_modes(grid16, {1: 1e200, 0: 0.5e200})
+    with pytest.raises(ValueError, match="B111"):
+        default_time_step(EvolutionProblem.half_wave_scaled(0.2), u)

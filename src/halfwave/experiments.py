@@ -72,6 +72,11 @@ EXPERIMENTS = (DECOUPLING, APPROXIMATION, BESOV_BOUND, INFLATION, SPECTRUM,
 #: 10x this fraction of the value abort the experiment
 RICHARDSON_TOLERANCE = 1e-2
 
+#: the largest band max mode N a run may ask for, as grid_n or as the
+#: inflation band 48/delta^2; a config above it is rejected before any
+#: array is allocated
+MAX_GRID_N = 2**16
+
 
 class NumericalFailure(RuntimeError):
     """A run produced numbers that cannot be trusted (blow-up, failed
@@ -167,6 +172,11 @@ class ExperimentConfig:
                 raise ValueError("delta values must lie in (0, 1)")
         if self.grid_n < 1:
             raise ValueError("grid_n must be >= 1")
+        if self.grid_n > MAX_GRID_N:
+            raise ValueError(f"grid_n = {self.grid_n} exceeds the band ceiling {MAX_GRID_N}")
+        if self.experiment == INFLATION:
+            for delta in self.delta_list:
+                _inflation_grid_n(delta, self.grid_n)  # raises above the ceiling
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.dt is not None and not 0 < self.dt < math.inf:
@@ -207,17 +217,24 @@ def build_initial_state(cfg: ExperimentConfig, grid: GridSpec,
         rng = np.random.default_rng(cfg.seed)
         coeff = np.zeros(grid.n_coeff, dtype=np.complex128)
         for k in range(0, support + 1):
-            coeff[k + grid.max_mode] = (
-                prof.amplitude * (1.0 + k) ** (-prof.rate)
-                * np.exp(2j * np.pi * rng.random())
-            )
+            try:
+                size = prof.amplitude * (1.0 + k) ** (-prof.rate)
+            except OverflowError:
+                raise ValueError(f"the {prof.kind} profile overflows: (1 + {k})^{-prof.rate} "
+                                 "is not a finite number") from None
+            coeff[k + grid.max_mode] = size * np.exp(2j * np.pi * rng.random())
         u = TorusField(grid, coeff)
     else:
         u = _load_custom_profile(prof.path, grid)
     if not np.any(u.coeff):
         raise ValueError(f"the {prof.kind} initial profile is zero on the band")
     if normalize_sobolev is not None:
-        u = (1.0 / sobolev_norm(u, normalize_sobolev)) * u
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = sobolev_norm(u, normalize_sobolev)
+        if not 0 < norm < math.inf:
+            raise ValueError(f"the H^{normalize_sobolev} norm of the {prof.kind} profile "
+                             f"is {norm}, not a positive finite number")
+        u = (1.0 / norm) * u
     return u
 
 
@@ -490,10 +507,14 @@ def _inflation_grid_n(delta: float, base: int) -> int:
     The state approaches a near-pole with 1 - |p|^2 of order delta^2/4,
     so coefficients decay like (1 - delta^2/8)^k and the band must reach
     far beyond the default to keep the tail below the measurement error.
+    A band above MAX_GRID_N is a ValueError, raised before 48/delta^2 is
+    formed (it overflows or divides by zero for a tiny delta).
     """
-    needed = int(math.ceil(48.0 / delta**2))
-    n = max(base, needed)
-    return fast_transform_length(n)
+    if not 48.0 <= MAX_GRID_N * delta**2:
+        raise ValueError(f"delta = {delta} needs a band of 48/delta^2 modes, above the "
+                         f"band ceiling {MAX_GRID_N}")
+    # MAX_GRID_N is 5-smooth, so the band stays under it once base does
+    return fast_transform_length(max(base, math.ceil(48.0 / delta**2)))
 
 
 def _inflation_start(cfg, eps, delta):

@@ -1,8 +1,17 @@
 """Time integration of the evolution problems.
 
-The scheme is integrating-factor RK4: the linear phase e^{-i t L}
-is applied exactly and classical RK4 acts on the transformed
-nonlinearity, so the step size is set by the nonlinear timescale alone.
+The scheme is ETDRK4 (Cox & Matthews, J. Comput. Phys. 176 (2002)) in
+the frame of the transport, y = e^{itD} u.  The cubic, P_+ and the gauge
+commute with translations, so there every flow is autonomous with its
+own nonlinearity, dy/dt = -i (L - k) y + N(y), for the rows whose
+dispersion L is k or |k|; rows with L = 0 keep u and the symbol 0.  The
+frame symbol is 0 for the transport Szego flow and for the half-wave on
+the modes k >= 0, where the resonant dynamics lives, and 2|k| on k < 0,
+where the forcing varies slowly; ETDRK4 takes the linear part exactly,
+so the step is set by the nonlinear timescale.  The phi-weights are
+contour means over 32 points (Kassam & Trefethen, SIAM J. Sci. Comput.
+26 (2005)) at the nonzero symbol values, and exactly h/2 and h/6 where
+the symbol is 0, where the step is classical RK4 in exact arithmetic.
 The independent cross-check is oracles.galerkin_reference, which shares
 no code with this path.
 
@@ -11,12 +20,13 @@ on t_end (the actual dt, never larger than requested, is reported);
 step_count is that rule and the one check on a step: a dt of t_end / n
 gives back exactly n, and a dt that is not positive or asks for more
 than _MAX_STEPS steps is a ValueError.  The stepping loop is the
-generator trajectory, which yields the state every stride steps; every
-functional of the flow is read off those states by the caller, and
-evolve returns the final state alone.  Flows
+generator trajectory, which yields the state every stride steps,
+translated back to u = e^{-itD} y at those times only; every functional
+of the flow is read off those states by the caller, and evolve returns
+the final state alone.  Flows
 that share a grid and a step move in lockstep as one stack: given a
 sequence of problems, trajectory steps a (rows, n_coeff) array, one row
-per problem, with one batched transform per RK stage.  Any non-finite
+per problem, with one batched transform per stage.  Any non-finite
 coefficient aborts the run with the last valid time attached.
 
 Projected flows (P = P_+) keep the modes k < 0 of analytic data exactly
@@ -55,29 +65,95 @@ class BlowUpError(RuntimeError):
         return f"non-finite state after t = {self.last_valid_time}"
 
 
-class _IFRK4Stepper:
-    """One RK4 step of du/dt = -i L u + N(u) on y(tau) = e^{i tau L} u, with
-    exact linear phase; L = symbol (0: plain RK4), N = nonlinear."""
+#: the contour of the phi-weights' means: 32 points on the unit circle,
+#: half a spacing off the real axis
+_CONTOUR = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
+
+
+def _etd_weights(z, h):
+    """The ETDRK4 weights (Q, f1, f2, f3) of a step h at z = h c, for
+    du/dt = c u + N(u):
+
+      Q  = h (e^{z/2} - 1) / z,
+      f1 = h (-4 - z + e^z (4 - 3z + z^2)) / z^3,
+      f2 = h (2 + z + e^z (z - 2)) / z^3,
+      f3 = h (-4 - 3z - z^2 + e^z (4 - z)) / z^3.
+
+    Each is the mean over the _CONTOUR points scaled to a circle about z,
+    which avoids the cancellation of the formulas at small z, except at
+    z = 0, where they are exactly h/2, h/6, h/6 and h/6.  The circle has
+    radius 1, or |z|/2 where 1/2 <= |z| < 2, so that no point comes
+    within 1/4 of 0, where the same cancellation returns.  Arrays of z's
+    shape.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    weights = [np.full(z.shape, w, dtype=np.complex128) for w in (h / 2, h / 6, h / 6, h / 6)]
+    nonzero = np.flatnonzero(z)
+    # 64 values at a time, so that the (32, 64) contour arrays stay small
+    for block in np.split(nonzero, range(64, nonzero.size, 64)):
+        centre = z.flat[block]
+        size = np.abs(centre)
+        radius = np.where(size < 0.5, 1.0, np.minimum(1.0, 0.5 * size))
+        r = centre + radius * _CONTOUR[:, np.newaxis]  # one row per contour point
+        e_half = np.exp(0.5 * r)
+        e, r3 = e_half * e_half, r * r * r
+        terms = ((e_half - 1.0) / r,
+                 (-4.0 - r + e * (4.0 - 3.0 * r + r * r)) / r3,
+                 (2.0 + r + e * (r - 2.0)) / r3,
+                 (-4.0 - 3.0 * r - r * r + e * (4.0 - r)) / r3)
+        for w, term in zip(weights, terms):
+            # a running sum down the contour adds each column in the same
+            # order whatever the shape of z, so a stack row gets the
+            # weights of its own problem bit for bit
+            w.flat[block] = h * term.cumsum(axis=0)[-1] / _CONTOUR.size
+    return weights
+
+
+class _ETDRK4Stepper:
+    """One ETDRK4 step (Cox & Matthews stages) of dy/dt = -i S y + N(y),
+    with S = symbol (0: classical RK4 in exact arithmetic) and N =
+    nonlinear; a symbol that vanishes everywhere gets scalar weights."""
 
     def __init__(self, symbol, nonlinear, dt):
         self.dt = dt
-        self.e_half = np.exp(-0.5j * dt * symbol)
-        self.e_full = self.e_half**2
+        z = -1j * dt * np.asarray(symbol, dtype=np.float64)
+        if not z.any():
+            z = np.zeros(())
+        self.e_half, self.e_full = np.exp(0.5 * z), np.exp(z)
+        self.q, self.f1, self.f2, self.f3 = _etd_weights(z, dt)
         self._nl = nonlinear
 
-    def step(self, coeff):
-        dt, eh, ef = self.dt, self.e_half, self.e_full
-        a = self._nl(coeff)
-        b = self._nl(eh * (coeff + 0.5 * dt * a))
-        c = self._nl(eh * coeff + 0.5 * dt * b)
-        d = self._nl(ef * coeff + dt * eh * c)
-        return ef * coeff + (dt / 6.0) * (ef * a + 2.0 * eh * (b + c) + d)
+    def step(self, y):
+        eh, q = self.e_half, self.q
+        ny = self._nl(y)
+        ey = eh * y
+        a = ey + q * ny
+        na = self._nl(a)
+        nb = self._nl(ey + q * na)
+        nc = self._nl(eh * a + q * (2.0 * nb - ny))
+        return self.e_full * y + self.f1 * ny + self.f2 * (2.0 * (na + nb)) + self.f3 * nc
+
+
+def _shifted_rows(problem):
+    """The rows stepped in the transport frame (dispersion k or |k|), as an
+    index of the leading axis: ... for all, an index array for some, None
+    for none."""
+    problems, _ = _stack(problem)
+    shifted = [p.dispersion != "0" for p in problems]
+    if all(shifted):
+        return ...
+    return np.flatnonzero(shifted) if any(shifted) else None
 
 
 def make_stepper(problem, grid, dt: float):
-    """IFRK4 stepper for one problem, or for a stack of problems on one
-    grid (it then steps (rows, n_coeff) arrays)."""
-    return _IFRK4Stepper(linear_symbol(problem, grid), nonlinearity(problem, grid), dt)
+    """ETDRK4 stepper of the transport-frame flow of one problem, or of a
+    stack of problems on one grid (it then steps (rows, n_coeff) arrays):
+    symbol L - k on the rows of dispersion k or |k|, L = 0 elsewhere."""
+    symbol = linear_symbol(problem, grid)
+    shifted = _shifted_rows(problem)
+    if shifted is not None:
+        symbol[shifted] -= grid.modes()
+    return _ETDRK4Stepper(symbol, nonlinearity(problem, grid), dt)
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -125,6 +201,7 @@ def trajectory(problem, u0: TorusField, t_end: float, dt: float, stride: int = 1
         grid, coeff = _AnalyticGrid.with_padding(n), coeff[..., n:]
         negative = np.zeros(lead + (n,), dtype=np.complex128)
     stepper = make_stepper(problem, grid, dt)
+    shifted, minus_ik = _shifted_rows(problem), -1j * grid.modes()
     t_last = 0.0
     for i in range(1, n_steps + 1):
         # a blowing-up step overflows on its way to the non-finite state
@@ -136,7 +213,11 @@ def trajectory(problem, u0: TorusField, t_end: float, dt: float, stride: int = 1
             raise BlowUpError(t_last)
         t_last = i * dt
         if i % stride == 0 or i == n_steps:
-            yield t_last, np.concatenate((negative, coeff), axis=-1) if analytic else coeff
+            u = coeff
+            if shifted is not None:  # back from the frame: u = e^{-itD} y
+                u = coeff.copy()
+                u[shifted] *= np.exp(t_last * minus_ik)
+            yield t_last, np.concatenate((negative, u), axis=-1) if analytic else u
 
 
 def evolve(problem: EvolutionProblem, u0: TorusField, t_end: float, dt: float) -> TorusField:

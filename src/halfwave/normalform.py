@@ -29,7 +29,8 @@ which lies in the sign families; these share only the zero quadruple, so
 Rtilde(u) = R(u_{>=0}) + R(u_{<=0}) + |u_0|^4 / 4 and X_Rtilde is one
 X_R on the stack (u_{>=0}, u_{<=0}).  X_F is one cubic phi on a stack
 whose rows are (u_+, u_-) and (u_-, u_+).  chi_eps is stepped by the
-IFRK4 stepper of halfwave.integrate with zero symbol, the flows of
+ETDRK4 stepper of halfwave.integrate with the scalar symbol 0, which
+makes it classical RK4 at no cost for the phi-weights, the flows of
 several eps as the rows of one array.  The value of G is read off its
 field by Euler's identity for a real quartic, 4 G(u) = Im (u | X_G(u)).
 The resonant set and the four families are (n, 4) integer arrays,
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import TorusField
-from .integrate import _IFRK4Stepper
+from .integrate import _ETDRK4Stepper
 from .norms import besov_norm
 from .operators import _band, _cubic, _d0_inverse, _pad, inner
 
@@ -314,7 +315,8 @@ def poisson_bracket(tag_a: str, tag_b: str, u: TorusField) -> float:
 
 def _flow_rows(u: TorusField, eps: tuple, sigma: float) -> np.ndarray:
     """phi_sigma(u) for each eps, as the rows of one (len(eps), n_coeff)
-    array with eps^2 as a column, stepped by IFRK4 with zero symbol."""
+    array with eps^2 as a column, stepped by the ETDRK4 stepper with the
+    scalar symbol 0 (classical RK4 in exact arithmetic)."""
     if any(e < 0 for e in eps):
         raise ValueError(f"eps must be nonnegative, got {eps}")
     b111 = besov_norm(u)
@@ -328,8 +330,8 @@ def _flow_rows(u: TorusField, eps: tuple, sigma: float) -> np.ndarray:
     if sigma == 0.0 or not any(eps):
         return c
     eps_sq = np.array([[e**2] for e in eps])
-    stepper = _IFRK4Stepper(0.0, lambda arr: eps_sq * _generator_field(arr, u.grid),
-                            sigma / FLOW_SUBSTEPS)
+    stepper = _ETDRK4Stepper(0.0, lambda arr: eps_sq * _generator_field(arr, u.grid),
+                             sigma / FLOW_SUBSTEPS)
     for _ in range(FLOW_SUBSTEPS):
         c = stepper.step(c)
         if not np.all(np.isfinite(c)):

@@ -6,7 +6,7 @@ Single modes solve every problem in closed form (the nonlinearity
 reduces to a constant phase speed), giving exact references.  The
 Galerkin reference integrator shares nothing with the production path
 except the field type: explicit midpoint in time, direct convolution
-sums for the nonlinearity, no integrating factor.  The quadruple sums
+sums for the nonlinearity, no exponential integrator.  The quadruple sums
 give the quartics R, Rtilde, F of halfwave.normalform and their fields
 straight from the monomial coefficients, summed over every zero-sum
 quadruple of the band (O(N^3), no transform); the normal form's

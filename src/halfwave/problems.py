@@ -179,8 +179,9 @@ def gauge_transform(u: TorusField, t: float, eps: float, q0: float) -> TorusFiel
 def default_time_step(problem: EvolutionProblem, u0: TorusField) -> float:
     """dt = min(0.01, 0.1 / (c max(1, ||u0||_{B111}^2))).
 
-    The integrating factor makes the linear phase exact, so the step is
-    set by the nonlinear timescale ~ 1/c; the free flow uses c = 1.
+    ETDRK4 in the transport frame takes the linear part exactly (see
+    halfwave.integrate), so the step is set by the nonlinear timescale
+    ~ 1/c; the free flow uses c = 1.
     The sweeps that search their step (experiments._richardson) take it
     as the finest rung, their fallback, and sample every 10 dt.  A state
     too large for any positive step is a ValueError.

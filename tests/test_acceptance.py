@@ -8,9 +8,9 @@ drift of the integrators, Hankel-spectrum conservation, the
 concentration scaling of the Szego flow, the quartic free-flow slopes,
 and the independence cross-checks between solver paths.
 
-The full module takes about two and a half minutes single-threaded
-(148 s on a 2-core x86-64 machine, summed from `pytest --durations`;
-criterion 8 is 70 s of it, criterion 5 45 s and criterion 6 24 s).
+The full module takes about two minutes single-threaded (119 s on a
+2-core x86-64 machine, summed from `pytest --durations`; criterion 8 is
+72 s of it, criterion 5 22 s and criterion 6 15 s).
 
 Criterion 8 measures the inflation ratio ||w(t*)||_{H^s} delta^{2s-1} / eps
 of the plain Szego flow from eps (e^{ix} + delta) at t* = pi/(2 eps^2 delta).
@@ -192,19 +192,24 @@ def test_criterion_06_invariant_drift():
             float(np.max(np.abs(m - m[0])) / max(abs(m[0]), 1e-30)),
         )
 
+    # the drift at dt0 sits near round-off for the half-wave rows, so the
+    # order is read off the pair (4 dt0, 2 dt0), where the drift is still
+    # the scheme's truncation error
     details, ok = [], True
     for problem, u0 in cases:
         dt = default_time_step(problem, u0)
-        coarse = drifts(problem, u0, dt)
-        fine = drifts(problem, u0, dt / 2.0)
+        at_dt = drifts(problem, u0, dt)
+        coarse = drifts(problem, u0, 4.0 * dt)
+        fine = drifts(problem, u0, 2.0 * dt)
         ratios = [a / max(b, 1e-18) for a, b in zip(coarse, fine)]
-        good = all(x <= 1e-8 for x in coarse) and all(r >= 8.0 for r in ratios)
+        good = all(x <= 1e-8 for x in at_dt) and all(r >= 8.0 for r in ratios)
         ok = ok and good
         details.append(
-            f"{problem.kind}: drift {max(coarse):.1e}, halving ratio {min(ratios):.0f}"
+            f"{problem.kind}: drift {max(at_dt):.1e}, halving ratio {min(ratios):.1f}"
         )
     _criterion(
-        6, "E, Q, M drift <= 1e-8 over T=100 at default dt, order >= 3 observed",
+        6, "E, Q, M drift <= 1e-8 over T=100 at default dt, order >= 3 observed "
+        "from 4 dt to 2 dt",
         ok, "; ".join(details),
     )
 

@@ -40,12 +40,17 @@ def analytic_data(draw):
 
 
 def _hand_stepped(problem, u0):
-    """The full band stepped through make_stepper at trajectory's step."""
+    """The full band stepped through make_stepper at trajectory's step,
+    then translated back from the transport frame at T (u = e^{-iTD} y)
+    when the problem steps in it (dispersion k)."""
     n_steps = step_count(T_END, DT)
-    stepper = make_stepper(problem, u0.grid, T_END / n_steps)
+    dt = T_END / n_steps
+    stepper = make_stepper(problem, u0.grid, dt)
     coeff = u0.coeff
     for _ in range(n_steps):
         coeff = stepper.step(coeff)
+    if problem.dispersion == "k":
+        coeff = coeff * np.exp(-1j * (n_steps * dt) * u0.grid.modes())
     return coeff
 
 

@@ -14,6 +14,7 @@ from halfwave.experiments import (
     ExperimentConfig,
     HorizonRule,
     INFLATION,
+    MAX_GRID_N,
     NumericalFailure,
     Profile,
     RICHARDSON_TOLERANCE,
@@ -21,6 +22,7 @@ from halfwave.experiments import (
     _approximation_row,
     _besov_row,
     _decoupling_row,
+    _inflation_grid_n,
     _spectrum_row,
     build_initial_state,
     default_config,
@@ -110,6 +112,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             default_config(BESOV_BOUND, dt=dt)
 
+    def test_band_ceiling_on_grid_n(self):
+        assert default_config(BESOV_BOUND, grid_n=MAX_GRID_N).grid_n == MAX_GRID_N
+        with pytest.raises(ValueError, match="band ceiling"):
+            default_config(BESOV_BOUND, grid_n=MAX_GRID_N + 1)
+
+    @pytest.mark.parametrize("delta", [1e-200, 1e-160, 0.001, 0.027])
+    def test_band_ceiling_on_the_inflation_band(self, delta):
+        """48/delta^2 above the ceiling (or not even finite) is rejected when
+        the config is built, before any grid exists."""
+        with pytest.raises(ValueError, match="band ceiling"):
+            default_config(INFLATION, delta_list=(0.4, delta))
+
+    def test_inflation_band_under_the_ceiling_is_accepted(self):
+        """delta = 0.0271 needs 48/delta^2 = 65,359 modes, a 5-smooth band
+        of 65,536: the ceiling itself."""
+        cfg = default_config(INFLATION, delta_list=(0.0271,))
+        assert _inflation_grid_n(cfg.delta_list[0], cfg.grid_n) == MAX_GRID_N
+
     @pytest.mark.parametrize("rule", [HorizonRule("fixed", math.inf),
                                       HorizonRule("inv_eps_sq", 1e308),
                                       HorizonRule("log", 1e308)])
@@ -197,10 +217,15 @@ class TestSmallRuns:
         assert kinds == {"szego_plain", "half_wave"}
 
     def test_spectrum_row_fails_loudly_on_coarse_dt(self):
-        """At dt = 1 the half-wave trace norm moves by about 17% between dt
-        and dt/2, above the 10x-tolerance bar of the Richardson helper."""
+        """On the default profile at amplitude 1.1 the nonlinear frequency
+        |u|^2 is about 2, which a step of 1 does not resolve: over T = 1 the
+        half-wave trace norm moves by about 2.3 times its initial value
+        between one step and two, far above the 10x-tolerance bar of the
+        Richardson helper (about 0.33)."""
+        cfg = default_config(SPECTRUM, dt=1.0, horizon=HorizonRule("fixed", 1.0))
+        cfg = replace(cfg, profile=replace(cfg.profile, amplitude=1.1))
         with pytest.raises(NumericalFailure, match="spectrum half_wave"):
-            _spectrum_row((default_config(SPECTRUM, dt=1.0), "half_wave"))
+            _spectrum_row((cfg, "half_wave"))
 
     def test_inflation_halfwave_check_steps_the_half_wave_alone(self):
         """The check reuses the lead Szego row's H^s(t*) and steps only the
@@ -385,6 +410,26 @@ class TestCli:
         code = cli.main(argv + ["--grid", "16", "--out", str(tmp_path)])
         assert time.perf_counter() - start < 5.0
         assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / f"{argv[0]}.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, message", [
+        ([INFLATION, "--deltas", "1e-200"], "band ceiling"),
+        ([INFLATION, "--deltas", "0.001"], "band ceiling"),
+        ([INFLATION, "--grid", str(MAX_GRID_N + 1)], "band ceiling"),
+        ([SPECTRUM, "--grid", "8", "--horizon", "fixed:1", "--profile-rate", "-400"],
+         "profile overflows"),
+        ([BESOV_BOUND, "--sobolev", "1e6"], "not a positive finite number"),
+    ], ids=["tiny-delta", "small-delta", "large-grid", "profile-overflow", "huge-sobolev"])
+    def test_out_of_range_input_is_one_config_line(self, argv, message, tmp_path, capsys):
+        """A band above the ceiling, a profile that overflows on its band and
+        a Sobolev index whose weights overflow exit 1 with one `config
+        error:` line, and no warning (warnings are errors here) and no
+        traceback on the way."""
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert message in err

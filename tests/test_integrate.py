@@ -1,3 +1,4 @@
+import math
 import pickle
 import warnings
 
@@ -12,11 +13,13 @@ from halfwave import (
     TorusField,
     energy,
     evolve,
+    galerkin_reference,
     gauge_transform,
     plane_wave_solution,
     trajectory,
 )
 from halfwave import integrate
+from halfwave.integrate import _etd_weights
 from halfwave.experiments import HorizonRule, NumericalFailure, _richardson
 from halfwave.norms import charge
 
@@ -35,6 +38,81 @@ def test_stepper_config_validation(grid16):
             evolve(problem, u0, 1.0, dt)
     with pytest.raises(ValueError, match="stride"):
         next(trajectory(problem, u0, 1.0, 0.1, stride=0))
+
+
+def _phi(k, z, terms=12):
+    """phi_k(z) = sum_n z^n / (n + k)!, by its Taylor series."""
+    return sum(z**n / math.factorial(n + k) for n in range(terms))
+
+
+def test_etd_weights_match_direct_formulas_and_taylor_series():
+    """The contour means agree with the closed forms where those do not
+    cancel (|z| >= 1) and with the Taylor series of phi_1 - 3 phi_2 +
+    4 phi_3, phi_2 - 2 phi_3 and 4 phi_3 - phi_2 near 0 (|z| < 1e-2), to
+    1e-13; at z = 0 they are exactly h/2 and h/6."""
+    far = np.array([1j, -1j, 1.0, 0.6 - 0.8j, 2.5j, -25.6j, 12.8j, -3.0 + 4.0j])
+    q, f1, f2, f3 = _etd_weights(far, 1.0)
+    e = np.exp(far)
+    direct = ((np.exp(far / 2) - 1) / far,
+              (-4 - far + e * (4 - 3 * far + far**2)) / far**3,
+              (2 + far + e * (far - 2)) / far**3,
+              (-4 - 3 * far - far**2 + e * (4 - far)) / far**3)
+    for got, want in zip((q, f1, f2, f3), direct):
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+    near = np.array([1e-3j, -9e-3j, 5e-3, 2e-3 + 7e-3j, 1e-8j])
+    q, f1, f2, f3 = _etd_weights(near, 1.0)
+    taylor = (_phi(1, near / 2) / 2,
+              _phi(1, near) - 3 * _phi(2, near) + 4 * _phi(3, near),
+              _phi(2, near) - 2 * _phi(3, near),
+              4 * _phi(3, near) - _phi(2, near))
+    for got, want in zip((q, f1, f2, f3), taylor):
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+    h = 0.3
+    zero = [w.tolist() for w in _etd_weights(np.zeros(3), h)]
+    assert zero == [[h / 2] * 3, [h / 6] * 3, [h / 6] * 3, [h / 6] * 3]
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.37, 2.5, 10.0])
+def test_free_half_wave_is_exact_at_any_step(grid16, dt):
+    """With no nonlinearity ETDRK4 takes the linear part exactly: every
+    plane wave of the free flow, negative modes included, lands on the
+    oracle whatever the step."""
+    problem = EvolutionProblem.free_half_wave()
+    for k in (-16, -5, -1, 0, 3, 16):
+        u0 = TorusField.from_modes(grid16, {k: 0.6 - 0.8j})
+        final = evolve(problem, u0, 20.0, dt)
+        exact = plane_wave_solution(PlaneWaveSpec(0.6 - 0.8j, k, problem), 20.0, grid16)
+        assert np.max(np.abs(final.coeff - exact.coeff)) <= 1e-12
+
+
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "negative-modes"])
+def test_transport_is_the_translated_plain_flow_at_every_yield(analytic, grid16, rng):
+    """szego_transport(1, 0) steps the plain Szego equation in the frame
+    y = e^{itD} u, so each of its yielded states is the plain trajectory
+    translated by t, to round-off."""
+    u0 = (random_analytic_field(grid16, rng, scale=0.5) if analytic
+          else random_field(grid16, rng, scale=0.5))
+    transport = list(trajectory(EvolutionProblem.szego_transport(1.0, 0.0), u0, 3.0, 0.05, 7))
+    plain = list(trajectory(EvolutionProblem.szego_plain(), u0, 3.0, 0.05, 7))
+    assert [t for t, _ in transport] == [t for t, _ in plain]
+    for (t, v), (_, w) in zip(transport, plain):
+        translated = w * np.exp(-1j * t * grid16.modes())
+        assert np.max(np.abs(v - translated)) <= 1e-14 * np.max(np.abs(w))
+
+
+def test_half_wave_order_against_galerkin_reference(grid16):
+    """The observed order of the half-wave run against the independent
+    Galerkin midpoint reference (at dt = 1e-4, whose own error is about
+    1e-8) is at least 3.5 on each halving from dt = 0.2 to 0.05."""
+    u0 = random_field(grid16, np.random.default_rng(3), support=2, scale=0.3)
+    problem = EvolutionProblem.half_wave()
+    reference = galerkin_reference(problem, u0, 2.0, dt=1e-4).coeff
+    errors = [np.max(np.abs(evolve(problem, u0, 2.0, dt).coeff - reference))
+              for dt in (0.2, 0.1, 0.05)]
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(orders >= 3.5), orders
 
 
 def test_plane_wave_long_run(grid16):
@@ -351,7 +429,7 @@ STACKS = {
 }
 
 
-@pytest.mark.parametrize("dt", [0.01], ids=["ifrk4-0.01"])
+@pytest.mark.parametrize("dt", [0.01], ids=["etdrk4-0.01"])
 @pytest.mark.parametrize("n", [16, 128])
 @pytest.mark.parametrize("stack", STACKS.values(), ids=list(STACKS))
 def test_stacked_rows_equal_single_trajectories(stack, n, dt, rng):

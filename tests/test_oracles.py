@@ -92,7 +92,7 @@ def test_galerkin_matches_linear_phases(grid16, rng):
     assert np.max(np.abs(got.coeff - want)) <= 1e-8
 
 
-def test_galerkin_agrees_with_ifrk4(grid16, rng):
+def test_galerkin_agrees_with_etdrk4(grid16, rng):
     """Two code paths sharing only the field type agree on a generic run."""
     u0 = random_analytic_field(grid16, rng, scale=0.4)
     problem = EvolutionProblem.half_wave()

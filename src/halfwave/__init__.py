@@ -41,7 +41,6 @@ from .problems import (
 from .normalform import (
     F,
     H0,
-    QuadrupleKey,
     R,
     RTILDE,
     chi_flow,

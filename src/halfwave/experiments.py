@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -76,6 +77,9 @@ RICHARDSON_TOLERANCE = 1e-2
 #: inflation band 48/delta^2; a config above it is rejected before any
 #: array is allocated
 MAX_GRID_N = 2**16
+
+#: the smallest band of the normalform check: its fields have support N // 4
+NORMALFORM_MIN_GRID_N = 4
 
 
 class NumericalFailure(RuntimeError):
@@ -165,18 +169,26 @@ class ExperimentConfig:
             raise ValueError("eps_list must be strictly decreasing")
         if self.experiment in (APPROXIMATION, INFLATION) and not self.sobolev > 1:
             raise ValueError(f"{self.experiment} requires a Sobolev index s > 1")
+        if self.grid_n < 1:
+            raise ValueError("grid_n must be >= 1")
+        if self.grid_n > MAX_GRID_N:
+            raise ValueError(f"grid_n = {self.grid_n} exceeds the band ceiling {MAX_GRID_N}")
+        if self.experiment == NORMALFORM and self.grid_n < NORMALFORM_MIN_GRID_N:
+            raise ValueError(f"normalform requires grid_n >= {NORMALFORM_MIN_GRID_N}: its "
+                             "random fields fill the modes |k| <= grid_n // 4, and a "
+                             "one-mode field has no Taylor residual to fit")
         if self.experiment == INFLATION:
             if len(self.delta_list) == 0:
                 raise ValueError("delta_list must be nonempty")
             if any(not 0.0 < d < 1.0 for d in self.delta_list):
                 raise ValueError("delta values must lie in (0, 1)")
-        if self.grid_n < 1:
-            raise ValueError("grid_n must be >= 1")
-        if self.grid_n > MAX_GRID_N:
-            raise ValueError(f"grid_n = {self.grid_n} exceeds the band ceiling {MAX_GRID_N}")
-        if self.experiment == INFLATION:
-            for delta in self.delta_list:
-                _inflation_grid_n(delta, self.grid_n)  # raises above the ceiling
+            # raises above the ceiling
+            n = max(_inflation_grid_n(d, self.grid_n) for d in self.delta_list)
+            s = self.sobolev
+            if max(s * math.log1p(n * n), math.lgamma(2 * s + 1)) > math.log(sys.float_info.max):
+                raise ValueError(f"the Sobolev index s = {s} overflows the inflation rows: "
+                                 f"(1 + N^2)^s on the band N = {n}, or Gamma(2s + 1), "
+                                 "is not finite")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.dt is not None and not 0 < self.dt < math.inf:
@@ -320,16 +332,16 @@ def _richardson(measure, t_end: float, dt: float, label: str, scale: float = 1.0
     discrepancy is scale * |value - value_half|.
 
     Without search the pair is (dt, dt/2) at strides 10 and 20, and a
-    discrepancy above 10x RICHARDSON_TOLERANCE of scale * value is a
-    NumericalFailure.  With search, dt is the fallback step: the rungs
-    tau = 10 dt, tau/2 and tau/4 run at strides 1, 2 and 4, so they
-    sample the times of the stride-10 run at dt, and each rung's
-    half-step run (the last one at tau/8) is the next rung's coarse
-    run.  The first rung whose discrepancy is at most
-    RICHARDSON_TOLERANCE**2 of scale * value is accepted; a rung whose
-    runs blow up is rejected.  When no rung passes, the pair at 10 and
-    20 steps per tau runs as without search (that is (dt, dt/2)
-    whenever tau holds a whole number of steps dt).
+    discrepancy above 10x RICHARDSON_TOLERANCE of scale * value, or an
+    infinite value, is a NumericalFailure.  With search, dt is the
+    fallback step: the rungs tau = 10 dt, tau/2 and tau/4 run at strides
+    1, 2 and 4, so they sample the times of the stride-10 run at dt, and
+    each rung's half-step run (the last one at tau/8) is the next rung's
+    coarse run.  The first rung whose discrepancy is at most
+    RICHARDSON_TOLERANCE**2 of a finite scale * value is accepted; a
+    rung whose runs blow up is rejected.  When no rung passes, the pair
+    at 10 and 20 steps per tau runs as without search (that is
+    (dt, dt/2) whenever tau holds a whole number of steps dt).
     """
     n = step_count(t_end, dt)
     if search:
@@ -347,14 +359,14 @@ def _richardson(measure, t_end: float, dt: float, label: str, scale: float = 1.0
             v_half = trial(2 * steps)
             if v is not None and v_half is not None:
                 rich = scale * abs(v - v_half)
-                if rich <= RICHARDSON_TOLERANCE**2 * abs(scale * v):
+                if rich <= RICHARDSON_TOLERANCE**2 * abs(scale * v) < math.inf:
                     return v, t_end / steps, rich
             v = v_half
         n = 10 * coarse
     value = measure(t_end / n, 10)
     rich = scale * abs(value - measure(t_end / (2 * n), 20))
     bar = 10.0 * RICHARDSON_TOLERANCE * max(abs(scale * value), 1e-300)
-    if not rich <= bar:
+    if not rich <= bar < math.inf:
         raise NumericalFailure(
             f"{label}: Richardson discrepancy {rich:.3e} exceeds "
             f"{bar:.3e} (10x tolerance); reduce dt"
@@ -517,22 +529,26 @@ def _inflation_grid_n(delta: float, base: int) -> int:
     return fast_transform_length(max(base, math.ceil(48.0 / delta**2)))
 
 
-def _inflation_start(cfg, eps, delta):
-    """Initial state eps (e^{ix} + delta) on its band, and t*."""
+def _inflation_hs(problem, cfg, eps, delta, label):
+    """||u(t*)||_{H^s} of the problem's flow from eps (e^{ix} + delta) on
+    its inflation band, t* = pi/(2 eps^2 delta), at the rows' step (cfg.dt,
+    else the default step) under the 10x Richardson bar: returns
+    (value, step, discrepancy, u0, t*)."""
     grid = GridSpec.with_padding(_inflation_grid_n(delta, cfg.grid_n))
     u0 = TorusField.from_modes(grid, {1: eps, 0: eps * delta})
-    return u0, math.pi / (2.0 * eps**2 * delta)
+    t_star = math.pi / (2.0 * eps**2 * delta)
+    dt = cfg.dt if cfg.dt is not None else default_time_step(problem, u0)
+    hs, step, rich = _richardson(
+        lambda dt, _: sobolev_norm(evolve(problem, u0, t_star, dt), cfg.sobolev),
+        t_star, dt, label)
+    return hs, step, rich, u0, t_star
 
 
 def _inflation_row(args):
     cfg, eps, delta = args
     s = cfg.sobolev
-    u0, t_star = _inflation_start(cfg, eps, delta)
-    problem = EvolutionProblem.szego_plain()
-    dt = cfg.dt if cfg.dt is not None else default_time_step(problem, u0)
-    hs, step, rich = _richardson(
-        lambda dt, _: sobolev_norm(evolve(problem, u0, t_star, dt), s),
-        t_star, dt, f"inflation eps={eps} delta={delta}")
+    hs, step, rich, u0, t_star = _inflation_hs(EvolutionProblem.szego_plain(), cfg, eps,
+                                               delta, f"inflation eps={eps} delta={delta}")
     ratio = hs * delta ** (2 * s - 1) / eps
     growth = hs / eps
     # invert the large-k asymptotics ||w||_{H^s}^2 ~ Gamma(2s+1) eps^2 lam^{1-2s}
@@ -550,8 +566,8 @@ def run_inflation(cfg: ExperimentConfig) -> SweepResult:
     ||w(t*)||_{H^s} delta^{2s-1} / eps against the band [1/3, 3], and the
     slope of the growth ratio against delta, which should sit at
     -(2s - 1) within 20 percent.  A half-wave run at the largest eps and
-    first delta records how closely the full flow tracks the Szego
-    prediction at t*.
+    first delta, at the rows' step and under their Richardson bar,
+    records how closely the full flow tracks the Szego prediction at t*.
 
     The verdict still applies the band [1/3, 3] to the raw ratio, which
     tends to C_s = 4^{s-1/2} Gamma(2s+1)^{1/2} (about 9.8 at s = 3/2; see
@@ -581,16 +597,16 @@ def _inflation_halfwave_check(cfg, szego_hs):
     """H^s size of the full half-wave solution at t* from the first eps
     and delta, next to the Szego value szego_hs of that row.
 
+    The half-wave flow is stepped alone, on the row's band and the 4N + 1
+    transform, at the rows' step with a dt/2 run under the 10x Richardson
+    bar; a discrepancy above it is a NumericalFailure naming the check.
     Exploratory (t* sits beyond the proven approximation horizon); no
     pass band is attached.
     """
     eps, delta = cfg.eps_list[0], cfg.delta_list[0]
-    u0, t_star = _inflation_start(cfg, eps, delta)
-    # the half-wave run keeps fast rotating phases, so it gets a finer
-    # step than the stiffness-free Szego sweep
-    dt = min(0.01, cfg.dt) if cfg.dt is not None else 0.01
-    uf = evolve(EvolutionProblem.half_wave(), u0, t_star, dt)
-    return {"szego_hs": szego_hs, "halfwave_hs": sobolev_norm(uf, cfg.sobolev),
+    hs, _, _, _, t_star = _inflation_hs(EvolutionProblem.half_wave(), cfg, eps, delta,
+                                        f"inflation half-wave check eps={eps} delta={delta}")
+    return {"szego_hs": szego_hs, "halfwave_hs": hs,
             "t_star": t_star, "eps": eps, "delta": delta}
 
 

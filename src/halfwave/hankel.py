@@ -57,32 +57,25 @@ class SpectralSummary:
     hw2_eigenvalues: np.ndarray
 
 
-def build_hankel(w: TorusField, size: int | None = None) -> HankelTruncation:
-    """Hankel matrix of the analytic part of w.
+def build_hankel(w: TorusField) -> HankelTruncation:
+    """(N+1) x (N+1) Hankel matrix of the analytic part of w.
 
-    The default size N+1 represents a band-limited symbol exactly (all
-    entries with j + k > N vanish); negative-mode coefficients are
-    ignored and flagged.
+    This size represents a band-limited symbol exactly (all entries with
+    j + k > N vanish); negative-mode coefficients are ignored and
+    flagged.
     """
     n = w.grid.max_mode
-    if size is None:
-        size = n + 1
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-
-    minus = w.coeff[:n]
-    ignored = bool(np.any(minus != 0))
+    ignored = bool(np.any(w.coeff[:n] != 0))
     if ignored:
         warnings.warn("symbol has negative-mode coefficients; they are ignored",
                       stacklevel=2)
 
-    # w_m for m = 0 .. 2*size-2, zero beyond the band
-    symbol = np.zeros(2 * size - 1, dtype=np.complex128)
-    avail = min(2 * size - 1, n + 1)
-    symbol[:avail] = w.coeff[n:n + avail]
-    j = np.arange(size)
+    # w_m for m = 0 .. 2N, zero beyond the band
+    symbol = np.zeros(2 * n + 1, dtype=np.complex128)
+    symbol[:n + 1] = w.coeff[n:]
+    j = np.arange(n + 1)
     gamma = symbol[j[:, None] + j[None, :]]
-    return HankelTruncation(size=size, gamma=gamma, ignored_negative_modes=ignored)
+    return HankelTruncation(size=n + 1, gamma=gamma, ignored_negative_modes=ignored)
 
 
 def spectral_summary(h: HankelTruncation) -> SpectralSummary:

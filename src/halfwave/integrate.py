@@ -44,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import TorusField, _AnalyticGrid
-from .problems import EvolutionProblem, _stack, linear_symbol, nonlinearity
+from .problems import EvolutionProblem, _row_index, _stack, linear_symbol, nonlinearity
 
 
 #: the most steps one run may take, so that a tiny dt is a ValueError and
@@ -135,14 +135,9 @@ class _ETDRK4Stepper:
 
 
 def _shifted_rows(problem):
-    """The rows stepped in the transport frame (dispersion k or |k|), as an
-    index of the leading axis: ... for all, an index array for some, None
-    for none."""
-    problems, _ = _stack(problem)
-    shifted = [p.dispersion != "0" for p in problems]
-    if all(shifted):
-        return ...
-    return np.flatnonzero(shifted) if any(shifted) else None
+    """The rows stepped in the transport frame (dispersion k or |k|), as a
+    row index (problems._row_index)."""
+    return _row_index([p.dispersion != "0" for p in _stack(problem)[0]])
 
 
 def make_stepper(problem, grid, dt: float):

@@ -42,8 +42,6 @@ closed forms agree with them to round-off on the whole band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fields import TorusField
@@ -56,7 +54,6 @@ ALL_NON_NEGATIVE = "all_non_negative"
 ALL_NON_POSITIVE = "all_non_positive"
 PAIR_12_34 = "pair_12_34"
 PAIR_14_32 = "pair_14_32"
-NON_RESONANT = "non_resonant"
 
 # functional tags
 H0 = "h0"
@@ -69,17 +66,6 @@ ENUMERATION_MAX = 40
 #: default smallness threshold for the canonical flow: eps * ||u||_B111
 FLOW_SMALLNESS = 0.1
 FLOW_SUBSTEPS = 16
-
-
-@dataclass(frozen=True)
-class QuadrupleKey:
-    k1: int
-    k2: int
-    k3: int
-    k4: int
-
-    def as_tuple(self):
-        return (self.k1, self.k2, self.k3, self.k4)
 
 
 def _phase(k1, k2, k3, k4):
@@ -168,13 +154,15 @@ def _row_mismatch(a: np.ndarray, b: np.ndarray, max_abs: int) -> int:
 
 
 def enumerate_resonances(max_abs: int):
-    """All zero-sum quadruples with |k_j| <= max_abs and phase = 0."""
-    return [QuadrupleKey(*row) for row in _resonant_rows(max_abs).tolist()]
+    """All zero-sum quadruples with |k_j| <= max_abs and phase = 0, as a
+    list of 4-tuples in lexicographic order."""
+    return [tuple(row) for row in _resonant_rows(max_abs).tolist()]
 
 
 def resonances_from_cases(max_abs: int):
-    """The resonant set generated directly from the four case families."""
-    return {QuadrupleKey(*row) for row in _case_rows(max_abs).tolist()}
+    """The resonant set generated directly from the four case families, as
+    a set of 4-tuples."""
+    return {tuple(row) for row in _case_rows(max_abs).tolist()}
 
 
 def coefficient_identity_max_error(max_abs: int = 20) -> float:

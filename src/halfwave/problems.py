@@ -113,6 +113,14 @@ def linear_symbol(problem, grid: GridSpec) -> np.ndarray:
                       lead + (grid.n_coeff,))
 
 
+def _row_index(flags):
+    """The rows whose flag is set, as an index of a stack's leading axis:
+    ... for all, an index array for some, None for none."""
+    if all(flags):
+        return ...
+    return np.flatnonzero(flags) if any(flags) else None
+
+
 def nonlinearity(problem, grid: GridSpec):
     """Closure coeff -> -i c (P(|u|^2 u) - 2 q0 u) on raw coefficient arrays.
 
@@ -122,26 +130,16 @@ def nonlinearity(problem, grid: GridSpec):
     array, one row per problem, with one batched transform per
     direction; c and q0 are then column vectors and P_+ zeroes only the
     projected rows.  On an analytic grid (modes 0..N, all rows
-    projected) _cubic already returns P_+(|u|^2 u).
+    projected) _cubic already returns P_+(|u|^2 u).  At c = 0 the term
+    is exactly zero.
     """
     problems, lead = _stack(problem)
     column = lead + (1,)
-    coupling = np.reshape([p.coupling for p in problems], column)
-    if not coupling.any():
-        zero = np.zeros(lead + (grid.n_coeff,), dtype=np.complex128)
-        return lambda c: zero
-
     neg = _negative_modes(grid)
-    scale = -1j * coupling
+    scale = -1j * np.reshape([p.coupling for p in problems], column)
     q0 = np.reshape([p.q0 for p in problems], column)
     gauge = 2.0 * q0 if q0.any() else None
-    projected = [p.project for p in problems]
-    if all(projected):
-        zeroed = ...
-    elif any(projected):
-        zeroed = np.flatnonzero(projected)
-    else:
-        zeroed = None
+    zeroed = _row_index([p.project for p in problems])
 
     def term(c):
         out = _cubic(c, grid)

@@ -55,3 +55,12 @@ def readme_quick_tour():
     """The python block of README's "Library quick tour" section."""
     section = README.read_text().split("## Library quick tour", 1)[1]
     return re.search(r"^```python\n(.*?)^```$", section, re.S | re.M).group(1)
+
+
+def readme_cli_names():
+    """README's command-line names: the flags of its usage block (without
+    the leading --) and the backticked keys of its config-key list."""
+    text = README.read_text()
+    usage = re.search(r"^halfwave <experiment>(.*?)^```$", text, re.S | re.M).group(1)
+    keys = re.search(r"the keys are (.*?);", text, re.S).group(1)
+    return re.findall(r"\[--([a-z-]+)", usage), re.findall(r"`(\w+)`", keys)

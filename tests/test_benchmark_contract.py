@@ -149,19 +149,21 @@ def test_traced_inflation_row_steps_on_the_analytic_transform(layertrace):
 
 
 def test_traced_halfwave_check_steps_one_row(layertrace):
-    """The inflation half-wave check steps the half-wave flow alone: one
-    stepper outside the rows, each of its 8 transforms a step covering one
-    row of the padded 4N + 1 grid.  The rows' own runs keep the analytic
-    transform."""
+    """The inflation half-wave check steps the half-wave flow alone: two
+    steppers outside the rows, the rows' (n, 2n) Richardson pair, each of
+    their 8 transforms a step covering one row of the padded 4N + 1 grid.
+    The rows' own runs keep the analytic transform."""
     cfg = default_config("inflation", eps_list=(1.0,), delta_list=(0.8,), dt=0.05)
     with layertrace.Tracer() as tracer:
         result = experiments.run_inflation(cfg)
     n = result.rows[0].data["grid_n"]
     rows = [rec.steps for rec in tracer.steppers if rec.row is not None]
     check = [rec.steps for rec in tracer.steppers if rec.row is None]
-    assert len(rows) == 2 and len(check) == 1
+    assert len(rows) == 2 and rows[1] == 2 * rows[0]
+    assert check == rows
     row_points = sum(rows) * 8 * fast_transform_length(2 * n + 1)
-    assert tracer.fft_points - row_points == check[0] * 8 * GridSpec.with_padding(n).padded_len
+    assert (tracer.fft_points - row_points
+            == sum(check) * 8 * GridSpec.with_padding(n).padded_len)
 
 
 def test_traced_ladder_steps_every_rung_through_make_stepper(layertrace):

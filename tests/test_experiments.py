@@ -15,6 +15,7 @@ from halfwave.experiments import (
     HorizonRule,
     INFLATION,
     MAX_GRID_N,
+    NORMALFORM,
     NumericalFailure,
     Profile,
     RICHARDSON_TOLERANCE,
@@ -23,6 +24,7 @@ from halfwave.experiments import (
     _besov_row,
     _decoupling_row,
     _inflation_grid_n,
+    _inflation_halfwave_check,
     _spectrum_row,
     build_initial_state,
     default_config,
@@ -229,16 +231,26 @@ class TestSmallRuns:
 
     def test_inflation_halfwave_check_steps_the_half_wave_alone(self):
         """The check reuses the lead Szego row's H^s(t*) and steps only the
-        half-wave flow, at dt = min(0.01, cfg.dt), from eps (e^{ix} + delta)
-        on the row's band."""
+        half-wave flow, at the rows' step (the row's dt), from
+        eps (e^{ix} + delta) on the row's band."""
         cfg = default_config(INFLATION, eps_list=(1.0,), delta_list=(0.8,), dt=0.05)
         result = run_inflation(cfg)
         row, check = result.rows[0].data, result.notes["halfwave_check"]
         assert check["szego_hs"] == row["hs_at_tstar"]
         assert (check["eps"], check["delta"], check["t_star"]) == (1.0, 0.8, row["t_star"])
         u0 = TorusField.from_modes(GridSpec.with_padding(row["grid_n"]), {1: 1.0, 0: 0.8})
-        uf = evolve(EvolutionProblem.half_wave(), u0, row["t_star"], 0.01)
+        uf = evolve(EvolutionProblem.half_wave(), u0, row["t_star"], row["dt"])
         assert check["halfwave_hs"] == sobolev_norm(uf, cfg.sobolev)
+
+    def test_inflation_halfwave_check_fails_loudly_on_coarse_dt(self):
+        """The check runs under the rows' 10x Richardson bar: at eps 1 and
+        delta 0.8, 4 steps of about 0.5 to t* leave the half-wave H^s(t*)
+        unresolved (it moves by about 10 times its value against 8 steps),
+        and the failure names the check."""
+        cfg = default_config(INFLATION, eps_list=(1.0,), delta_list=(0.8,), dt=0.5)
+        with pytest.raises(NumericalFailure,
+                           match="inflation half-wave check eps=1.0 delta=0.8"):
+            _inflation_halfwave_check(cfg, szego_hs=0.0)
 
     def test_besov_single_mode_ratio_one(self, tmp_path):
         path = tmp_path / "f.txt"
@@ -258,6 +270,12 @@ class TestSmallRuns:
         assert out.passed
         assert out.notes["bracket_max"] <= 1e-10
         assert out.notes["resonance_mismatch"] == 0
+
+    def test_normalform_check_passes_on_the_smallest_band(self):
+        """At N = 4, the smallest band the config accepts, the fields have
+        the modes |k| <= 1 and every audit passes."""
+        out = run_normalform_check(default_config(NORMALFORM, grid_n=4))
+        assert out.passed
 
     def test_normalform_rows_report_their_own_time(self):
         """Each row times its own check, so the rows never add up to more
@@ -423,12 +441,21 @@ class TestCli:
         ([SPECTRUM, "--grid", "8", "--horizon", "fixed:1", "--profile-rate", "-400"],
          "profile overflows"),
         ([BESOV_BOUND, "--sobolev", "1e6"], "not a positive finite number"),
-    ], ids=["tiny-delta", "small-delta", "large-grid", "profile-overflow", "huge-sobolev"])
+        ([INFLATION, "--sobolev", "1e6", "--deltas", "0.8", "--eps", "1"],
+         "Sobolev index s = 1000000.0 overflows"),
+        ([INFLATION, "--sobolev", "86", "--deltas", "0.99", "--eps", "1", "--grid", "1"],
+         "Gamma(2s + 1)"),
+        ([NORMALFORM, "--grid", "1"], "normalform requires grid_n >= 4"),
+        ([NORMALFORM, "--grid", "2"], "normalform requires grid_n >= 4"),
+        ([NORMALFORM, "--grid", "3"], "normalform requires grid_n >= 4"),
+    ], ids=["tiny-delta", "small-delta", "large-grid", "profile-overflow", "huge-sobolev",
+            "inflation-sobolev-weight", "inflation-sobolev-gamma", "normalform-grid-1",
+            "normalform-grid-2", "normalform-grid-3"])
     def test_out_of_range_input_is_one_config_line(self, argv, message, tmp_path, capsys):
-        """A band above the ceiling, a profile that overflows on its band and
-        a Sobolev index whose weights overflow exit 1 with one `config
-        error:` line, and no warning (warnings are errors here) and no
-        traceback on the way."""
+        """A band above the ceiling, a profile that overflows on its band, a
+        Sobolev index whose weights overflow and a normalform band too small
+        for its field exit 1 with one `config error:` line, and no warning
+        (warnings are errors here) and no traceback on the way."""
         assert cli.main(argv + ["--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfwave import (
     BlowUpError,
@@ -167,61 +169,136 @@ def test_transport_flow_conserves_hankel_spectrum(grid16, rng):
     assert dev <= 1e-6
 
 
+#: fixed examples, so the suite's outcome does not vary between runs
+PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=15)
+
+
+@st.composite
+def band_data(draw):
+    """Seeded data on a band N in [8, 64] of size 0.5, as conftest's
+    fields: analytic, or with negative modes (where P_+ acts)."""
+    grid = GridSpec.with_padding(draw(st.integers(8, 64)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    field = random_analytic_field if draw(st.booleans()) else random_field
+    return field(grid, rng, scale=0.5)
+
+
+def _check_transport_is_translated_plain(eps, u0, t, dt):
+    """The transport flow stepped at dt to T is the plain flow stepped at
+    eps^2 dt to eps^2 T, translated by T, to 1e-13; the plain flow leaves
+    P_- u0 alone and the transport flow translates it."""
+    k, n = u0.grid.modes(), u0.grid.max_mode
+    plain = evolve(EvolutionProblem.szego_plain(), u0, eps**2 * t, eps**2 * dt).coeff
+    transport = evolve(EvolutionProblem.szego_transport(eps), u0, t, dt).coeff
+    scale = np.max(np.abs(transport))
+    assert np.max(np.abs(plain * np.exp(-1j * k * t) - transport)) <= 1e-13 * scale
+    assert np.array_equal(plain[:n], u0.coeff[:n])
+    translated = u0.coeff[:n] * np.exp(-1j * k[:n] * t)
+    assert np.max(np.abs(transport[:n] - translated), initial=0.0) <= 1e-13 * scale
+
+
 @pytest.mark.parametrize("n", [16, 64])
 @pytest.mark.parametrize("eps", [1.0, 0.3])
 def test_transport_is_translated_plain_szego(eps, n, rng):
     """v(t, x) = w(eps^2 t, x - t) links the transport and plain flows, and
-    the scheme keeps this exactly: the transport flow stepped at dt to T is
-    the plain flow stepped at eps^2 dt to eps^2 T, translated by T."""
-    grid = GridSpec.with_padding(n)
-    u0 = random_analytic_field(grid, rng, scale=0.5)
-    t, dt = 5.0, 0.01
-    plain = evolve(EvolutionProblem.szego_plain(), u0, eps**2 * t,
-                   eps**2 * dt)
-    transport = evolve(EvolutionProblem.szego_transport(eps), u0, t, dt)
-    translated = plain.coeff * np.exp(-1j * grid.modes() * t)
-    scale = np.max(np.abs(transport.coeff))
-    assert np.max(np.abs(translated - transport.coeff)) <= 1e-13 * scale
+    the scheme keeps this exactly (N = 16 and 64, analytic data)."""
+    u0 = random_analytic_field(GridSpec.with_padding(n), rng, scale=0.5)
+    _check_transport_is_translated_plain(eps, u0, 5.0, 0.01)
 
 
-@pytest.mark.parametrize("n", [16, 64])
-def test_szego_scaling_identity(n, rng):
-    """lam W(lam^2 t) is a plain Szego flow, and the scheme keeps this
-    exactly: stepping lam w0 at dt/lam^2 to T/lam^2 gives lam times the
-    run from w0 at dt to T.  The inflation sweep runs at eps = 1 on the
-    strength of this homogeneity."""
-    grid = GridSpec.with_padding(n)
-    w0 = random_analytic_field(grid, rng, scale=0.5)
+@PROPERTY
+@given(st.floats(0.1, 1.0), band_data())
+def test_transport_is_translated_plain_szego_on_any_band(eps, u0):
+    _check_transport_is_translated_plain(eps, u0, 1.0, 0.01)
+
+
+def _check_szego_scaling(w0, lam):
+    """Stepping lam w0 at dt/lam^2 to T/lam^2 gives lam times the run from
+    w0 at dt to T: bitwise at lam = 2 (powers of two rescale without
+    rounding), to 1e-13 at lam."""
     t, dt = 1.0, 0.01
     problem = EvolutionProblem.szego_plain()
     base = evolve(problem, w0, t, dt).coeff
 
     def scaled(lam):
-        u0 = TorusField(grid, lam * w0.coeff)
+        u0 = TorusField(w0.grid, lam * w0.coeff)
         return evolve(problem, u0, t / lam**2, dt / lam**2).coeff
 
-    # powers of two rescale without rounding, so the identity is bitwise
     assert np.array_equal(scaled(2.0), 2.0 * base)
-    assert np.max(np.abs(scaled(5.0) - 5.0 * base)) <= 1e-13 * np.max(np.abs(5.0 * base))
+    assert np.max(np.abs(scaled(lam) - lam * base)) <= 1e-13 * np.max(np.abs(lam * base))
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_szego_scaling_identity(n, rng):
+    """lam W(lam^2 t) is a plain Szego flow, and the scheme keeps this
+    exactly (N = 16 and 64, lam = 5).  The inflation sweep runs at eps = 1
+    on the strength of this homogeneity."""
+    _check_szego_scaling(random_analytic_field(GridSpec.with_padding(n), rng, scale=0.5), 5.0)
+
+
+@PROPERTY
+@given(band_data(), st.floats(0.5, 5.0))
+def test_szego_scaling_identity_on_any_band(w0, lam):
+    _check_szego_scaling(w0, lam)
+
+
+def _check_translation_commutes(problem, u0, a):
+    """The translation u(x) -> u(x - a) multiplies mode k by e^{-ika},
+    which passes through the diagonal linear phase and, up to rounding,
+    the cubic term: stepped then shifted equals shifted then stepped to
+    1e-13."""
+    shift = np.exp(-1j * u0.grid.modes() * a)
+    stepped_then_shifted = shift * evolve(problem, u0, 1.0, 0.01).coeff
+    shifted_then_stepped = evolve(problem, TorusField(u0.grid, shift * u0.coeff), 1.0, 0.01).coeff
+    err = np.max(np.abs(stepped_then_shifted - shifted_then_stepped))
+    assert err <= 1e-13 * np.max(np.abs(stepped_then_shifted))
+
+
+#: the flows of the explicit translation cases: both dispersions, with
+#: and without P_+ and the gauge
+TRANSLATED = {
+    "half_wave": EvolutionProblem.half_wave(),
+    "half_wave_gauged": EvolutionProblem.half_wave_gauged(0.5, 0.3),
+    "szego_plain": EvolutionProblem.szego_plain(),
+}
 
 
 @pytest.mark.parametrize("a", [0.7, 2.0])
 @pytest.mark.parametrize("n", [16, 64])
-@pytest.mark.parametrize("problem", [EvolutionProblem.half_wave(),
-                                     EvolutionProblem.half_wave_gauged(0.5, 0.3),
-                                     EvolutionProblem.szego_plain()],
-                         ids=["half_wave", "half_wave_gauged", "szego_plain"])
+@pytest.mark.parametrize("problem", TRANSLATED.values(), ids=TRANSLATED)
 def test_translation_commutes_with_flow(problem, n, a, rng):
-    """Every flow commutes with u(x) -> u(x - a), and so does the scheme:
-    the translation multiplies mode k by e^{-ika}, which passes through
-    the diagonal linear phase and, up to rounding, the cubic term."""
-    grid = GridSpec.with_padding(n)
-    u0 = random_field(grid, rng, scale=0.5)  # negative modes: P_+ acts
-    shift = np.exp(-1j * grid.modes() * a)
-    stepped_then_shifted = shift * evolve(problem, u0, 1.0, 0.01).coeff
-    shifted_then_stepped = evolve(problem, TorusField(grid, shift * u0.coeff), 1.0, 0.01).coeff
-    err = np.max(np.abs(stepped_then_shifted - shifted_then_stepped))
-    assert err <= 1e-13 * np.max(np.abs(stepped_then_shifted))
+    """Every flow commutes with u(x) -> u(x - a), and so does the scheme
+    (N = 16 and 64, data with negative modes)."""
+    _check_translation_commutes(problem, random_field(GridSpec.with_padding(n), rng, scale=0.5), a)
+
+
+@PROPERTY
+@given(st.sampled_from([*TRANSLATED.values(), EvolutionProblem.szego_transport(0.5, 0.3)]),
+       band_data(), st.floats(0.0, 2 * np.pi))
+def test_translation_commutes_with_flow_on_any_band(problem, u0, a):
+    _check_translation_commutes(problem, u0, a)
+
+
+@PROPERTY
+@given(st.floats(0.1, 1.0), band_data())
+def test_gauge_identity_to_richardson_order(eps, u0):
+    """The gauged flow is the scaled flow times e^{2 i t eps^2 q0}
+    (problems.gauge_transform).  The two schemes differ in time
+    discretization only, so at dt their gap stays within four times the
+    sum of their own dt vs dt/2 discrepancies (Richardson order; the
+    ratio is about 16/15 once both runs are in their asymptotic range)."""
+    t, dt, q0 = 2.0, 0.05, charge(u0)
+    scaled, gauged = (EvolutionProblem.half_wave_scaled(eps),
+                      EvolutionProblem.half_wave_gauged(eps, q0))
+
+    def run(problem, step):
+        return evolve(problem, u0, t, step).coeff
+
+    s_dt, g_dt = run(scaled, dt), run(gauged, dt)
+    rich = (np.max(np.abs(s_dt - run(scaled, dt / 2)))
+            + np.max(np.abs(g_dt - run(gauged, dt / 2))))
+    gap = np.max(np.abs(gauge_transform(TorusField(u0.grid, s_dt), t, eps, q0).coeff - g_dt))
+    assert gap <= 4.0 * rich + 1e-13 * np.max(np.abs(g_dt))
 
 
 def test_free_flows_coincide_on_analytic_data(grid16, rng):
@@ -353,6 +430,17 @@ def test_richardson_single_step_compares_two_runs():
     value, step, rich = _richardson(measure, 1.0, 5.0, "one step")
     assert measure.calls == [(1, 10), (2, 20)]
     assert (value, step, rich) == (1.125, 1.0, 0.0625)
+
+
+def test_richardson_rejects_an_infinite_value():
+    """A value that overflows to inf at dt has an infinite discrepancy
+    under an infinite bar: a NumericalFailure, never a passing row."""
+    measure = _Recorder(1.0, lambda dt: math.inf if dt > 0.006 else 1.0)
+    with pytest.raises(NumericalFailure, match="overflow"):
+        _richardson(measure, 1.0, 0.01, "overflow")
+    # nor does the search accept a rung whose coarse run overflows
+    measure = _Recorder(1.0, lambda dt: math.inf if dt > 0.06 else 1.0)
+    assert _richardson(measure, 1.0, 0.01, "overflow", search=True) == (1.0, 0.05, 0.0)
 
 
 class TestRichardsonLadder:

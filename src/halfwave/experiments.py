@@ -11,9 +11,11 @@ against its acceptance band.  Conventions shared by all experiments:
   they report.
 - Every row carries the step it was measured at and a Richardson
   discrepancy: the measured quantity is recomputed with exactly twice
-  the steps and the difference recorded.  A run fails loudly when that
+  the steps and the difference recorded.  When both runs are new they
+  are stepped as one stack (integrate.trajectory's pair) and each row
+  worker reads one value per run off it.  A run fails loudly when that
   discrepancy exceeds 10x the experiment tolerance (a relative 1e-2 of
-  the measured value by default).
+  the measured value by default) or the value is not finite.
 - Without a configured dt, the decoupling, approximation and besov rows
   pick their step: from 10x the default step down, the first step whose
   discrepancy is within the squared tolerance (1e-4 relative) is taken,
@@ -39,7 +41,7 @@ import numpy as np
 
 from .fields import GridSpec, TorusField, fast_transform_length
 from .hankel import build_hankel, spectral_summary
-from .integrate import BlowUpError, evolve, step_count, trajectory
+from .integrate import BlowUpError, step_count, trajectory
 from .norms import besov_norm, charge, l4_norm, sobolev_norm
 from .normalform import (
     F,
@@ -325,46 +327,63 @@ def _richardson(measure, t_end: float, dt: float, label: str, scale: float = 1.0
                 search: bool = False):
     """Measure at a step and at half of it; returns (value, step, discrepancy).
 
-    measure(dt, stride) runs to t_end with the given step and monitor
-    stride.  A step h is taken as t_end / n with n = step_count(t_end, h),
-    the half step run takes exactly 2n steps at twice the stride, so both
-    sample the same times, and the reported step is t_end / n.  The
-    discrepancy is scale * |value - value_half|.
+    measure(dt, stride, pair) runs to t_end with the given step and
+    monitor stride and returns the value.  With pair it runs the
+    Richardson pair as one stack (integrate.trajectory's pair): the run
+    of n steps and the run of exactly 2n steps at twice the stride, so
+    both sample the same times, and returns (value, value_half), a run
+    that blew up giving its BlowUpError; a pair whose runs both blow up
+    raises.  A step h is taken as t_end / n with n = step_count(t_end,
+    h), and the reported step is t_end / n.  The discrepancy is scale *
+    |value - value_half|.
 
-    Without search the pair is (dt, dt/2) at strides 10 and 20, and a
-    discrepancy above 10x RICHARDSON_TOLERANCE of scale * value, or an
-    infinite value, is a NumericalFailure.  With search, dt is the
-    fallback step: the rungs tau = 10 dt, tau/2 and tau/4 run at strides
-    1, 2 and 4, so they sample the times of the stride-10 run at dt, and
-    each rung's half-step run (the last one at tau/8) is the next rung's
-    coarse run.  The first rung whose discrepancy is at most
-    RICHARDSON_TOLERANCE**2 of a finite scale * value is accepted; a
-    rung whose runs blow up is rejected.  When no rung passes, the pair
-    at 10 and 20 steps per tau runs as without search (that is
-    (dt, dt/2) whenever tau holds a whole number of steps dt).
+    Without search the pair is (dt, dt/2) at strides 10 and 20.  A value
+    that is not finite, or a discrepancy above 10x RICHARDSON_TOLERANCE
+    of scale * value, is a NumericalFailure; a blow-up of either run is
+    raised.  With search, dt is the fallback step: the rungs tau = 10 dt,
+    tau/2 and tau/4 run at strides 1, 2 and 4, so they sample the times
+    of the stride-10 run at dt, and each rung's half-step run (the last
+    one at tau/8) is the next rung's coarse run.  The first rung is one
+    pair; each later rung runs its half-step run alone.  The first rung
+    whose discrepancy is at most RICHARDSON_TOLERANCE**2 of a finite
+    scale * value is accepted; a rung whose runs blow up is rejected.
+    When no rung passes, the pair at 10 and 20 steps per tau runs as
+    without search (that is (dt, dt/2) whenever tau holds a whole number
+    of steps dt).
     """
     n = step_count(t_end, dt)
     if search:
         coarse = -(-n // 10)  # steps of the tau rung
 
-        def trial(steps):
+        def trial(steps, pair=False):
+            """The values of the run of steps (and of 2 steps, with pair),
+            None for a run that blew up: it rejects the rungs it belongs to."""
             try:
-                return measure(t_end / steps, steps // coarse)
+                values = measure(t_end / steps, steps // coarse, pair)
             except BlowUpError:
-                return None  # rejects the rungs this run belongs to
+                return [None] * (2 if pair else 1)
+            return [None if isinstance(v, BlowUpError) else v
+                    for v in (values if pair else [values])]
 
-        v = trial(coarse)
+        v, v_half = trial(coarse, pair=True)
         for rung in range(3):
             steps = coarse << rung
-            v_half = trial(2 * steps)
+            if rung:
+                v, (v_half,) = v_half, trial(2 * steps)
             if v is not None and v_half is not None:
                 rich = scale * abs(v - v_half)
                 if rich <= RICHARDSON_TOLERANCE**2 * abs(scale * v) < math.inf:
                     return v, t_end / steps, rich
-            v = v_half
         n = 10 * coarse
-    value = measure(t_end / n, 10)
-    rich = scale * abs(value - measure(t_end / (2 * n), 20))
+    values = measure(t_end / n, 10, True)
+    for v in values:
+        if isinstance(v, BlowUpError):
+            raise v
+    value, value_half = values
+    if not (math.isfinite(value) and math.isfinite(value_half)):
+        raise NumericalFailure(f"{label}: the measured value is not finite ({value} at the "
+                               f"step, {value_half} at half of it); reduce dt")
+    rich = scale * abs(value - value_half)
     bar = 10.0 * RICHARDSON_TOLERANCE * max(abs(scale * value), 1e-300)
     if not rich <= bar < math.inf:
         raise NumericalFailure(
@@ -374,10 +393,33 @@ def _richardson(measure, t_end: float, dt: float, label: str, scale: float = 1.0
     return value, t_end / n, rich
 
 
-def _peak(functional, problem, u0, t_end, dt, stride):
-    """Largest functional(u(t)) over the monitored times, t = 0 included."""
-    return max(functional(TorusField(u0.grid, coeff))
-               for _, coeff in trajectory(problem, u0, t_end, dt, stride))
+def _values(functional, states):
+    """functional of each run's state; a run that blew up keeps its
+    BlowUpError.  Overflow is quiet: _richardson rejects a value that is
+    not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [s if isinstance(s, BlowUpError) else functional(s) for s in states]
+
+
+def _peak(functional, problem, u0, t_end, dt, stride, pair=False):
+    """Largest functional(coeff) over the monitored times, t = 0 included;
+    with pair, the (run at dt, run at dt/2) tuple of peaks (see
+    _richardson)."""
+    peaks = None
+    for _, coeff in trajectory(problem, u0, t_end, dt, stride, pair):
+        values = _values(functional, coeff if pair else (coeff,))
+        peaks = values if peaks is None else [
+            v if isinstance(v, BlowUpError) or v > p else p for p, v in zip(peaks, values)]
+    return tuple(peaks) if pair else peaks[0]
+
+
+def _final(functional, problem, u0, t_end, dt, stride, pair=False):
+    """functional(coeff) of the state at t_end; with pair, the (run at
+    dt, run at dt/2) tuple (see _richardson).  Nothing is sampled on the
+    way, whatever the stride."""
+    *_, (_, coeff) = trajectory(problem, u0, t_end, dt, step_count(t_end, dt), pair)
+    values = _values(functional, coeff if pair else (coeff,))
+    return tuple(values) if pair else values[0]
 
 
 def _timed(worker, param) -> SweepRow:
@@ -401,10 +443,6 @@ def _map_rows(worker, params, threads: int):
 # ---------------------------------------------------------------------------
 
 
-def _minus_h_half(u):
-    return sobolev_norm(project_minus(u), 0.5)
-
-
 def _decoupling_row(args):
     cfg, eps = args
     grid = GridSpec.with_padding(cfg.grid_n)
@@ -414,8 +452,10 @@ def _decoupling_row(args):
     t_end = cfg.horizon.time_for(eps)
     problem = EvolutionProblem.half_wave_scaled(eps)
     dt = cfg.dt if cfg.dt is not None else default_time_step(problem, u0)
-    sup, step, rich = _richardson(partial(_peak, _minus_h_half, problem, u0, t_end),
-                                  t_end, dt, f"decoupling eps={eps}", search=cfg.dt is None)
+    sup, step, rich = _richardson(
+        partial(_peak, lambda c: sobolev_norm(project_minus(TorusField(grid, c)), 0.5),
+                problem, u0, t_end),
+        t_end, dt, f"decoupling eps={eps}", search=cfg.dt is None)
     return {"eps": eps, "sup_minus_h_half": sup, "horizon": t_end,
             "dt": step, "richardson": rich}
 
@@ -438,11 +478,11 @@ def run_decoupling(cfg: ExperimentConfig) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _max_hs_gap(problem_a, problem_b, u0, t_end, s, dt, stride):
+def _max_hs_gap(problem_a, problem_b, u0, t_end, s, dt, stride, pair=False):
     """Co-evolve two problems from u0 as one stack; max H^s difference
-    at monitor times."""
-    return max(sobolev_norm(TorusField(u0.grid, ca - cb), s)
-               for _, (ca, cb) in trajectory((problem_a, problem_b), u0, t_end, dt, stride))
+    at monitor times (per run with pair, see _peak)."""
+    return _peak(lambda c: sobolev_norm(TorusField(u0.grid, c[0] - c[1]), s),
+                 (problem_a, problem_b), u0, t_end, dt, stride, pair)
 
 
 def _approximation_row(args):
@@ -494,7 +534,7 @@ def _besov_row(args):
     dt = cfg.dt if cfg.dt is not None else default_time_step(problem, u0)
     b0 = besov_norm(u0)
     ratio, step, rich = _richardson(
-        lambda dt, stride: _peak(besov_norm, problem, u0, t_end, dt, stride) / b0,
+        partial(_peak, lambda c: besov_norm(TorusField(grid, c)) / b0, problem, u0, t_end),
         t_end, dt, f"besov eps={eps}", search=cfg.dt is None)
     return {"eps": eps, "besov_ratio": ratio, "horizon": t_end,
             "dt": step, "richardson": rich}
@@ -539,7 +579,8 @@ def _inflation_hs(problem, cfg, eps, delta, label):
     t_star = math.pi / (2.0 * eps**2 * delta)
     dt = cfg.dt if cfg.dt is not None else default_time_step(problem, u0)
     hs, step, rich = _richardson(
-        lambda dt, _: sobolev_norm(evolve(problem, u0, t_star, dt), cfg.sobolev),
+        partial(_final, lambda c: sobolev_norm(TorusField(grid, c), cfg.sobolev),
+                problem, u0, t_star),
         t_star, dt, label)
     return hs, step, rich, u0, t_star
 
@@ -625,15 +666,14 @@ def _spectrum_row(args):
     before = spectral_summary(build_hankel(u0))
     finals = []  # the summary at t_end of each run, dt first
 
-    def final_trace(step, _):
-        uf = evolve(problem, u0, t_end, step)
+    def final_trace(coeff):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # half-wave grows negative modes
-            finals.append(spectral_summary(build_hankel(uf)))
+            finals.append(spectral_summary(build_hankel(TorusField(grid, coeff))))
         return finals[-1].trace_norm
 
-    _, step, rich = _richardson(final_trace, t_end, dt, f"spectrum {kind}",
-                                scale=1.0 / before.trace_norm)
+    _, step, rich = _richardson(partial(_final, final_trace, problem, u0, t_end), t_end, dt,
+                                f"spectrum {kind}", scale=1.0 / before.trace_norm)
     after = finals[0]
     top = min(10, int(np.sum(before.hw2_eigenvalues > 0)))
     eig_dev = float(np.max(

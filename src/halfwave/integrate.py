@@ -29,6 +29,16 @@ sequence of problems, trajectory steps a (rows, n_coeff) array, one row
 per problem, with one batched transform per stage.  Any non-finite
 coefficient aborts the run with the last valid time attached.
 
+A Richardson pair, the run of n steps at dt and the run of 2n steps at
+dt/2, is one stack too (trajectory's pair; a lone run is the one-run
+case of the same loop): on each step at dt one batched step moves the
+rows at dt by dt and the rows at dt/2 by dt/2 (make_stepper's pair,
+whose weights are each run's own), and the rows at dt/2 then take
+their second step alone, so a pair takes 2n steps instead of 3n.  Both
+runs sample the same times, and the back-translation phase is computed
+once per sample for both.  A run whose state goes non-finite drops out
+and the other finishes alone.
+
 Projected flows (P = P_+) keep the modes k < 0 of analytic data exactly
 zero, so when every row is projected and u0 is analytic, trajectory
 steps modes 0..N alone with transforms of length >= 2N + 1 instead of
@@ -109,18 +119,22 @@ def _etd_weights(z, h):
     return weights
 
 
+def _weights(symbol, h):
+    """The ETDRK4 weights (e^{z/2}, e^z, Q, f1, f2, f3) of a step h at
+    z = -i h symbol; 0-d when the symbol vanishes everywhere."""
+    z = -1j * h * np.asarray(symbol, dtype=np.float64)
+    if not z.any():
+        z = np.zeros(())
+    return (np.exp(0.5 * z), np.exp(z), *_etd_weights(z, h))
+
+
 class _ETDRK4Stepper:
     """One ETDRK4 step (Cox & Matthews stages) of dy/dt = -i S y + N(y),
-    with S = symbol (0: classical RK4 in exact arithmetic) and N =
-    nonlinear; a symbol that vanishes everywhere gets scalar weights."""
+    with the weights of _weights and N = nonlinear."""
 
-    def __init__(self, symbol, nonlinear, dt):
+    def __init__(self, weights, nonlinear, dt):
         self.dt = dt
-        z = -1j * dt * np.asarray(symbol, dtype=np.float64)
-        if not z.any():
-            z = np.zeros(())
-        self.e_half, self.e_full = np.exp(0.5 * z), np.exp(z)
-        self.q, self.f1, self.f2, self.f3 = _etd_weights(z, dt)
+        self.e_half, self.e_full, self.q, self.f1, self.f2, self.f3 = weights
         self._nl = nonlinear
 
     def step(self, y):
@@ -140,15 +154,30 @@ def _shifted_rows(problem):
     return _row_index([p.dispersion != "0" for p in _stack(problem)[0]])
 
 
-def make_stepper(problem, grid, dt: float):
+def make_stepper(problem, grid, dt: float, pair: bool = False):
     """ETDRK4 stepper of the transport-frame flow of one problem, or of a
     stack of problems on one grid (it then steps (rows, n_coeff) arrays):
-    symbol L - k on the rows of dispersion k or |k|, L = 0 elsewhere."""
+    symbol L - k on the rows of dispersion k or |k|, L = 0 elsewhere.
+
+    With pair, the stepper of a Richardson pair as one stack: it steps
+    (2 * rows, n_coeff) arrays (rows = 1 for one problem), the first copy
+    of the rows by dt and the second by dt / 2, each with the weights its
+    own stepper at that step has.
+    """
     symbol = linear_symbol(problem, grid)
     shifted = _shifted_rows(problem)
     if shifted is not None:
         symbol[shifted] -= grid.modes()
-    return _ETDRK4Stepper(symbol, nonlinearity(problem, grid), dt)
+    if not pair:
+        return _ETDRK4Stepper(_weights(symbol, dt), nonlinearity(problem, grid), dt)
+    # each run's weights as (rows, n_coeff) complex arrays on the flat row
+    # axis of the pair: numpy multiplies a complex state by a 0-d or real
+    # weight as by that complex value, and whole rows step faster than
+    # broadcast columns
+    runs = [[np.broadcast_to(w, symbol.shape).reshape(-1, symbol.shape[-1])
+             for w in _weights(symbol, h)] for h in (dt, dt / 2)]
+    weights = [np.concatenate(run).astype(np.complex128) for run in zip(*runs)]
+    return _ETDRK4Stepper(weights, nonlinearity(_stack(problem)[0] * 2, grid), dt)
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -168,7 +197,8 @@ def step_count(t_end: float, dt: float) -> int:
     return max(1, int(np.ceil(ratio)))
 
 
-def trajectory(problem, u0: TorusField, t_end: float, dt: float, stride: int = 10):
+def trajectory(problem, u0: TorusField, t_end: float, dt: float, stride: int = 10,
+               pair: bool = False):
     """Step u0 to t_end at a step of at most dt; yields (t, coeff) at
     t = 0, every stride steps and t_end.
 
@@ -178,6 +208,15 @@ def trajectory(problem, u0: TorusField, t_end: float, dt: float, stride: int = 1
     valid time.  On the analytic path (see the module docstring) the
     yielded arrays still hold the whole band, zero on modes k < 0.  The
     arguments are checked before the state at t = 0 is yielded.
+
+    With pair, the Richardson pair of the run: the run of n steps and
+    the run of exactly 2n steps at half the step and twice the stride,
+    which samples the same times, move as one stack, and coeff is the
+    tuple (coeff at dt, coeff at dt/2), each bit for bit its lone run.
+    A run whose state goes non-finite is stepped no further and yields
+    its BlowUpError in place of its state from then on, while the other
+    finishes alone; when both have blown up, the error of the run at dt
+    is raised.
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
@@ -185,8 +224,11 @@ def trajectory(problem, u0: TorusField, t_end: float, dt: float, stride: int = 1
         raise ValueError(f"stride must be a positive integer, got {stride}")
     n_steps = step_count(t_end, dt)
     problems, lead = _stack(problem)
-    coeff = np.tile(u0.coeff, lead + (1,))
-    yield 0.0, coeff
+    runs = 2 if pair else 1
+    # the live runs' states, one leading slot each: 0 the run at dt, 1
+    # the run at dt/2
+    coeff = np.tile(u0.coeff, (runs,) + lead + (1,))
+    yield 0.0, tuple(coeff) if pair else coeff[0]
     if t_end == 0:
         return
     dt = t_end / n_steps
@@ -194,25 +236,57 @@ def trajectory(problem, u0: TorusField, t_end: float, dt: float, stride: int = 1
     analytic = all(p.project for p in problems) and not u0.coeff[:n].any()
     if analytic:
         grid, coeff = _AnalyticGrid.with_padding(n), coeff[..., n:]
-        negative = np.zeros(lead + (n,), dtype=np.complex128)
-    stepper = make_stepper(problem, grid, dt)
     shifted, minus_ik = _shifted_rows(problem), -1j * grid.modes()
-    t_last = 0.0
+    live, errors = list(range(runs)), [None] * runs
+    steppers = {}  # 0: the run at dt, 1: the run at dt/2, 2: both as one stack
+
+    def stepper(key):
+        if key not in steppers:
+            steppers[key] = make_stepper(problem, grid, dt / 2 if key == 1 else dt,
+                                         pair=key == 2)
+        return steppers[key]
+
     for i in range(1, n_steps + 1):
-        # a blowing-up step overflows on its way to the non-finite state
-        # reported below; only the step is wrapped, never the yield, so
-        # the caller's own numpy warnings stay on
-        with np.errstate(over="ignore", invalid="ignore"):
-            coeff = stepper.step(coeff)
-        if not np.all(np.isfinite(coeff)):
-            raise BlowUpError(t_last)
-        t_last = i * dt
+        # the run at dt/2 takes two steps per step of the run at dt; the
+        # first step of each live run is one stacked step
+        for sub in range(runs):
+            if sub > live[-1]:
+                continue  # the run at dt/2 has blown up
+            # a blowing-up step overflows on its way to the non-finite
+            # state reported below; only the step is wrapped, never the
+            # yield, so the caller's own numpy warnings stay on
+            with np.errstate(over="ignore", invalid="ignore"):
+                if len(live) == 1:
+                    coeff = stepper(live[0]).step(coeff[0])[np.newaxis]
+                elif sub == 0:  # the pair's stepper takes the runs' rows flat
+                    flat = coeff.reshape(-1, coeff.shape[-1])
+                    coeff = stepper(2).step(flat).reshape(coeff.shape)
+                else:  # the second step of the run at dt/2, on the fresh stack
+                    coeff[1] = stepper(1).step(coeff[1])
+            blown = [j for j, r in enumerate(live)
+                     if sub <= r and not np.all(np.isfinite(coeff[j]))]
+            if blown:
+                for j in blown:  # each run's time before this step
+                    r = live[j]
+                    errors[r] = BlowUpError((2 * i - 2 + sub) * (dt / 2) if r else (i - 1) * dt)
+                coeff = np.delete(coeff, blown, axis=0)
+                live = [r for r in live if errors[r] is None]
+                if not live:
+                    raise errors[0]
         if i % stride == 0 or i == n_steps:
+            t = i * dt
             u = coeff
             if shifted is not None:  # back from the frame: u = e^{-itD} y
                 u = coeff.copy()
-                u[shifted] *= np.exp(t_last * minus_ik)
-            yield t_last, np.concatenate((negative, u), axis=-1) if analytic else u
+                u[:, shifted] *= np.exp(t * minus_ik)
+            if analytic:
+                u = np.concatenate((np.zeros(u.shape[:-1] + (n,), dtype=np.complex128), u),
+                                   axis=-1)
+            if not pair:
+                yield t, u[0]
+            else:
+                states = iter(u)
+                yield t, tuple(next(states) if e is None else e for e in errors)
 
 
 def evolve(problem: EvolutionProblem, u0: TorusField, t_end: float, dt: float) -> TorusField:

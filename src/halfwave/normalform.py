@@ -45,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import TorusField
-from .integrate import _ETDRK4Stepper
+from .integrate import _ETDRK4Stepper, _weights
 from .norms import besov_norm
 from .operators import _band, _cubic, _d0_inverse, _pad, inner
 
@@ -318,8 +318,9 @@ def _flow_rows(u: TorusField, eps: tuple, sigma: float) -> np.ndarray:
     if sigma == 0.0 or not any(eps):
         return c
     eps_sq = np.array([[e**2] for e in eps])
-    stepper = _ETDRK4Stepper(0.0, lambda arr: eps_sq * _generator_field(arr, u.grid),
-                             sigma / FLOW_SUBSTEPS)
+    h = sigma / FLOW_SUBSTEPS
+    stepper = _ETDRK4Stepper(_weights(0.0, h),
+                             lambda arr: eps_sq * _generator_field(arr, u.grid), h)
     for _ in range(FLOW_SUBSTEPS):
         c = stepper.step(c)
         if not np.all(np.isfinite(c)):

@@ -121,7 +121,10 @@ def test_traced_stepper_accepts_a_stack(layertrace):
 
 def test_traced_pair_counts_one_step_per_stacked_step(layertrace):
     """The approximation pair is one stack: one traced step per stacked
-    step, and each of the 8 transforms of a step covers both rows."""
+    step, and each of the 8 transforms of a step covers both rows.  Its
+    Richardson pair is one stack too: per step at dt, one stacked step
+    of all 4 rows and one step of the 2 rows at dt/2, so the transforms
+    cover the rows of the runs at dt and dt/2 in 2/3 of the calls."""
     grid = GridSpec.with_padding(16)
     (a, b), u0 = _pair(grid)
     steps = 100
@@ -130,47 +133,60 @@ def test_traced_pair_counts_one_step_per_stacked_step(layertrace):
     assert tracer.calls["integrate.step"] == steps
     assert tracer.calls["operators.fft"] == steps * 8
     assert tracer.fft_points == steps * 8 * 2 * grid.padded_len
+    with layertrace.Tracer() as tracer:
+        experiments._max_hs_gap(a, b, u0, steps * 0.01, 1.5, 0.01, 10, pair=True)
+    assert [rec.steps for rec in tracer.steppers] == [steps, steps]
+    assert tracer.calls["integrate.step"] == 2 * steps
+    assert tracer.calls["operators.fft"] == 2 * steps * 8
+    assert tracer.fft_points == (steps + 2 * steps) * 8 * 2 * grid.padded_len
 
 
 def test_traced_inflation_row_steps_on_the_analytic_transform(layertrace):
     """An inflation row is two plain Szego runs (dt, dt/2) on analytic
-    data, both through make_stepper: each of the 8 transforms of a step
-    has length fast_transform_length(2N + 1), not the padded 4N + 1."""
+    data, stepped as one pair through make_stepper: n stacked steps at
+    dt and the n second steps of the run at dt/2 alone.  Each of the 8
+    transforms of a step has length fast_transform_length(2N + 1), not
+    the padded 4N + 1, and they cover the 3n row steps of the two runs."""
     cfg = default_config("inflation", eps_list=(1.0,), delta_list=(0.8,), dt=0.05)
     with layertrace.Tracer() as tracer:
         row = experiments._inflation_row((cfg, 1.0, 0.8))
     runs = [rec.steps for rec in tracer.steppers]
-    assert len(runs) == 2 and runs[1] == 2 * runs[0]
+    assert len(runs) == 2 and runs[1] == runs[0]
+    assert [rec.dt for rec in tracer.steppers] == [row["dt"], row["dt"] / 2]
     steps = tracer.calls["integrate.step"]
     assert steps == sum(runs)
     n = row["grid_n"]
-    assert tracer.fft_points == steps * 8 * fast_transform_length(2 * n + 1)
+    assert tracer.fft_points == 3 * runs[0] * 8 * fast_transform_length(2 * n + 1)
+    assert tracer.calls["operators.fft"] == steps * 8
     assert fast_transform_length(2 * n + 1) < GridSpec.with_padding(n).padded_len
 
 
 def test_traced_halfwave_check_steps_one_row(layertrace):
-    """The inflation half-wave check steps the half-wave flow alone: two
-    steppers outside the rows, the rows' (n, 2n) Richardson pair, each of
-    their 8 transforms a step covering one row of the padded 4N + 1 grid.
-    The rows' own runs keep the analytic transform."""
+    """The inflation half-wave check steps the half-wave flow without
+    the Szego rows: two steppers outside the rows, the rows' (n, 2n)
+    Richardson pair as one stack, whose 8 transforms a step cover the
+    half-wave rows of the padded 4N + 1 grid, one per run step.  The
+    rows' own runs keep the analytic transform."""
     cfg = default_config("inflation", eps_list=(1.0,), delta_list=(0.8,), dt=0.05)
     with layertrace.Tracer() as tracer:
         result = experiments.run_inflation(cfg)
     n = result.rows[0].data["grid_n"]
     rows = [rec.steps for rec in tracer.steppers if rec.row is not None]
     check = [rec.steps for rec in tracer.steppers if rec.row is None]
-    assert len(rows) == 2 and rows[1] == 2 * rows[0]
+    assert len(rows) == 2 and rows[1] == rows[0]
     assert check == rows
-    row_points = sum(rows) * 8 * fast_transform_length(2 * n + 1)
+    row_points = 3 * rows[0] * 8 * fast_transform_length(2 * n + 1)
     assert (tracer.fft_points - row_points
-            == sum(check) * 8 * GridSpec.with_padding(n).padded_len)
+            == 3 * check[0] * 8 * GridSpec.with_padding(n).padded_len)
 
 
 def test_traced_ladder_steps_every_rung_through_make_stepper(layertrace):
     """The step search runs each trial rung once, through make_stepper:
-    the traced steps are the sum of the rung runs, tau = 10 dt0 up to
-    the accepted rung's half step, and each stepper took its rung's
-    count at step t_end / count."""
+    the rung runs go from tau = 10 dt0 up to the accepted rung's half
+    step.  The first two, tau and tau/2, are one pair: a stepper at tau
+    for their stacked steps and one at tau/2 for the second steps of the
+    run at tau/2, each taking tau's count.  Each later run has its own
+    stepper, which took its rung's count at step t_end / count."""
     cfg = default_config("approximation", grid_n=32, seed=1,
                          horizon=HorizonRule("fixed", 1.0))
     with layertrace.Tracer() as tracer:
@@ -179,9 +195,39 @@ def test_traced_ladder_steps_every_rung_through_make_stepper(layertrace):
     accepted = round(row["horizon"] / row["dt"])
     runs = [coarse << j for j in range((accepted // coarse).bit_length() + 1)]
     assert runs[-2:] == [accepted, 2 * accepted]
-    assert [rec.steps for rec in tracer.steppers] == runs
+    assert [rec.steps for rec in tracer.steppers] == [coarse, coarse] + runs[2:]
     assert [rec.dt for rec in tracer.steppers] == [1.0 / n for n in runs]
-    assert tracer.calls["integrate.step"] == sum(runs)
+    assert tracer.calls["integrate.step"] == sum(runs) - coarse
+
+
+def test_traced_inflation_unit_pairs_every_richardson_run(layertrace, bench, tmp_path):
+    """A traced seed-0 inflation_szego unit, read through
+    Tracer.unit_metrics: every row and the half-wave check step their
+    (n, 2n) Richardson pair as one stack, so the transforms cover the
+    points of the 3n lone row steps in 2n steps of 8 transforms each (a
+    third fewer than the lone runs' 24n); the steps at dt/2 taken alone
+    are half of each pair's steps."""
+    workloads, _ = bench
+    workload = workloads.WORKLOADS["inflation_szego"]
+    with layertrace.Tracer() as tracer:
+        result, _ = workload.run_unit(workload.input_seed(0), tmp_path)
+        metrics = tracer.unit_metrics(len(result.rows))
+    runs = []  # (steps at dt, transform length) of each pair, the check last
+    for row in result.rows:
+        n = row.data["grid_n"]
+        runs.append((integrate.step_count(row.data["t_star"], row.data["dt"]),
+                     fast_transform_length(2 * n + 1)))
+    check = result.notes["halfwave_check"]
+    n = result.rows[0].data["grid_n"]
+    runs.append((integrate.step_count(check["t_star"], result.rows[0].data["dt"]),
+                 GridSpec.with_padding(n).padded_len))
+    lone_steps = sum(3 * steps for steps, _ in runs)
+    assert metrics["operators.fft_points"] == sum(3 * steps * 8 * m for steps, m in runs)
+    assert metrics["integrate.steps"] * 3 == lone_steps * 2
+    assert metrics["operators.fft_calls"] == 8 * metrics["integrate.steps"]
+    # the check runs outside the rows, so only the rows' steps at dt/2 count
+    assert metrics["experiments.richardson_share"] == (
+        sum(steps for steps, _ in runs[:-1]) / metrics["integrate.steps"])
 
 
 def test_integrate_binds_no_monitor_functionals():

@@ -532,6 +532,19 @@ class TestCli:
             err = capfd.readouterr().err
             assert err == "numerical failure: non-finite state after t = 10.0\n"
 
+    def test_overflowing_state_is_one_numerical_failure_line(self, tmp_path, capsys):
+        """At dt 0.35 the inflation state stays finite but its H^s norm
+        overflows: one `numerical failure:` line saying the value is not
+        finite, exit 2, and no numpy warning (warnings are errors here)."""
+        argv = [INFLATION, "--eps", "1", "--deltas", "0.8", "--dt", "0.35",
+                "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert "not finite" in err
+
     @pytest.mark.parametrize("file_line, flags", [
         ("grid = abc", []),
         ("seed = 1.5", []),

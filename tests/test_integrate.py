@@ -356,18 +356,20 @@ def test_richardson_check_reports_small_discrepancy(grid16, rng):
     u0 = random_analytic_field(grid16, rng, scale=0.3)
     ends = []
 
-    def mode_one(dt, stride):
+    def mode_one(dt, stride, pair=False):
         *_, (t, coeff) = trajectory(EvolutionProblem.half_wave(), u0, 2.0,
-                                    dt, stride)
-        ends.append(t)
-        return TorusField(grid16, coeff).mode(1).real
+                                    dt, stride, pair)
+        runs = coeff if pair else (coeff,)
+        ends.extend([t] * len(runs))
+        values = tuple(TorusField(grid16, c).mode(1).real for c in runs)
+        return values if pair else values[0]
 
     _, step, disc = _richardson(mode_one, 2.0, 0.01, "half_wave mode 1")
     assert disc <= 1e-8
     assert step == 0.01
     assert ends == pytest.approx([2.0, 2.0])
     with pytest.raises(NumericalFailure):
-        _richardson(lambda dt, stride: dt, 2.0, 0.01, "dt itself")
+        _richardson(lambda dt, stride, pair: (dt, dt / 2), 2.0, 0.01, "dt itself")
 
 
 def test_step_count_inverts_the_step():
@@ -398,18 +400,24 @@ def test_step_count_rejects_unusable_steps(t_end, dt, message):
 
 
 class _Recorder:
-    """A measure for _richardson: records (steps, stride) of each call and
-    returns value(dt), or raises BlowUpError where value returns None."""
+    """A measure for _richardson: records the runs of each call, one
+    (steps, stride) each, and returns value(dt), or for a pair the tuple
+    (value(dt), value(dt/2)).  Where value returns None the run blew up:
+    its BlowUpError stands in for its value, and is raised when no run
+    of the call is left, as integrate.trajectory does."""
 
     def __init__(self, t_end, value):
         self.t_end, self.value, self.calls = t_end, value, []
 
-    def __call__(self, dt, stride):
-        self.calls.append((integrate.step_count(self.t_end, dt), stride))
-        out = self.value(dt)
-        if out is None:
-            raise BlowUpError(0.0)
-        return out
+    def __call__(self, dt, stride, pair=False):
+        n = integrate.step_count(self.t_end, dt)
+        runs = ((n, stride), (2 * n, 2 * stride)) if pair else ((n, stride),)
+        self.calls.append(runs)
+        out = [self.value(self.t_end / steps) for steps, _ in runs]
+        out = [BlowUpError(0.0) if v is None else v for v in out]
+        if all(isinstance(v, BlowUpError) for v in out):
+            raise out[0]
+        return tuple(out) if pair else out[0]
 
 
 def test_richardson_half_run_takes_twice_the_steps():
@@ -419,7 +427,7 @@ def test_richardson_half_run_takes_twice_the_steps():
     t_end = HorizonRule("log", 1.0).time_for(0.05)
     measure = _Recorder(t_end, lambda dt: 1.0)
     _, step, _ = _richardson(measure, t_end, 0.01, "log horizon")
-    assert measure.calls == [(119830, 10), (239660, 20)]
+    assert measure.calls == [((119830, 10), (239660, 20))]
     assert step == t_end / 119830
 
 
@@ -428,7 +436,7 @@ def test_richardson_single_step_compares_two_runs():
     the reported step is T, not the requested dt."""
     measure = _Recorder(1.0, lambda dt: 1.0 + dt / 8)
     value, step, rich = _richardson(measure, 1.0, 5.0, "one step")
-    assert measure.calls == [(1, 10), (2, 20)]
+    assert measure.calls == [((1, 10), (2, 20))]
     assert (value, step, rich) == (1.125, 1.0, 0.0625)
 
 
@@ -447,14 +455,15 @@ class TestRichardsonLadder:
     """The search over tau = 10 dt, tau/2, tau/4 (T = 1, dt = 0.01)."""
 
     @pytest.mark.parametrize("c, step, calls", [
-        (0.5, 0.1, [(10, 1), (20, 2)]),
-        (5.0, 0.05, [(10, 1), (20, 2), (40, 4)]),
-        (50.0, 0.025, [(10, 1), (20, 2), (40, 4), (80, 8)]),
+        (0.5, 0.1, [((10, 1), (20, 2))]),
+        (5.0, 0.05, [((10, 1), (20, 2)), ((40, 4),)]),
+        (50.0, 0.025, [((10, 1), (20, 2)), ((40, 4),), ((80, 8),)]),
     ])
     def test_accepts_the_coarsest_passing_rung(self, c, step, calls):
         """With v(h) = 1 + c h^4 the rung discrepancy is c (15/16) h^4: the
         first rung under 1e-4 is taken, and each rung's half-step run is
-        the next rung's coarse run, measured once."""
+        the next rung's coarse run, measured once: the first rung is one
+        pair, each later rung runs its half-step run alone."""
         measure = _Recorder(1.0, lambda dt: 1.0 + c * dt**4)
         value, got, rich = _richardson(measure, 1.0, 0.01, "ladder", search=True)
         assert got == pytest.approx(step, rel=1e-15)
@@ -468,27 +477,29 @@ class TestRichardsonLadder:
         measure = _Recorder(1.0, lambda dt: dt)
         with pytest.raises(NumericalFailure, match="dt itself"):
             _richardson(measure, 1.0, 0.01, "dt itself", search=True)
-        assert measure.calls == [(10, 1), (20, 2), (40, 4), (80, 8), (100, 10), (200, 20)]
+        assert measure.calls == [((10, 1), (20, 2)), ((40, 4),), ((80, 8),),
+                                 ((100, 10), (200, 20))]
 
     def test_fallback_reports_dt_when_it_passes(self):
         measure = _Recorder(1.0, lambda dt: 1.0 + dt)
         value, step, rich = _richardson(measure, 1.0, 0.01, "linear", search=True)
         assert (value, step) == (1.01, 0.01)
         assert rich == pytest.approx(0.005)
-        assert measure.calls[-2:] == [(100, 10), (200, 20)]
+        assert measure.calls[-1:] == [((100, 10), (200, 20))]
 
     def test_trial_blow_up_rejects_only_its_rung(self):
-        """A blow-up at tau rejects rung tau; tau/2 is tried next."""
+        """A blow-up at tau rejects rung tau; tau/2 is tried next, its
+        coarse run the half-step run of the first pair."""
         measure = _Recorder(1.0, lambda dt: None if dt > 0.06 else 1.0 + dt**4)
         _, step, _ = _richardson(measure, 1.0, 0.01, "blow-up", search=True)
         assert step == 0.05
-        assert measure.calls == [(10, 1), (20, 2), (40, 4)]
+        assert measure.calls == [((10, 1), (20, 2)), ((40, 4),)]
 
     def test_fallback_blow_up_propagates(self):
         measure = _Recorder(1.0, lambda dt: None)
         with pytest.raises(BlowUpError):
             _richardson(measure, 1.0, 0.01, "always", search=True)
-        assert measure.calls[-1] == (100, 10)
+        assert measure.calls[-1] == ((100, 10), (200, 20))
 
     def test_every_rung_samples_the_same_times(self, grid16, rng):
         """Every trial rung and the fallback pair yield the sample times of
@@ -497,10 +508,12 @@ class TestRichardsonLadder:
         u0 = random_analytic_field(grid16, rng, scale=0.3)
         times = []
 
-        def measure(dt, stride):
-            times.append([t for t, _ in trajectory(EvolutionProblem.half_wave(),
-                                                   u0, 0.97, dt, stride)])
-            return 1.0 + dt  # no rung passes: all six runs happen
+        def measure(dt, stride, pair=False):
+            seen = [t for t, _ in trajectory(EvolutionProblem.half_wave(),
+                                             u0, 0.97, dt, stride, pair)]
+            times.extend([seen] * (2 if pair else 1))  # a pair's runs share its times
+            # no rung passes: all six runs happen
+            return (1.0 + dt, 1.0 + dt / 2) if pair else 1.0 + dt
 
         _richardson(measure, 0.97, 0.01, "times", search=True)
         assert len(times) == 6

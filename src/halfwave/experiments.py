@@ -83,6 +83,14 @@ MAX_GRID_N = 2**16
 #: the smallest band of the normalform check: its fields have support N // 4
 NORMALFORM_MIN_GRID_N = 4
 
+#: the largest band of the spectrum experiment.  Its rows build the dense
+#: (N+1) x (N+1) Hankel matrix (67 MB of complex128 at N = 2048, and an
+#: index array half that size) and take its SVD and the eigenvalues of
+#: its square, O(N^3) each, three times a row; one such summary took
+#: 0.14 s at N = 512, 0.9 s at 1024 and 6.3 s at 2048 on a 2-core VM,
+#: while MAX_GRID_N would ask for a 69 GB matrix
+SPECTRUM_MAX_GRID_N = 2048
+
 
 class NumericalFailure(RuntimeError):
     """A run produced numbers that cannot be trusted (blow-up, failed
@@ -179,6 +187,9 @@ class ExperimentConfig:
             raise ValueError(f"normalform requires grid_n >= {NORMALFORM_MIN_GRID_N}: its "
                              "random fields fill the modes |k| <= grid_n // 4, and a "
                              "one-mode field has no Taylor residual to fit")
+        if self.experiment == SPECTRUM and self.grid_n > SPECTRUM_MAX_GRID_N:
+            raise ValueError(f"spectrum requires grid_n <= {SPECTRUM_MAX_GRID_N}: its rows "
+                             "take the SVD of the dense (N+1) x (N+1) Hankel matrix")
         if self.experiment == INFLATION:
             if len(self.delta_list) == 0:
                 raise ValueError("delta_list must be nonempty")
@@ -664,6 +675,11 @@ def _spectrum_row(args):
     t_end = cfg.horizon.time_for(1.0)
     dt = cfg.dt if cfg.dt is not None else default_time_step(problem, u0)
     before = spectral_summary(build_hankel(u0))
+    top_eigenvalue = before.hw2_eigenvalues[0]
+    if not 0 < top_eigenvalue < math.inf:
+        raise ValueError(f"the {cfg.profile.kind} profile has no Hankel spectrum to follow: "
+                         f"its largest squared-Hankel eigenvalue is {top_eigenvalue}, "
+                         "not a positive finite number")
     finals = []  # the summary at t_end of each run, dt first
 
     def final_trace(coeff):

@@ -21,6 +21,12 @@ from .norms import besov_norm
 #: eigenvalues below this multiple of the largest are reported as zero
 NOISE_FLOOR = 1e-13
 
+#: spectral_summary scales gamma by a power of two when its largest entry
+#: is 2^e with |e| above this.  Below it gamma gamma^H and its noise floor
+#: stay far inside the normal float range, and gamma itself is decomposed:
+#: a scaled copy would add one (N+1)^2 complex array to the peak memory
+_SCALED_EXPONENT = 256
+
 
 class EigensolverError(RuntimeError):
     """Raised when the dense eigensolver fails or cross-checks disagree."""
@@ -82,27 +88,44 @@ def spectral_summary(h: HankelTruncation) -> SpectralSummary:
     """Singular values of gamma and eigenvalues of gamma gamma^H.
 
     The two computations are independent (SVD vs Hermitian eigensolver)
-    and are cross-checked against each other.
+    and are cross-checked against each other.  When the largest entry of
+    gamma is 2^e with |e| > _SCALED_EXPONENT, both run on gamma times
+    2^-e, so that gamma gamma^H neither underflows nor overflows; the
+    scaling is exact, and the results are scaled back, so a squared
+    eigenvalue beyond the float range comes back as inf or 0.  A
+    cross-check that cannot be computed (a non-finite mismatch) fails.
     """
+    peak = np.max(np.abs(h.gamma), initial=0.0)
+    exponent = int(np.frexp(peak)[1]) if np.isfinite(peak) else 0
+    gamma = h.gamma
+    if abs(exponent) > _SCALED_EXPONENT:
+        # on the real and imaginary parts, as a float view
+        gamma = np.ldexp(gamma.view(np.float64), -exponent).view(np.complex128)
+    else:
+        exponent = 0
     try:
-        sv = np.linalg.svd(h.gamma, compute_uv=False)
-        squared = np.linalg.eigvalsh(h.gamma @ np.conj(h.gamma))
+        sv = np.linalg.svd(gamma, compute_uv=False)
+        squared = np.linalg.eigvalsh(gamma @ np.conj(gamma))
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
 
     sv = np.sort(sv)[::-1]
     squared = np.sort(np.maximum(squared, 0.0))[::-1]
 
-    scale = sv[0] if sv.size and sv[0] > 0 else 0.0
-    if scale > 0:
+    if sv.size and sv[0] != 0:  # a NaN spectrum reaches the comparison and fails it
+        scale = sv[0]
         sv = np.where(sv < NOISE_FLOOR * scale, 0.0, sv)
         squared = np.where(squared < (NOISE_FLOOR * scale) ** 2, 0.0, squared)
         mismatch = np.max(np.abs(squared - sv**2)) / scale**2
-        if mismatch > 1e-9:
+        if not mismatch <= 1e-9:
             raise EigensolverError(
                 f"singular values and squared-operator eigenvalues disagree "
                 f"(relative mismatch {mismatch:.3e})"
             )
+    # a squared value beyond the float range rounds to inf (or to 0),
+    # as the product itself would
+    with np.errstate(over="ignore"):
+        sv, squared = np.ldexp(sv, exponent), np.ldexp(squared, 2 * exponent)
     return SpectralSummary(
         singular_values=sv,
         trace_norm=float(np.sum(sv)),

@@ -27,7 +27,7 @@ the final state alone.  Flows
 that share a grid and a step move in lockstep as one stack: given a
 sequence of problems, trajectory steps a (rows, n_coeff) array, one row
 per problem, with one batched transform per stage.  Any non-finite
-coefficient aborts the run with the last valid time attached.
+coefficient ends the run with the last valid time attached.
 
 A Richardson pair, the run of n steps at dt and the run of 2n steps at
 dt/2, is one stack too (trajectory's pair; a lone run is the one-run
@@ -36,8 +36,9 @@ rows at dt by dt and the rows at dt/2 by dt/2 (make_stepper's pair,
 whose weights are each run's own), and the rows at dt/2 then take
 their second step alone, so a pair takes 2n steps instead of 3n.  Both
 runs sample the same times, and the back-translation phase is computed
-once per sample for both.  A run whose state goes non-finite drops out
-and the other finishes alone.
+once per sample for both.  A blown-up run keeps being stepped and
+yields its BlowUpError; every row of the stack is stepped on its own, so
+the other run is unchanged by it.
 
 Projected flows (P = P_+) keep the modes k < 0 of analytic data exactly
 zero, so when every row is projected and u0 is analytic, trajectory
@@ -213,10 +214,9 @@ def trajectory(problem, u0: TorusField, t_end: float, dt: float, stride: int = 1
     the run of exactly 2n steps at half the step and twice the stride,
     which samples the same times, move as one stack, and coeff is the
     tuple (coeff at dt, coeff at dt/2), each bit for bit its lone run.
-    A run whose state goes non-finite is stepped no further and yields
-    its BlowUpError in place of its state from then on, while the other
-    finishes alone; when both have blown up, the error of the run at dt
-    is raised.
+    A blown-up run keeps being stepped and yields its BlowUpError, with
+    the time its lone run would report, in place of its state from then
+    on; when both have blown up, the error of the run at dt is raised.
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
@@ -225,8 +225,8 @@ def trajectory(problem, u0: TorusField, t_end: float, dt: float, stride: int = 1
     n_steps = step_count(t_end, dt)
     problems, lead = _stack(problem)
     runs = 2 if pair else 1
-    # the live runs' states, one leading slot each: 0 the run at dt, 1
-    # the run at dt/2
+    # the runs' states, one leading slot each: 0 the run at dt, 1 the run
+    # at dt/2
     coeff = np.tile(u0.coeff, (runs,) + lead + (1,))
     yield 0.0, tuple(coeff) if pair else coeff[0]
     if t_end == 0:
@@ -237,56 +237,44 @@ def trajectory(problem, u0: TorusField, t_end: float, dt: float, stride: int = 1
     if analytic:
         grid, coeff = _AnalyticGrid.with_padding(n), coeff[..., n:]
     shifted, minus_ik = _shifted_rows(problem), -1j * grid.modes()
-    live, errors = list(range(runs)), [None] * runs
-    steppers = {}  # 0: the run at dt, 1: the run at dt/2, 2: both as one stack
-
-    def stepper(key):
-        if key not in steppers:
-            steppers[key] = make_stepper(problem, grid, dt / 2 if key == 1 else dt,
-                                         pair=key == 2)
-        return steppers[key]
-
+    # built once, the pair's stepper first: every step at dt moves all the
+    # runs as one stack, and the run at dt/2 then takes its second step
+    steppers = [make_stepper(problem, grid, dt, pair=pair)]
+    if pair:
+        steppers.append(make_stepper(problem, grid, dt / 2))
+    errors = [None] * runs
     for i in range(1, n_steps + 1):
-        # the run at dt/2 takes two steps per step of the run at dt; the
-        # first step of each live run is one stacked step
-        for sub in range(runs):
-            if sub > live[-1]:
-                continue  # the run at dt/2 has blown up
+        for sub, stepper in enumerate(steppers):
             # a blowing-up step overflows on its way to the non-finite
             # state reported below; only the step is wrapped, never the
             # yield, so the caller's own numpy warnings stay on
             with np.errstate(over="ignore", invalid="ignore"):
-                if len(live) == 1:
-                    coeff = stepper(live[0]).step(coeff[0])[np.newaxis]
-                elif sub == 0:  # the pair's stepper takes the runs' rows flat
+                if sub == 0:  # the stepper takes the runs' rows flat
                     flat = coeff.reshape(-1, coeff.shape[-1])
-                    coeff = stepper(2).step(flat).reshape(coeff.shape)
-                else:  # the second step of the run at dt/2, on the fresh stack
-                    coeff[1] = stepper(1).step(coeff[1])
-            blown = [j for j, r in enumerate(live)
-                     if sub <= r and not np.all(np.isfinite(coeff[j]))]
-            if blown:
-                for j in blown:  # each run's time before this step
-                    r = live[j]
+                    coeff = stepper.step(flat).reshape(coeff.shape)
+                else:
+                    coeff[1] = stepper.step(coeff[1])
+            for r in range(sub, runs):
+                if errors[r] is None and not np.all(np.isfinite(coeff[r])):
+                    # the run's time before this step; its rows keep being
+                    # stepped, each on its own, and its error is yielded
                     errors[r] = BlowUpError((2 * i - 2 + sub) * (dt / 2) if r else (i - 1) * dt)
-                coeff = np.delete(coeff, blown, axis=0)
-                live = [r for r in live if errors[r] is None]
-                if not live:
-                    raise errors[0]
+            if all(errors):
+                raise errors[0]
         if i % stride == 0 or i == n_steps:
             t = i * dt
             u = coeff
             if shifted is not None:  # back from the frame: u = e^{-itD} y
                 u = coeff.copy()
-                u[:, shifted] *= np.exp(t * minus_ik)
+                with np.errstate(invalid="ignore"):  # a blown-up run's rows
+                    u[:, shifted] *= np.exp(t * minus_ik)
             if analytic:
                 u = np.concatenate((np.zeros(u.shape[:-1] + (n,), dtype=np.complex128), u),
                                    axis=-1)
             if not pair:
                 yield t, u[0]
             else:
-                states = iter(u)
-                yield t, tuple(next(states) if e is None else e for e in errors)
+                yield t, tuple(state if e is None else e for state, e in zip(u, errors))
 
 
 def evolve(problem: EvolutionProblem, u0: TorusField, t_end: float, dt: float) -> TorusField:

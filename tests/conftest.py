@@ -3,9 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from halfwave import GridSpec, TorusField
 from halfwave.experiments import EXPERIMENTS
+
+#: one profile for every property test: fixed examples, so the suite's
+#: outcome does not vary between runs; each test sets its max_examples
+settings.register_profile("halfwave", deadline=None, derandomize=True, database=None)
+settings.load_profile("halfwave")
 
 
 @pytest.fixture

@@ -10,8 +10,6 @@ from halfwave import EvolutionProblem, GridSpec, TorusField, trajectory
 from halfwave.integrate import make_stepper, step_count
 
 T_END, DT = 0.2, 0.05
-#: fixed examples, so the suite's outcome does not vary between runs
-PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
 
 @st.composite
@@ -59,7 +57,7 @@ def _final(problem, u0):
     return coeff
 
 
-@settings(PROPERTY, max_examples=40)
+@settings(max_examples=40)
 @given(projected_problems(), analytic_data())
 def test_analytic_path_matches_full_band(problem, u0):
     want = _hand_stepped(problem, u0)
@@ -70,7 +68,7 @@ def test_analytic_path_matches_full_band(problem, u0):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@settings(PROPERTY, max_examples=20)
+@settings(max_examples=20)
 @given(projected_problems(), analytic_data(), st.data())
 def test_a_negative_mode_takes_the_full_band(problem, u0, data):
     n = u0.grid.max_mode

@@ -20,6 +20,7 @@ from halfwave.experiments import (
     Profile,
     RICHARDSON_TOLERANCE,
     SPECTRUM,
+    SPECTRUM_MAX_GRID_N,
     _approximation_row,
     _besov_row,
     _decoupling_row,
@@ -118,6 +119,13 @@ class TestConfig:
         assert default_config(BESOV_BOUND, grid_n=MAX_GRID_N).grid_n == MAX_GRID_N
         with pytest.raises(ValueError, match="band ceiling"):
             default_config(BESOV_BOUND, grid_n=MAX_GRID_N + 1)
+
+    def test_spectrum_band_ceiling(self):
+        """Validation only: the rows' dense Hankel matrix is never built."""
+        cfg = default_config(SPECTRUM, grid_n=SPECTRUM_MAX_GRID_N)
+        assert cfg.grid_n == SPECTRUM_MAX_GRID_N
+        with pytest.raises(ValueError, match=f"spectrum requires grid_n <= {SPECTRUM_MAX_GRID_N}"):
+            default_config(SPECTRUM, grid_n=SPECTRUM_MAX_GRID_N + 1)
 
     @pytest.mark.parametrize("delta", [1e-200, 1e-160, 0.001, 0.027])
     def test_band_ceiling_on_the_inflation_band(self, delta):
@@ -448,9 +456,11 @@ class TestCli:
         ([NORMALFORM, "--grid", "1"], "normalform requires grid_n >= 4"),
         ([NORMALFORM, "--grid", "2"], "normalform requires grid_n >= 4"),
         ([NORMALFORM, "--grid", "3"], "normalform requires grid_n >= 4"),
+        ([SPECTRUM, "--grid", str(SPECTRUM_MAX_GRID_N + 1)],
+         f"spectrum requires grid_n <= {SPECTRUM_MAX_GRID_N}"),
     ], ids=["tiny-delta", "small-delta", "large-grid", "profile-overflow", "huge-sobolev",
             "inflation-sobolev-weight", "inflation-sobolev-gamma", "normalform-grid-1",
-            "normalform-grid-2", "normalform-grid-3"])
+            "normalform-grid-2", "normalform-grid-3", "spectrum-grid"])
     def test_out_of_range_input_is_one_config_line(self, argv, message, tmp_path, capsys):
         """A band above the ceiling, a profile that overflows on its band, a
         Sobolev index whose weights overflow and a normalform band too small
@@ -461,6 +471,27 @@ class TestCli:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert message in err
         assert not (tmp_path / f"{argv[0]}.csv").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--profile", "custom", "--grid", "8"],
+        ["--profile-amplitude", "1e-170", "--grid", "16"],
+    ], ids=["negative-modes-only", "tiny-amplitude"])
+    def test_spectrum_without_a_hankel_spectrum_exits_one(self, flags, tmp_path, capsys):
+        """A profile on modes -1 and -2 alone has a zero Hankel matrix, and
+        one of amplitude 1e-170 squared eigenvalues that underflow to 0:
+        there is no spectrum to follow, so the row stops before stepping
+        with one `config error:` line naming the profile."""
+        path = tmp_path / "negative.txt"
+        path.write_text("-1 1.0 0.0\n-2 0.5 0.0\n")
+        argv = [SPECTRUM, *flags, "--profile-path", str(path), "--horizon", "fixed:1",
+                "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the dropped negative modes
+            assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "profile has no Hankel spectrum" in err
+        assert not (tmp_path / "spectrum.csv").exists()
 
     @pytest.mark.parametrize("argv, t_end", [
         ([BESOV_BOUND, "--horizon", "fixed:1", "--dt", "5"], 1.0),

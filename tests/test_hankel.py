@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from halfwave import (
     peller_ratio,
     spectral_summary,
 )
+from halfwave.hankel import EigensolverError
 
 from conftest import random_analytic_field
 
@@ -96,6 +98,31 @@ class TestSpectralSummary:
         a = spectral_summary(build_hankel(w)).singular_values
         b = spectral_summary(build_hankel(shifted)).singular_values
         assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, a[0])
+
+    @pytest.mark.parametrize("amplitude", [1e-170, 1.0, 1e170])
+    def test_spectrum_scales_with_the_amplitude(self, amplitude, rng):
+        """At 1e-170 gamma gamma^H underflows and at 1e170 it overflows;
+        both decompositions run on gamma scaled by a power of two, so the
+        singular values are amplitude times those at 1 and the comparison
+        runs without a warning (warnings are errors here)."""
+        w = random_analytic_field(GridSpec.with_padding(8), rng)
+        unit = spectral_summary(build_hankel(w))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = spectral_summary(build_hankel(amplitude * w))
+        want = amplitude * unit.singular_values
+        assert np.all(np.abs(s.singular_values - want) <= 1e-12 * want)
+        assert s.trace_norm == pytest.approx(amplitude * unit.trace_norm, rel=1e-12)
+
+    @pytest.mark.parametrize("amplitude", [1e-170, 1.0])
+    def test_cross_check_runs_at_a_tiny_amplitude(self, amplitude, rng, monkeypatch):
+        """An eigensolver off by a relative 1e-6 fails the cross-check at
+        1e-170 as it does at 1."""
+        w = random_analytic_field(GridSpec.with_padding(8), rng)
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) * (1.0 + 1e-6))
+        with pytest.raises(EigensolverError, match="disagree"):
+            spectral_summary(build_hankel(amplitude * w))
 
 
 class TestPellerRatio:

@@ -169,10 +169,6 @@ def test_transport_flow_conserves_hankel_spectrum(grid16, rng):
     assert dev <= 1e-6
 
 
-#: fixed examples, so the suite's outcome does not vary between runs
-PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=15)
-
-
 @st.composite
 def band_data(draw):
     """Seeded data on a band N in [8, 64] of size 0.5, as conftest's
@@ -206,7 +202,7 @@ def test_transport_is_translated_plain_szego(eps, n, rng):
     _check_transport_is_translated_plain(eps, u0, 5.0, 0.01)
 
 
-@PROPERTY
+@settings(max_examples=15)
 @given(st.floats(0.1, 1.0), band_data())
 def test_transport_is_translated_plain_szego_on_any_band(eps, u0):
     _check_transport_is_translated_plain(eps, u0, 1.0, 0.01)
@@ -236,7 +232,7 @@ def test_szego_scaling_identity(n, rng):
     _check_szego_scaling(random_analytic_field(GridSpec.with_padding(n), rng, scale=0.5), 5.0)
 
 
-@PROPERTY
+@settings(max_examples=15)
 @given(band_data(), st.floats(0.5, 5.0))
 def test_szego_scaling_identity_on_any_band(w0, lam):
     _check_szego_scaling(w0, lam)
@@ -272,14 +268,14 @@ def test_translation_commutes_with_flow(problem, n, a, rng):
     _check_translation_commutes(problem, random_field(GridSpec.with_padding(n), rng, scale=0.5), a)
 
 
-@PROPERTY
+@settings(max_examples=15)
 @given(st.sampled_from([*TRANSLATED.values(), EvolutionProblem.szego_transport(0.5, 0.3)]),
        band_data(), st.floats(0.0, 2 * np.pi))
 def test_translation_commutes_with_flow_on_any_band(problem, u0, a):
     _check_translation_commutes(problem, u0, a)
 
 
-@PROPERTY
+@settings(max_examples=15)
 @given(st.floats(0.1, 1.0), band_data())
 def test_gauge_identity_to_richardson_order(eps, u0):
     """The gauged flow is the scaled flow times e^{2 i t eps^2 q0}

@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import GridSpec, TorusField, fast_transform_length
-from .hankel import build_hankel, spectral_summary
+from .hankel import NOISE_FLOOR, build_hankel, spectral_summary
 from .integrate import BlowUpError, step_count, trajectory
 from .norms import besov_norm, charge, l4_norm, sobolev_norm
 from .normalform import (
@@ -675,11 +675,13 @@ def _spectrum_row(args):
     t_end = cfg.horizon.time_for(1.0)
     dt = cfg.dt if cfg.dt is not None else default_time_step(problem, u0)
     before = spectral_summary(build_hankel(u0))
-    top_eigenvalue = before.hw2_eigenvalues[0]
-    if not 0 < top_eigenvalue < math.inf:
+    # from this bound up, every eigenvalue above the noise floor is a
+    # normal float, with all its digits for the relative deviations below
+    lowest, top_eigenvalue = np.finfo(float).tiny / NOISE_FLOOR**2, before.hw2_eigenvalues[0]
+    if not lowest <= top_eigenvalue < math.inf:
         raise ValueError(f"the {cfg.profile.kind} profile has no Hankel spectrum to follow: "
                          f"its largest squared-Hankel eigenvalue is {top_eigenvalue}, "
-                         "not a positive finite number")
+                         f"outside [{lowest:.3g}, inf)")
     finals = []  # the summary at t_end of each run, dt first
 
     def final_trace(coeff):

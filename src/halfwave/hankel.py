@@ -21,12 +21,6 @@ from .norms import besov_norm
 #: eigenvalues below this multiple of the largest are reported as zero
 NOISE_FLOOR = 1e-13
 
-#: spectral_summary scales gamma by a power of two when its largest entry
-#: is 2^e with |e| above this.  Below it gamma gamma^H and its noise floor
-#: stay far inside the normal float range, and gamma itself is decomposed:
-#: a scaled copy would add one (N+1)^2 complex array to the peak memory
-_SCALED_EXPONENT = 256
-
 
 class EigensolverError(RuntimeError):
     """Raised when the dense eigensolver fails or cross-checks disagree."""
@@ -88,28 +82,27 @@ def spectral_summary(h: HankelTruncation) -> SpectralSummary:
     """Singular values of gamma and eigenvalues of gamma gamma^H.
 
     The two computations are independent (SVD vs Hermitian eigensolver)
-    and are cross-checked against each other.  When the largest entry of
-    gamma is 2^e with |e| > _SCALED_EXPONENT, both run on gamma times
-    2^-e, so that gamma gamma^H neither underflows nor overflows; the
-    scaling is exact, and the results are scaled back, so a squared
-    eigenvalue beyond the float range comes back as inf or 0.  A
-    cross-check that cannot be computed (a non-finite mismatch) fails.
+    and are cross-checked against each other, at any amplitude: with 2^e
+    about the largest entry of gamma, the eigensolver takes the product
+    gamma (conj(gamma) 2^-2e), which neither underflows nor overflows, the
+    SVD (which rescales its input itself) takes gamma, and both spectra
+    are compared scaled by 2^-e.  Every scaling is by a power of two, so
+    it rounds nothing; a squared eigenvalue beyond the float range comes
+    back as inf or 0.  A cross-check that cannot be computed (a
+    non-finite mismatch) fails.
     """
     peak = np.max(np.abs(h.gamma), initial=0.0)
     exponent = int(np.frexp(peak)[1]) if np.isfinite(peak) else 0
-    gamma = h.gamma
-    if abs(exponent) > _SCALED_EXPONENT:
-        # on the real and imaginary parts, as a float view
-        gamma = np.ldexp(gamma.view(np.float64), -exponent).view(np.complex128)
-    else:
-        exponent = 0
+    conj = np.conj(h.gamma)
+    # on the real and imaginary parts, as a float view of the copy
+    np.ldexp(conj.view(np.float64), -2 * exponent, out=conj.view(np.float64))
     try:
-        sv = np.linalg.svd(gamma, compute_uv=False)
-        squared = np.linalg.eigvalsh(gamma @ np.conj(gamma))
+        sv = np.linalg.svd(h.gamma, compute_uv=False)
+        squared = np.linalg.eigvalsh(h.gamma @ conj)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
 
-    sv = np.sort(sv)[::-1]
+    sv = np.ldexp(np.sort(sv)[::-1], -exponent)
     squared = np.sort(np.maximum(squared, 0.0))[::-1]
 
     if sv.size and sv[0] != 0:  # a NaN spectrum reaches the comparison and fails it
@@ -124,7 +117,7 @@ def spectral_summary(h: HankelTruncation) -> SpectralSummary:
             )
     # a squared value beyond the float range rounds to inf (or to 0),
     # as the product itself would
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         sv, squared = np.ldexp(sv, exponent), np.ldexp(squared, 2 * exponent)
     return SpectralSummary(
         singular_values=sv,

@@ -475,12 +475,15 @@ class TestCli:
     @pytest.mark.parametrize("flags", [
         ["--profile", "custom", "--grid", "8"],
         ["--profile-amplitude", "1e-170", "--grid", "16"],
-    ], ids=["negative-modes-only", "tiny-amplitude"])
+        ["--profile-amplitude", "1e-160", "--grid", "16"],
+    ], ids=["negative-modes-only", "tiny-amplitude", "subnormal-amplitude"])
     def test_spectrum_without_a_hankel_spectrum_exits_one(self, flags, tmp_path, capsys):
-        """A profile on modes -1 and -2 alone has a zero Hankel matrix, and
-        one of amplitude 1e-170 squared eigenvalues that underflow to 0:
-        there is no spectrum to follow, so the row stops before stepping
-        with one `config error:` line naming the profile."""
+        """A profile on modes -1 and -2 alone has a zero Hankel matrix, one
+        of amplitude 1e-170 squared eigenvalues that underflow to 0, and one
+        of amplitude 1e-160 subnormal ones, whose few digits cannot carry a
+        1e-6 relative deviation: there is no spectrum to follow, so the row
+        stops before stepping with one `config error:` line naming the
+        profile."""
         path = tmp_path / "negative.txt"
         path.write_text("-1 1.0 0.0\n-2 0.5 0.0\n")
         argv = [SPECTRUM, *flags, "--profile-path", str(path), "--horizon", "fixed:1",

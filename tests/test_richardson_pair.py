@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfwave import EvolutionProblem, GridSpec, TorusField, trajectory
+from halfwave import integrate
 from halfwave.integrate import BlowUpError, step_count
 
 DT = 0.1
@@ -109,3 +110,51 @@ def test_pair_raises_when_both_runs_blow_up():
         with pytest.raises(BlowUpError) as paired:
             list(trajectory(problem, u0, 2000.0, 10.0, pair=True))
     assert paired.value.last_valid_time == lone.value.last_valid_time
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_half_step_blow_up_keeps_its_lone_time(k, monkeypatch):
+    """Only the run at dt/2 blows up, at its k-th step: the first (k odd)
+    or the second (k even) of a step at dt.  It yields the BlowUpError of
+    its lone run from then on, with the same last valid time, and the run
+    at dt finishes, equal to its lone run at every sample.
+
+    The blow-up is made by the steppers: every step the run at dt/2 takes,
+    in the pair's stepper (its rows are the second half) or in its own,
+    counts, and from the k-th on its rows come back NaN."""
+    taken, make_stepper = [0], integrate.make_stepper
+
+    def poisoned(problem, grid, dt, pair=False):
+        stepper = make_stepper(problem, grid, dt, pair=pair)
+        if not pair and dt > DT / 2 * 1.5:  # the run at dt, stepped alone
+            return stepper
+        step = stepper.step
+
+        def poison(y):
+            out = step(y)
+            taken[0] += 1
+            if taken[0] >= k:
+                out[len(out) // 2 if pair else 0:] = np.nan
+            return out
+
+        stepper.step = poison
+        return stepper
+
+    monkeypatch.setattr(integrate, "make_stepper", poisoned)
+    u0 = TorusField.from_modes(GridSpec.with_padding(16), {1: 0.5, 0: 0.3, -1: 0.2})
+    problem = EvolutionProblem.half_wave()
+    paired = list(trajectory(problem, u0, 1.0, DT, 2, pair=True))
+    taken[0] = 0
+    lone_dt, lone_half = _lone_runs(problem, u0, 1.0, DT, 2)
+    assert len(paired) == len(lone_dt) == 6
+    for (t, coeff), (t_pair, runs) in zip(lone_dt, paired):
+        assert t == t_pair
+        assert np.array_equal(runs[0], coeff)
+    assert isinstance(lone_half[-1][1], BlowUpError)
+    assert lone_half[-1][1].last_valid_time == pytest.approx((k - 1) * DT / 2)
+    for (t, coeff), (_, runs) in zip(lone_half, paired):
+        if isinstance(coeff, BlowUpError):
+            assert runs[1].last_valid_time == coeff.last_valid_time
+            break
+        assert np.array_equal(runs[1], coeff)
+    assert all(isinstance(runs[1], BlowUpError) for _, runs in paired[len(lone_half) - 1:])

@@ -113,8 +113,9 @@ class HorizonRule:
     def __post_init__(self):
         if self.kind not in ("fixed", "inv_eps_sq", "log"):
             raise ValueError(f"unknown horizon kind {self.kind!r}")
-        if not self.value > 0:
-            raise ValueError("horizon value must be positive")
+        if not 0 < self.value < math.inf:
+            raise ValueError(f"{self.kind} horizon value must be positive and finite, "
+                             f"got {self.value}")
 
     def time_for(self, eps: float) -> float:
         if self.kind == "fixed":
@@ -898,13 +899,20 @@ def write_summary(result: SweepResult, cfg: ExperimentConfig, path):
     payload = {
         "experiment": result.experiment,
         "config": config,
-        "rows": [dict(r.data, runtime=r.runtime) for r in result.rows],
         "fitted_slope": result.fitted_slope,
         "slope_ci": list(result.slope_ci) if result.slope_ci else None,
         "passed": result.passed,
         "notes": result.notes,
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    fields = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+              for key, value in payload.items()}
+    # one row a line: json encodes in C only without indent, and the
+    # resonance audit writes tens of thousands of rows
+    encode = json.JSONEncoder(sort_keys=True).encode
+    rows = [encode(dict(r.data, runtime=r.runtime)) for r in result.rows]
+    fields["rows"] = "[" + ",".join(f"\n    {row}" for row in rows) + ("\n  ]" if rows else "]")
+    text = ",\n".join(f"  {json.dumps(key)}: {fields[key]}" for key in sorted(fields))
+    Path(path).write_text("{\n" + text + "\n}\n")
 
 
 def run_and_write(cfg: ExperimentConfig) -> SweepResult:

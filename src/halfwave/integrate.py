@@ -15,6 +15,14 @@ the symbol is 0, where the step is classical RK4 in exact arithmetic.
 The independent cross-check is oracles.galerkin_reference, which shares
 no code with this path.
 
+A stepper and its nonlinearity (problems.nonlinearity, called as
+nl(c, out)) keep their work arrays: the six stage arrays, and the
+padded arrays of the cubic, one set per input shape, made on the first
+step with that shape.  A warm step then allocates only the state it
+returns, which no later step writes, and makes the same eight
+transforms and the same ufunc calls, operand for operand, as the
+formulas, so its result is bit for bit theirs.
+
 A step count is chosen so that an integer number of steps lands exactly
 on t_end (the actual dt, never larger than requested, is reported);
 step_count is that rule and the one check on a step: a dt of t_end / n
@@ -131,22 +139,41 @@ def _weights(symbol, h):
 
 class _ETDRK4Stepper:
     """One ETDRK4 step (Cox & Matthews stages) of dy/dt = -i S y + N(y),
-    with the weights of _weights and N = nonlinear."""
+    with the weights of _weights and N = nonlinear.
+
+    nonlinear(c, out) writes N(c) to out, an array of c's shape that
+    does not overlap c, and returns it.  The stepper keeps the stages'
+    arrays for each input shape, allocated on the first step with that
+    shape; a step then allocates only the array it returns, which no
+    later step writes.  y itself is never written.  Each stage
+    combination is the ufunc of the formula, operand for operand, so a
+    step is bit for bit the formula's.
+    """
 
     def __init__(self, weights, nonlinear, dt):
         self.dt = dt
         self.e_half, self.e_full, self.q, self.f1, self.f2, self.f3 = weights
         self._nl = nonlinear
+        self._work = {}  # input shape -> the six stage arrays
 
     def step(self, y):
-        eh, q = self.e_half, self.q
-        ny = self._nl(y)
-        ey = eh * y
-        a = ey + q * ny
-        na = self._nl(a)
-        nb = self._nl(ey + q * na)
-        nc = self._nl(eh * a + q * (2.0 * nb - ny))
-        return self.e_full * y + self.f1 * ny + self.f2 * (2.0 * (na + nb)) + self.f3 * nc
+        if y.shape not in self._work:
+            self._work[y.shape] = tuple(np.empty(y.shape, dtype=np.complex128) for _ in range(6))
+        ny, na, nb, ey, a, t = self._work[y.shape]
+        eh, q, nl, mul, add = self.e_half, self.q, self._nl, np.multiply, np.add
+        nl(y, ny)
+        mul(eh, y, out=ey)
+        add(ey, mul(q, ny, out=a), out=a)  # a = ey + q ny
+        nl(a, na)
+        nl(add(ey, mul(q, na, out=t), out=t), nb)  # N(ey + q na)
+        np.subtract(mul(2.0, nb, out=t), ny, out=t)
+        add(mul(eh, a, out=ey), mul(q, t, out=t), out=t)  # eh a + q (2 nb - ny)
+        nc = nl(t, a)  # a is spent
+        # e_full y + f1 ny + f2 (2 (na + nb)) + f3 nc, summed left to right
+        out = mul(self.e_full, y)
+        add(out, mul(self.f1, ny, out=ny), out=out)
+        add(out, mul(self.f2, mul(2.0, add(na, nb, out=na), out=na), out=na), out=out)
+        return add(out, mul(self.f3, nc, out=nc), out=out)
 
 
 def _shifted_rows(problem):

@@ -41,11 +41,28 @@ def besov_blocks(grid: GridSpec):
     return tuple(blocks)
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=None)
+def _besov_masks(grid: GridSpec) -> np.ndarray:
+    """The masks of besov_blocks as one read-only (blocks, n_coeff) array."""
+    return _frozen(np.array([mask for _, mask in besov_blocks(grid)]))
+
+
+@lru_cache(maxsize=None)
+def _sobolev_weights(grid: GridSpec, s: float) -> np.ndarray:
+    """The read-only weights (1 + k^2)^s of the band."""
+    return _frozen((1.0 + grid.modes().astype(float) ** 2) ** s)
+
+
 def besov_norm(f: TorusField) -> float:
     """sum over blocks of weight * ||block f||_L1, one batched transform
     over all blocks."""
     blocks = besov_blocks(f.grid)
-    masks = np.array([mask for _, mask in blocks])
+    masks = _besov_masks(f.grid)
     values = np.fft.ifft(_pad(np.where(masks, f.coeff, 0.0), f.grid)) * f.grid.padded_len
     total = 0.0
     for (weight, _), l1 in zip(blocks, np.mean(np.abs(values), axis=-1)):
@@ -54,8 +71,9 @@ def besov_norm(f: TorusField) -> float:
 
 
 def sobolev_norm(f: TorusField, s: float) -> float:
-    k = f.grid.modes()
-    return float(np.sqrt(np.sum((1.0 + k.astype(float) ** 2) ** s * np.abs(f.coeff) ** 2)))
+    """(sum_k (1 + k^2)^s |f_k|^2)^(1/2), with the weights cached per
+    grid and s."""
+    return float(np.sqrt(np.sum(_sobolev_weights(f.grid, s) * np.abs(f.coeff) ** 2)))
 
 
 def l4_norm(f: TorusField) -> float:

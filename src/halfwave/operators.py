@@ -37,7 +37,16 @@ def _negative_modes(grid: GridSpec) -> int:
     return grid.n_coeff - grid.max_mode - 1
 
 
-def _cubic(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
+def _cubic_scratch(shape, grid: GridSpec):
+    """The work arrays of _cubic for band coefficients of the given shape:
+    the zero-padded spectra, the grid values (then the spectra of the
+    product, transformed in place) and |u|^2 (a complex array whose
+    imaginary part stays 0)."""
+    padded = tuple(shape[:-1]) + (grid.padded_len,)
+    return tuple(np.zeros(padded, dtype=np.complex128) for _ in range(3))
+
+
+def _cubic(coeff: np.ndarray, grid: GridSpec, out=None, scratch=None) -> np.ndarray:
     """Band coefficients of |u|^2 u for each row of band coefficients: the
     dealiased cubic, one transform each way on the padded grid.
 
@@ -46,11 +55,29 @@ def _cubic(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
     which no aliased copy of modes -N..2N reaches once M >= 2N + 1; the
     modes k < 0 of |u|^2 u are dropped there, so it computes
     P_+(|u|^2 u).
+
+    The result goes to out (a new array if None), which must not overlap
+    coeff.  scratch is _cubic_scratch(coeff.shape, grid), kept by a
+    caller that calls again on the same shape: only the band slots of
+    its padded spectra are ever written, so their padding stays zero,
+    and the call then allocates nothing.
     """
-    m = grid.padded_len
-    v = np.fft.ifft(_pad(coeff, grid))
-    v *= np.abs(v) ** 2
-    out = _band(np.fft.fft(v), grid)
+    n, m, neg = grid.max_mode, grid.padded_len, _negative_modes(grid)
+    padded, v, modulus = scratch or _cubic_scratch(coeff.shape, grid)
+    padded[..., : n + 1] = coeff[..., neg:]
+    padded[..., m - neg:] = coeff[..., :neg]
+    np.fft.ifft(padded, out=v)
+    # |v|^2 in the real part: v times it is the complex product numpy
+    # forms with a real factor, without a cast buffer
+    square = modulus.real
+    np.abs(v, out=square)
+    np.square(square, out=square)
+    v *= modulus
+    np.fft.fft(v, out=v)
+    if out is None:
+        out = np.empty(coeff.shape, dtype=np.complex128)
+    out[..., :neg] = v[..., m - neg:]
+    out[..., neg:] = v[..., : n + 1]
     out *= m * m
     return out
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .fields import GridSpec, TorusField
 from .norms import besov_norm, charge, l4_norm
-from .operators import _cubic, _negative_modes
+from .operators import _cubic, _cubic_scratch, _negative_modes
 
 #: the linear multiplier L(k) of each dispersion, on float wavenumbers
 DISPERSIONS = {"|k|": np.abs, "k": np.positive, "0": np.zeros_like}
@@ -122,7 +122,8 @@ def _row_index(flags):
 
 
 def nonlinearity(problem, grid: GridSpec):
-    """Closure coeff -> -i c (P(|u|^2 u) - 2 q0 u) on raw coefficient arrays.
+    """Closure (coeff, out=None) -> -i c (P(|u|^2 u) - 2 q0 u) on raw
+    coefficient arrays.
 
     The dealiased cubic term is operators._cubic, one round trip on the
     padded grid with no field wrapping, so the inner stepping loop stays
@@ -132,6 +133,12 @@ def nonlinearity(problem, grid: GridSpec):
     projected rows.  On an analytic grid (modes 0..N, all rows
     projected) _cubic already returns P_+(|u|^2 u).  At c = 0 the term
     is exactly zero.
+
+    The term is written to out, which must not overlap coeff, and
+    returned; without out it is a new array.  The closure keeps _cubic's
+    scratch and the gauge term's array for each input shape, allocated
+    on the first call with that shape, so a call with out allocates
+    nothing.
     """
     problems, lead = _stack(problem)
     column = lead + (1,)
@@ -139,15 +146,21 @@ def nonlinearity(problem, grid: GridSpec):
     scale = -1j * np.reshape([p.coupling for p in problems], column)
     q0 = np.reshape([p.q0 for p in problems], column)
     gauge = 2.0 * q0 if q0.any() else None
-    zeroed = _row_index([p.project for p in problems])
+    # an analytic grid has no modes k < 0 to zero
+    zeroed = _row_index([p.project for p in problems]) if neg else None
+    work = {}  # input shape -> (_cubic's scratch, the gauge term)
 
-    def term(c):
-        out = _cubic(c, grid)
+    def term(c, out=None):
+        if c.shape not in work:
+            work[c.shape] = (_cubic_scratch(c.shape, grid),
+                             None if gauge is None else np.empty(c.shape, dtype=np.complex128))
+        scratch, gauged = work[c.shape]
+        out = _cubic(c, grid, out, scratch)
         if zeroed is not None:
             out[zeroed, :neg] = 0.0
         if gauge is not None:
-            out -= gauge * c
-        return scale * out
+            out -= np.multiply(gauge, c, out=gauged)
+        return np.multiply(scale, out, out=out)
 
     return term
 

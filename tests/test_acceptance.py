@@ -8,9 +8,10 @@ drift of the integrators, Hankel-spectrum conservation, the
 concentration scaling of the Szego flow, the quartic free-flow slopes,
 and the independence cross-checks between solver paths.
 
-The full module takes about two minutes single-threaded (119 s on a
-2-core x86-64 machine, summed from `pytest --durations`; criterion 8 is
-72 s of it, criterion 5 22 s and criterion 6 15 s).
+The full module takes under two minutes single-threaded (79 s on a
+shared 2-core x86-64 machine, from `pytest --durations`; criterion 8 is
+41 s of it, criterion 5 18 s and criterion 6 13 s; criterion 8 reads
+41-51 s from run to run there).
 
 Criterion 8 measures the inflation ratio ||w(t*)||_{H^s} delta^{2s-1} / eps
 of the plain Szego flow from eps (e^{ix} + delta) at t* = pi/(2 eps^2 delta).

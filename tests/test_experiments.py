@@ -21,6 +21,7 @@ from halfwave.experiments import (
     RICHARDSON_TOLERANCE,
     SPECTRUM,
     SPECTRUM_MAX_GRID_N,
+    STRICHARTZ,
     _approximation_row,
     _besov_row,
     _decoupling_row,
@@ -140,12 +141,19 @@ class TestConfig:
         cfg = default_config(INFLATION, delta_list=(0.0271,))
         assert _inflation_grid_n(cfg.delta_list[0], cfg.grid_n) == MAX_GRID_N
 
-    @pytest.mark.parametrize("rule", [HorizonRule("fixed", math.inf),
-                                      HorizonRule("inv_eps_sq", 1e308),
+    @pytest.mark.parametrize("rule", [HorizonRule("inv_eps_sq", 1e308),
                                       HorizonRule("log", 1e308)])
     def test_horizon_must_be_finite(self, rule):
         with pytest.raises(ValueError, match="horizon"):
             rule.time_for(0.2)
+
+    @pytest.mark.parametrize("kind", ["fixed", "inv_eps_sq", "log"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_horizon_value_must_be_positive_and_finite(self, kind, value):
+        """Rejected when the rule is built, so no experiment runs with it,
+        even one that reads no horizon."""
+        with pytest.raises(ValueError, match=f"{kind} horizon value must be positive and finite"):
+            HorizonRule(kind, value)
 
 
 class TestProfiles:
@@ -365,6 +373,19 @@ class TestOutputs:
         assert payload["config"]["seed"] == 0
         assert isinstance(payload["rows"], list)
 
+    def test_summary_rows_are_one_line_each(self, tmp_path):
+        """summary.json loads to the document json.dumps(indent=2) writes,
+        with each row written on one line."""
+        cfg = default_config("strichartz", output_dir=str(tmp_path))
+        result = run_and_write(cfg)
+        text = (tmp_path / "summary.json").read_text()
+        payload = json.loads(text)
+        assert payload["rows"] == [dict(r.data, runtime=r.runtime) for r in result.rows]
+        assert set(payload) == {"experiment", "config", "rows", "fitted_slope", "slope_ci",
+                                "passed", "notes"}
+        rows = [line for line in text.splitlines() if line.startswith("    {")]
+        assert len(rows) == len(result.rows) > 0
+
     def test_csv_one_header_line(self, tmp_path):
         cfg = default_config("strichartz", output_dir=str(tmp_path))
         result = run_and_write(cfg)
@@ -458,9 +479,10 @@ class TestCli:
         ([NORMALFORM, "--grid", "3"], "normalform requires grid_n >= 4"),
         ([SPECTRUM, "--grid", str(SPECTRUM_MAX_GRID_N + 1)],
          f"spectrum requires grid_n <= {SPECTRUM_MAX_GRID_N}"),
+        ([STRICHARTZ, "--horizon=fixed:inf"], "fixed horizon value must be positive and finite"),
     ], ids=["tiny-delta", "small-delta", "large-grid", "profile-overflow", "huge-sobolev",
             "inflation-sobolev-weight", "inflation-sobolev-gamma", "normalform-grid-1",
-            "normalform-grid-2", "normalform-grid-3", "spectrum-grid"])
+            "normalform-grid-2", "normalform-grid-3", "spectrum-grid", "strichartz-inf-horizon"])
     def test_out_of_range_input_is_one_config_line(self, argv, message, tmp_path, capsys):
         """A band above the ceiling, a profile that overflows on its band, a
         Sobolev index whose weights overflow and a normalform band too small

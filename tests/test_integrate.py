@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from halfwave import (
 from halfwave import integrate
 from halfwave.integrate import _etd_weights
 from halfwave.experiments import HorizonRule, NumericalFailure, _richardson
+from halfwave.fields import _AnalyticGrid
 from halfwave.norms import charge
 
 from conftest import random_analytic_field, random_field
@@ -579,3 +581,74 @@ def test_stack_rejections(grid16):
         next(trajectory((), u0, 1.0, 0.1))
     with pytest.raises(ValueError, match="empty"):
         integrate.make_stepper([], grid16, 0.1)
+
+
+#: a lone, a stacked and a pair stepper on the N = 128 full band and on the
+#: N = 1200 analytic band of the inflation rows
+BUFFER_CASES = [f"{kind}-{n}" for n in (128, 1200) for kind in ("lone", "stack", "pair")]
+
+
+def _buffer_case(case):
+    """The stepper of a BUFFER_CASES name and the shape of its states."""
+    kind, n = case.split("-")
+    if n == "128":
+        grid = GridSpec.with_padding(128)
+        stack = (EvolutionProblem.half_wave_gauged(0.5, 0.3),
+                 EvolutionProblem.szego_transport(0.5, 0.3))
+    else:
+        grid = _AnalyticGrid.with_padding(1200)
+        stack = (EvolutionProblem.szego_plain(), EvolutionProblem.szego_transport(0.5))
+    stepper = integrate.make_stepper(stack if kind == "stack" else stack[0], grid, 0.01,
+                                     pair=kind == "pair")
+    return stepper, (1 if kind == "lone" else 2, grid.n_coeff)
+
+
+def _state(shape, rng):
+    return 0.01 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("case", BUFFER_CASES)
+def test_warm_step_allocates_only_its_result(case, rng):
+    """Once the stepper has its buffers, a step's traced peak stays below
+    3x the array it returns (a step that builds its stage arrays on every
+    call peaks near 11x)."""
+    stepper, shape = _buffer_case(case)
+    y = _state(shape, rng)
+    stepper.step(y)
+    tracemalloc.start()
+    try:
+        result = stepper.step(y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * result.nbytes
+
+
+@pytest.mark.parametrize("case", BUFFER_CASES)
+def test_step_results_are_never_written_again(case, rng):
+    """Each step returns a new array, which later steps leave as it is; the
+    input is never written."""
+    stepper, shape = _buffer_case(case)
+    y = _state(shape, rng)
+    y_copy = y.copy()
+    first = stepper.step(y)
+    kept = first.copy()
+    second = stepper.step(first)
+    third = stepper.step(y)
+    assert not np.shares_memory(first, second) and not np.shares_memory(second, third)
+    assert not np.shares_memory(first, third)
+    assert np.array_equal(first, kept) and np.array_equal(y, y_copy)
+    assert np.array_equal(third, first)
+
+
+def test_one_stepper_steps_each_shape_as_its_own(rng):
+    """A stepper fed states of two shapes in turn gives each the step a
+    stepper that only ever saw that shape gives: (n_coeff,) and (1, n_coeff)
+    for one problem, as the lone stepper of a pair and trajectory feed it."""
+    grid = GridSpec.with_padding(32)
+    problem = EvolutionProblem.half_wave_gauged(0.5, 0.3)
+    shared = integrate.make_stepper(problem, grid, 0.05)
+    for y in [_state((grid.n_coeff,), rng), _state((1, grid.n_coeff), rng),
+              _state((grid.n_coeff,), rng)]:
+        lone = integrate.make_stepper(problem, grid, 0.05)
+        assert np.array_equal(shared.step(y), lone.step(y))

@@ -116,6 +116,36 @@ def test_stacked_nonlinearity_rows_equal_single(grid16, rng):
         assert np.array_equal(symbols[i], linear_symbol(problem, grid16))
 
 
+@pytest.mark.parametrize("rows", [1, 3, len(ALL_PROBLEMS)])
+def test_nonlinearity_into_out_equals_a_new_result(rows, grid16, rng):
+    """Written into a caller's out, the term is bit for bit the one a new
+    closure returns as a new array, on random stacks of every problem."""
+    stack = ALL_PROBLEMS[:rows]
+    coeff = np.array([random_field(grid16, rng).coeff for _ in stack])
+    want = nonlinearity(stack, grid16)(coeff)
+    term = nonlinearity(stack, grid16)
+    for _ in range(2):  # the second call reuses the closure's scratch
+        out = np.full_like(coeff, np.nan)
+        assert term(coeff, out) is out
+        assert np.array_equal(out, want)
+
+
+def test_nonlinearity_results_are_new_arrays(grid16, rng):
+    """Without out every call returns a new array, which later calls leave
+    as it is; the input is never written."""
+    term = nonlinearity(ALL_PROBLEMS, grid16)
+    a, b = (np.array([random_field(grid16, rng).coeff for _ in ALL_PROBLEMS]) for _ in range(2))
+    a_copy = a.copy()
+    first = term(a)
+    kept = first.copy()
+    second = term(b)
+    third = term(a)
+    assert not np.shares_memory(first, second) and not np.shares_memory(first, third)
+    assert not np.shares_memory(second, third) and not np.shares_memory(first, a)
+    assert np.array_equal(first, kept) and np.array_equal(a, a_copy)
+    assert np.array_equal(third, first)
+
+
 def test_stacked_nonlinearity_zero_coupling_and_empty(grid16, rng):
     free = (EvolutionProblem.free_half_wave(), EvolutionProblem.free_half_wave())
     coeff = np.array([random_field(grid16, rng).coeff for _ in free])

@@ -36,7 +36,6 @@ from .problems import (
     EvolutionProblem,
     default_time_step,
     energy,
-    gauge_transform,
 )
 from .normalform import (
     F,

@@ -16,11 +16,13 @@ against its acceptance band.  Conventions shared by all experiments:
   worker reads one value per run off it.  A run fails loudly when that
   discrepancy exceeds 10x the experiment tolerance (a relative 1e-2 of
   the measured value by default) or the value is not finite.
-- Without a configured dt, the decoupling, approximation and besov rows
-  pick their step: from 10x the default step down, the first step whose
-  discrepancy is within the squared tolerance (1e-4 relative) is taken,
-  each trial's half-step run doubling as the next trial, and the
-  default step under the 10x bar is the fallback (see _richardson).
+- Every stepped row takes its step and both columns from _stepped.
+  Without a configured dt, a supremum row (decoupling, approximation,
+  besov) picks its step: from 10x the default step down, the first step
+  whose discrepancy is within the squared tolerance (1e-4 relative) is
+  taken, each trial's half-step run doubling as the next trial, and the
+  default step under the 10x bar is the fallback (see _richardson).  A
+  row read at t_end (spectrum, inflation) steps at the default step.
 - Identical config and seed give bitwise-identical CSV output; wall
   times appear only in the JSON summary.
 """
@@ -57,7 +59,7 @@ from .normalform import (
     taylor_residual,
 )
 from .operators import project_minus
-from .problems import EvolutionProblem, default_time_step
+from .problems import EvolutionProblem, _stack, default_time_step
 
 DECOUPLING = "decoupling"
 APPROXIMATION = "approximation"
@@ -340,14 +342,14 @@ def _richardson(measure, t_end: float, dt: float, label: str, scale: float = 1.0
     """Measure at a step and at half of it; returns (value, step, discrepancy).
 
     measure(dt, stride, pair) runs to t_end with the given step and
-    monitor stride and returns the value.  With pair it runs the
-    Richardson pair as one stack (integrate.trajectory's pair): the run
-    of n steps and the run of exactly 2n steps at twice the stride, so
-    both sample the same times, and returns (value, value_half), a run
-    that blew up giving its BlowUpError; a pair whose runs both blow up
-    raises.  A step h is taken as t_end / n with n = step_count(t_end,
-    h), and the reported step is t_end / n.  The discrepancy is scale *
-    |value - value_half|.
+    monitor stride and returns the tuple of its runs' values: one run,
+    or with pair the Richardson pair as one stack (integrate.trajectory's
+    pair), the run of n steps and the run of exactly 2n steps at twice
+    the stride, so both sample the same times, giving (value,
+    value_half).  A run that blew up gives its BlowUpError; a call whose
+    runs all blow up raises.  A step h is taken as t_end / n with n =
+    step_count(t_end, h), and the reported step is t_end / n.  The
+    discrepancy is scale * |value - value_half|.
 
     Without search the pair is (dt, dt/2) at strides 10 and 20.  A value
     that is not finite, or a discrepancy above 10x RICHARDSON_TOLERANCE
@@ -374,8 +376,7 @@ def _richardson(measure, t_end: float, dt: float, label: str, scale: float = 1.0
                 values = measure(t_end / steps, steps // coarse, pair)
             except BlowUpError:
                 return [None] * (2 if pair else 1)
-            return [None if isinstance(v, BlowUpError) else v
-                    for v in (values if pair else [values])]
+            return [None if isinstance(v, BlowUpError) else v for v in values]
 
         v, v_half = trial(coarse, pair=True)
         for rung in range(3):
@@ -405,33 +406,53 @@ def _richardson(measure, t_end: float, dt: float, label: str, scale: float = 1.0
     return value, t_end / n, rich
 
 
-def _values(functional, states):
-    """functional of each run's state; a run that blew up keeps its
+def _values(functional, states, pair):
+    """functional of each run's state, as a list; states is a trajectory's
+    yield, the (dt, dt/2) tuple with pair.  A run that blew up keeps its
     BlowUpError.  Overflow is quiet: _richardson rejects a value that is
     not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return [s if isinstance(s, BlowUpError) else functional(s) for s in states]
+        return [s if isinstance(s, BlowUpError) else functional(s)
+                for s in (states if pair else (states,))]
 
 
 def _peak(functional, problem, u0, t_end, dt, stride, pair=False):
-    """Largest functional(coeff) over the monitored times, t = 0 included;
-    with pair, the (run at dt, run at dt/2) tuple of peaks (see
-    _richardson)."""
+    """Largest functional(coeff) over the monitored times, t = 0 included,
+    per run: the tuple of its runs' peaks (see _richardson).  A run with a
+    NaN sample peaks at NaN, so _richardson rejects it."""
     peaks = None
     for _, coeff in trajectory(problem, u0, t_end, dt, stride, pair):
-        values = _values(functional, coeff if pair else (coeff,))
+        values = _values(functional, coeff, pair)
         peaks = values if peaks is None else [
-            v if isinstance(v, BlowUpError) or v > p else p for p, v in zip(peaks, values)]
-    return tuple(peaks) if pair else peaks[0]
+            v if isinstance(v, BlowUpError) or math.isnan(v) or v > p else p
+            for p, v in zip(peaks, values)]
+    return tuple(peaks)
 
 
 def _final(functional, problem, u0, t_end, dt, stride, pair=False):
-    """functional(coeff) of the state at t_end; with pair, the (run at
-    dt, run at dt/2) tuple (see _richardson).  Nothing is sampled on the
-    way, whatever the stride."""
+    """functional(coeff) of the state at t_end, per run: the tuple of its
+    runs' values (see _richardson).  Nothing is sampled on the way,
+    whatever the stride."""
     *_, (_, coeff) = trajectory(problem, u0, t_end, dt, step_count(t_end, dt), pair)
-    values = _values(functional, coeff if pair else (coeff,))
-    return tuple(values) if pair else values[0]
+    return tuple(_values(functional, coeff, pair))
+
+
+def _stepped(cfg, problem, u0, t_end, functional, label, scale=1.0, final=False):
+    """The stepped value of functional(coeff) on the flow of problem (one
+    problem, or a stack whose rows all start at u0) from u0 over [0, t_end],
+    and its step columns: returns (value, {"dt": step, "richardson":
+    discrepancy}).
+
+    The value is the supremum over the monitored times (_peak), or with
+    final the value at t_end (_final).  The step is cfg.dt, else the
+    default step of the (first) problem; a supremum without cfg.dt
+    searches its step, a value at t_end never does (see _richardson).
+    """
+    dt = cfg.dt if cfg.dt is not None else default_time_step(_stack(problem)[0][0], u0)
+    value, step, rich = _richardson(
+        partial(_final if final else _peak, functional, problem, u0, t_end), t_end, dt,
+        label, scale=scale, search=cfg.dt is None and not final)
+    return value, {"dt": step, "richardson": rich}
 
 
 def _timed(worker, param) -> SweepRow:
@@ -462,14 +483,11 @@ def _decoupling_row(args):
     if np.any(project_minus(u0).coeff != 0):
         raise ValueError("decoupling requires an analytic profile")
     t_end = cfg.horizon.time_for(eps)
-    problem = EvolutionProblem.half_wave_scaled(eps)
-    dt = cfg.dt if cfg.dt is not None else default_time_step(problem, u0)
-    sup, step, rich = _richardson(
-        partial(_peak, lambda c: sobolev_norm(project_minus(TorusField(grid, c)), 0.5),
-                problem, u0, t_end),
-        t_end, dt, f"decoupling eps={eps}", search=cfg.dt is None)
-    return {"eps": eps, "sup_minus_h_half": sup, "horizon": t_end,
-            "dt": step, "richardson": rich}
+    sup, columns = _stepped(
+        cfg, EvolutionProblem.half_wave_scaled(eps), u0, t_end,
+        lambda c: sobolev_norm(project_minus(TorusField(grid, c)), 0.5),
+        f"decoupling eps={eps}")
+    return {"eps": eps, "sup_minus_h_half": sup, "horizon": t_end, **columns}
 
 
 def run_decoupling(cfg: ExperimentConfig) -> SweepResult:
@@ -490,13 +508,6 @@ def run_decoupling(cfg: ExperimentConfig) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _max_hs_gap(problem_a, problem_b, u0, t_end, s, dt, stride, pair=False):
-    """Co-evolve two problems from u0 as one stack; max H^s difference
-    at monitor times (per run with pair, see _peak)."""
-    return _peak(lambda c: sobolev_norm(TorusField(u0.grid, c[0] - c[1]), s),
-                 (problem_a, problem_b), u0, t_end, dt, stride, pair)
-
-
 def _approximation_row(args):
     cfg, eps = args
     grid = GridSpec.with_padding(cfg.grid_n)
@@ -505,15 +516,13 @@ def _approximation_row(args):
         raise ValueError("approximation requires an analytic profile")
     q0 = charge(u0)
     t_end = cfg.horizon.time_for(eps)
-    problem_a = EvolutionProblem.half_wave_gauged(eps, q0)
-    problem_b = EvolutionProblem.szego_transport(eps, q0)
-    dt = cfg.dt if cfg.dt is not None else default_time_step(problem_a, u0)
-    rescaled, step, rich = _richardson(
-        partial(_max_hs_gap, problem_a, problem_b, u0, t_end, cfg.sobolev),
-        t_end, dt, f"approximation eps={eps}", scale=eps, search=cfg.dt is None)
+    # the flows co-evolve from u0 as one stack; the gap is the H^s distance of its rows
+    flows = (EvolutionProblem.half_wave_gauged(eps, q0), EvolutionProblem.szego_transport(eps, q0))
+    rescaled, columns = _stepped(
+        cfg, flows, u0, t_end, lambda c: sobolev_norm(TorusField(grid, c[0] - c[1]), cfg.sobolev),
+        f"approximation eps={eps}", scale=eps)
     return {"eps": eps, "hs_error_physical": eps * rescaled,
-            "hs_error_rescaled": rescaled, "horizon": t_end,
-            "dt": step, "richardson": rich}
+            "hs_error_rescaled": rescaled, "horizon": t_end, **columns}
 
 
 def run_approximation(cfg: ExperimentConfig) -> SweepResult:
@@ -541,15 +550,12 @@ def _besov_row(args):
     grid = GridSpec.with_padding(cfg.grid_n)
     u0 = build_initial_state(cfg, grid, normalize_sobolev=cfg.sobolev)
     q0 = charge(u0)
-    problem = EvolutionProblem.half_wave_gauged(eps, q0)
     t_end = cfg.horizon.time_for(eps)
-    dt = cfg.dt if cfg.dt is not None else default_time_step(problem, u0)
     b0 = besov_norm(u0)
-    ratio, step, rich = _richardson(
-        partial(_peak, lambda c: besov_norm(TorusField(grid, c)) / b0, problem, u0, t_end),
-        t_end, dt, f"besov eps={eps}", search=cfg.dt is None)
-    return {"eps": eps, "besov_ratio": ratio, "horizon": t_end,
-            "dt": step, "richardson": rich}
+    ratio, columns = _stepped(cfg, EvolutionProblem.half_wave_gauged(eps, q0), u0, t_end,
+                              lambda c: besov_norm(TorusField(grid, c)) / b0,
+                              f"besov eps={eps}")
+    return {"eps": eps, "besov_ratio": ratio, "horizon": t_end, **columns}
 
 
 def run_besov_bound(cfg: ExperimentConfig) -> SweepResult:
@@ -583,33 +589,30 @@ def _inflation_grid_n(delta: float, base: int) -> int:
 
 def _inflation_hs(problem, cfg, eps, delta, label):
     """||u(t*)||_{H^s} of the problem's flow from eps (e^{ix} + delta) on
-    its inflation band, t* = pi/(2 eps^2 delta), at the rows' step (cfg.dt,
-    else the default step) under the 10x Richardson bar: returns
-    (value, step, discrepancy, u0, t*)."""
+    its inflation band, t* = pi/(2 eps^2 delta), at the rows' step under
+    the 10x Richardson bar (see _stepped): returns (value, step columns,
+    band max mode N, t*)."""
     grid = GridSpec.with_padding(_inflation_grid_n(delta, cfg.grid_n))
     u0 = TorusField.from_modes(grid, {1: eps, 0: eps * delta})
     t_star = math.pi / (2.0 * eps**2 * delta)
-    dt = cfg.dt if cfg.dt is not None else default_time_step(problem, u0)
-    hs, step, rich = _richardson(
-        partial(_final, lambda c: sobolev_norm(TorusField(grid, c), cfg.sobolev),
-                problem, u0, t_star),
-        t_star, dt, label)
-    return hs, step, rich, u0, t_star
+    hs, columns = _stepped(cfg, problem, u0, t_star,
+                           lambda c: sobolev_norm(TorusField(grid, c), cfg.sobolev),
+                           label, final=True)
+    return hs, columns, grid.max_mode, t_star
 
 
 def _inflation_row(args):
     cfg, eps, delta = args
     s = cfg.sobolev
-    hs, step, rich, u0, t_star = _inflation_hs(EvolutionProblem.szego_plain(), cfg, eps,
-                                               delta, f"inflation eps={eps} delta={delta}")
+    hs, columns, grid_n, t_star = _inflation_hs(EvolutionProblem.szego_plain(), cfg, eps,
+                                                delta, f"inflation eps={eps} delta={delta}")
     ratio = hs * delta ** (2 * s - 1) / eps
     growth = hs / eps
     # invert the large-k asymptotics ||w||_{H^s}^2 ~ Gamma(2s+1) eps^2 lam^{1-2s}
     lam_est = (math.gamma(2 * s + 1) * eps**2 / hs**2) ** (1.0 / (2 * s - 1))
     return {"eps": eps, "delta": delta, "hs_at_tstar": hs, "ratio": ratio,
             "growth": growth, "one_minus_p2_est": lam_est,
-            "grid_n": u0.grid.max_mode, "t_star": t_star, "dt": step,
-            "richardson": rich}
+            "grid_n": grid_n, "t_star": t_star, **columns}
 
 
 def run_inflation(cfg: ExperimentConfig) -> SweepResult:
@@ -657,8 +660,8 @@ def _inflation_halfwave_check(cfg, szego_hs):
     pass band is attached.
     """
     eps, delta = cfg.eps_list[0], cfg.delta_list[0]
-    hs, _, _, _, t_star = _inflation_hs(EvolutionProblem.half_wave(), cfg, eps, delta,
-                                        f"inflation half-wave check eps={eps} delta={delta}")
+    hs, _, _, t_star = _inflation_hs(EvolutionProblem.half_wave(), cfg, eps, delta,
+                                     f"inflation half-wave check eps={eps} delta={delta}")
     return {"szego_hs": szego_hs, "halfwave_hs": hs,
             "t_star": t_star, "eps": eps, "delta": delta}
 
@@ -672,9 +675,7 @@ def _spectrum_row(args):
     cfg, kind = args
     grid = GridSpec.with_padding(cfg.grid_n)
     u0 = build_initial_state(cfg, grid)
-    problem = getattr(EvolutionProblem, kind)()
     t_end = cfg.horizon.time_for(1.0)
-    dt = cfg.dt if cfg.dt is not None else default_time_step(problem, u0)
     before = spectral_summary(build_hankel(u0))
     # from this bound up, every eigenvalue above the noise floor is a
     # normal float, with all its digits for the relative deviations below
@@ -691,8 +692,8 @@ def _spectrum_row(args):
             finals.append(spectral_summary(build_hankel(TorusField(grid, coeff))))
         return finals[-1].trace_norm
 
-    _, step, rich = _richardson(partial(_final, final_trace, problem, u0, t_end), t_end, dt,
-                                f"spectrum {kind}", scale=1.0 / before.trace_norm)
+    _, columns = _stepped(cfg, getattr(EvolutionProblem, kind)(), u0, t_end, final_trace,
+                          f"spectrum {kind}", scale=1.0 / before.trace_norm, final=True)
     after = finals[0]
     top = min(10, int(np.sum(before.hw2_eigenvalues > 0)))
     eig_dev = float(np.max(
@@ -701,7 +702,7 @@ def _spectrum_row(args):
     ))
     trace_dev = abs(after.trace_norm - before.trace_norm) / before.trace_norm
     return {"problem": kind, "eig_dev": eig_dev, "trace_dev": trace_dev,
-            "horizon": t_end, "dt": step, "richardson": rich}
+            "horizon": t_end, **columns}
 
 
 def run_spectrum_conservation(cfg: ExperimentConfig) -> SweepResult:

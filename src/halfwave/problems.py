@@ -177,23 +177,13 @@ def energy(problem: EvolutionProblem, u: TorusField) -> float:
     return value
 
 
-def gauge_transform(u: TorusField, t: float, eps: float, q0: float) -> TorusField:
-    """Multiply by the phase e^{2 i t eps^2 q0}.
-
-    Maps solutions of the scaled half-wave flow to solutions of the
-    gauged flow with the same q0 = ||u(0)||_{L2}^2, and is an isometry
-    for every norm in this package.
-    """
-    return TorusField(u.grid, u.coeff * np.exp(2j * t * eps**2 * q0))
-
-
 def default_time_step(problem: EvolutionProblem, u0: TorusField) -> float:
     """dt = min(0.01, 0.1 / (c max(1, ||u0||_{B111}^2))).
 
     ETDRK4 in the transport frame takes the linear part exactly (see
     halfwave.integrate), so the step is set by the nonlinear timescale
     ~ 1/c; the free flow uses c = 1.
-    The sweeps that search their step (experiments._richardson) take it
+    The sweeps that search their step (experiments._stepped) take it
     as the finest rung, their fallback, and sample every 10 dt.  A state
     too large for any positive step is a ValueError.
     """

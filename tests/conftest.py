@@ -48,6 +48,16 @@ def random_analytic_field(grid, rng, support=None, decay=2.0, scale=1.0):
     return TorusField(grid, coeff)
 
 
+def gauge_transform(u, t, eps, q0):
+    """Multiply by the phase e^{2 i t eps^2 q0}.
+
+    Maps solutions of the scaled half-wave flow to solutions of the
+    gauged flow with the same q0 = ||u(0)||_{L2}^2, and is an isometry
+    for every norm of the package.
+    """
+    return TorusField(u.grid, u.coeff * np.exp(2j * t * eps**2 * q0))
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -21,7 +21,7 @@ import pytest
 from halfwave import (EvolutionProblem, GridSpec, TorusField, experiments,
                       fast_transform_length, integrate, normalform)
 from halfwave.experiments import HorizonRule, default_config, run_decoupling
-from halfwave.norms import besov_norm, charge
+from halfwave.norms import besov_norm, charge, sobolev_norm
 
 from conftest import random_field
 
@@ -126,15 +126,19 @@ def test_traced_pair_counts_one_step_per_stacked_step(layertrace):
     of all 4 rows and one step of the 2 rows at dt/2, so the transforms
     cover the rows of the runs at dt and dt/2 in 2/3 of the calls."""
     grid = GridSpec.with_padding(16)
-    (a, b), u0 = _pair(grid)
+    stack, u0 = _pair(grid)
     steps = 100
+
+    def gap(c):  # the approximation row's functional
+        return sobolev_norm(TorusField(grid, c[0] - c[1]), 1.5)
+
     with layertrace.Tracer() as tracer:
-        experiments._max_hs_gap(a, b, u0, steps * 0.01, 1.5, 0.01, 10)
+        experiments._peak(gap, stack, u0, steps * 0.01, 0.01, 10)
     assert tracer.calls["integrate.step"] == steps
     assert tracer.calls["operators.fft"] == steps * 8
     assert tracer.fft_points == steps * 8 * 2 * grid.padded_len
     with layertrace.Tracer() as tracer:
-        experiments._max_hs_gap(a, b, u0, steps * 0.01, 1.5, 0.01, 10, pair=True)
+        experiments._peak(gap, stack, u0, steps * 0.01, 0.01, 10, pair=True)
     assert [rec.steps for rec in tracer.steppers] == [steps, steps]
     assert tracer.calls["integrate.step"] == 2 * steps
     assert tracer.calls["operators.fft"] == 2 * steps * 8

@@ -27,6 +27,7 @@ from halfwave.experiments import (
     _decoupling_row,
     _inflation_grid_n,
     _inflation_halfwave_check,
+    _inflation_row,
     _spectrum_row,
     build_initial_state,
     default_config,
@@ -42,7 +43,9 @@ from halfwave.experiments import (
     strichartz_ratio,
 )
 from halfwave import EvolutionProblem, GridSpec, TorusField, evolve
+from halfwave.integrate import step_count
 from halfwave.norms import sobolev_norm
+from halfwave.problems import default_time_step
 import halfwave.cli as cli
 
 from conftest import readme_csv_columns
@@ -214,6 +217,21 @@ class TestSmallRuns:
         assert fixed["dt"] == 0.01
         assert searched["richardson"] <= RICHARDSON_TOLERANCE**2 * searched[column]
 
+    def test_rows_read_at_t_end_never_search(self):
+        """Without a given dt, a row read at t_end steps at the default step
+        of its flow, t_end / n for n = step_count(t_end, dt0), never a
+        searched rung."""
+        cfg = default_config(SPECTRUM, grid_n=16, horizon=HorizonRule("fixed", 0.97))
+        dt0 = default_time_step(EvolutionProblem.szego_plain(),
+                                build_initial_state(cfg, GridSpec.with_padding(16)))
+        assert _spectrum_row((cfg, "szego_plain"))["dt"] == 0.97 / step_count(0.97, dt0)
+
+        cfg = default_config(INFLATION, eps_list=(1.0,), delta_list=(0.8,), dt=None)
+        row = _inflation_row((cfg, 1.0, 0.8))
+        u0 = TorusField.from_modes(GridSpec.with_padding(row["grid_n"]), {1: 1.0, 0: 0.8})
+        dt0 = default_time_step(EvolutionProblem.szego_plain(), u0)
+        assert row["dt"] == row["t_star"] / step_count(row["t_star"], dt0)
+
     def test_decoupling_rejects_nonanalytic_profile(self, tmp_path):
         path = tmp_path / "f.txt"
         path.write_text("-1 1.0 0.0\n")
@@ -316,24 +334,24 @@ class TestGaugeBookkeeping:
         """The gauge phase is common to both flows of the comparison, so
         running the gauged pair or the ungauged pair reports the same
         H^s distance."""
-        from halfwave import EvolutionProblem, GridSpec
-        from halfwave.experiments import _max_hs_gap
+        from halfwave import EvolutionProblem, GridSpec, TorusField, sobolev_norm
+        from halfwave.experiments import _peak
         from halfwave.norms import charge
 
         cfg = default_config(APPROXIMATION, grid_n=16, seed=2)
         grid = GridSpec.with_padding(16)
         u0 = build_initial_state(cfg, grid, normalize_sobolev=1.5)
         q0, eps, horizon, s = charge(u0), 0.2, 10.0, 1.5
-        gauged = _max_hs_gap(
-            EvolutionProblem.half_wave_gauged(eps, q0),
-            EvolutionProblem.szego_transport(eps, q0),
-            u0, horizon, s, 0.01, 10,
-        )
-        plain = _max_hs_gap(
-            EvolutionProblem.half_wave_scaled(eps),
-            EvolutionProblem.szego_transport(eps, 0.0),
-            u0, horizon, s, 0.01, 10,
-        )
+
+        def gap(c):  # the approximation row's functional on the two stacked flows
+            return sobolev_norm(TorusField(grid, c[0] - c[1]), s)
+
+        (gauged,) = _peak(gap, (EvolutionProblem.half_wave_gauged(eps, q0),
+                                EvolutionProblem.szego_transport(eps, q0)),
+                          u0, horizon, 0.01, 10)
+        (plain,) = _peak(gap, (EvolutionProblem.half_wave_scaled(eps),
+                               EvolutionProblem.szego_transport(eps, 0.0)),
+                         u0, horizon, 0.01, 10)
         assert abs(gauged - plain) <= 1e-12
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import tracemalloc
@@ -17,17 +18,16 @@ from halfwave import (
     energy,
     evolve,
     galerkin_reference,
-    gauge_transform,
     plane_wave_solution,
     trajectory,
 )
 from halfwave import integrate
 from halfwave.integrate import _etd_weights
-from halfwave.experiments import HorizonRule, NumericalFailure, _richardson
+from halfwave.experiments import HorizonRule, NumericalFailure, _peak, _richardson
 from halfwave.fields import _AnalyticGrid
 from halfwave.norms import charge
 
-from conftest import random_analytic_field, random_field
+from conftest import gauge_transform, random_analytic_field, random_field
 
 
 def test_stepper_config_validation(grid16):
@@ -281,7 +281,7 @@ def test_translation_commutes_with_flow_on_any_band(problem, u0, a):
 @given(st.floats(0.1, 1.0), band_data())
 def test_gauge_identity_to_richardson_order(eps, u0):
     """The gauged flow is the scaled flow times e^{2 i t eps^2 q0}
-    (problems.gauge_transform).  The two schemes differ in time
+    (conftest.gauge_transform).  The two schemes differ in time
     discretization only, so at dt their gap stays within four times the
     sum of their own dt vs dt/2 discrepancies (Richardson order; the
     ratio is about 16/15 once both runs are in their asymptotic range)."""
@@ -359,8 +359,7 @@ def test_richardson_check_reports_small_discrepancy(grid16, rng):
                                     dt, stride, pair)
         runs = coeff if pair else (coeff,)
         ends.extend([t] * len(runs))
-        values = tuple(TorusField(grid16, c).mode(1).real for c in runs)
-        return values if pair else values[0]
+        return tuple(TorusField(grid16, c).mode(1).real for c in runs)
 
     _, step, disc = _richardson(mode_one, 2.0, 0.01, "half_wave mode 1")
     assert disc <= 1e-8
@@ -399,8 +398,8 @@ def test_step_count_rejects_unusable_steps(t_end, dt, message):
 
 class _Recorder:
     """A measure for _richardson: records the runs of each call, one
-    (steps, stride) each, and returns value(dt), or for a pair the tuple
-    (value(dt), value(dt/2)).  Where value returns None the run blew up:
+    (steps, stride) each, and returns the tuple (value(dt),), or for a
+    pair (value(dt), value(dt/2)).  Where value returns None the run blew up:
     its BlowUpError stands in for its value, and is raised when no run
     of the call is left, as integrate.trajectory does."""
 
@@ -415,7 +414,7 @@ class _Recorder:
         out = [BlowUpError(0.0) if v is None else v for v in out]
         if all(isinstance(v, BlowUpError) for v in out):
             raise out[0]
-        return tuple(out) if pair else out[0]
+        return tuple(out)
 
 
 def test_richardson_half_run_takes_twice_the_steps():
@@ -447,6 +446,30 @@ def test_richardson_rejects_an_infinite_value():
     # nor does the search accept a rung whose coarse run overflows
     measure = _Recorder(1.0, lambda dt: math.inf if dt > 0.06 else 1.0)
     assert _richardson(measure, 1.0, 0.01, "overflow", search=True) == (1.0, 0.05, 0.0)
+
+
+def test_peak_keeps_a_nan_sample():
+    """A run whose functional is NaN at one middle sample peaks at NaN,
+    later samples notwithstanding, alone and in a pair, and _richardson
+    rejects it: a NaN never drops out of the supremum."""
+    u0 = TorusField.from_modes(GridSpec.with_padding(8), {1: 0.5})
+    problem = EvolutionProblem.free_half_wave()
+
+    def nan_at(call):
+        """1.0, except NaN at the given call (the calls run sample by
+        sample, and within a sample run by run)."""
+        calls = itertools.count()
+        return lambda c: math.nan if next(calls) == call else 1.0
+
+    # 11 samples: the pair's run at dt at its second, then the lone run's third
+    peak, peak_half = _peak(nan_at(2), problem, u0, 1.0, 0.01, 10, pair=True)
+    assert math.isnan(peak) and peak_half == 1.0
+    (peak,) = _peak(nan_at(2), problem, u0, 1.0, 0.01, 10)
+    assert math.isnan(peak)
+    for call in (2, 5):  # either run of the pair
+        with pytest.raises(NumericalFailure, match="not finite"):
+            _richardson(lambda dt, stride, pair: _peak(nan_at(call), problem, u0, 1.0,
+                                                      dt, stride, pair), 1.0, 0.01, "nan")
 
 
 class TestRichardsonLadder:
@@ -511,7 +534,7 @@ class TestRichardsonLadder:
                                              u0, 0.97, dt, stride, pair)]
             times.extend([seen] * (2 if pair else 1))  # a pair's runs share its times
             # no rung passes: all six runs happen
-            return (1.0 + dt, 1.0 + dt / 2) if pair else 1.0 + dt
+            return (1.0 + dt, 1.0 + dt / 2) if pair else (1.0 + dt,)
 
         _richardson(measure, 0.97, 0.01, "times", search=True)
         assert len(times) == 6

@@ -7,13 +7,12 @@ from halfwave import (
     default_time_step,
     energy,
     cubic_term,
-    gauge_transform,
     project_plus,
     sobolev_norm,
 )
 from halfwave.problems import linear_symbol, nonlinearity
 
-from conftest import random_field
+from conftest import gauge_transform, random_field
 
 
 def test_problem_validation():

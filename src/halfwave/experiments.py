@@ -346,24 +346,23 @@ def _richardson(measure, t_end: float, dt: float, label: str, scale: float = 1.0
     or with pair the Richardson pair as one stack (integrate.trajectory's
     pair), the run of n steps and the run of exactly 2n steps at twice
     the stride, so both sample the same times, giving (value,
-    value_half).  A run that blew up gives its BlowUpError; a call whose
-    runs all blow up raises.  A step h is taken as t_end / n with n =
-    step_count(t_end, h), and the reported step is t_end / n.  The
-    discrepancy is scale * |value - value_half|.
+    value_half); a blow-up of any run raises BlowUpError.  A step h is
+    taken as t_end / n with n = step_count(t_end, h), and the reported
+    step is t_end / n.  The discrepancy is scale * |value - value_half|.
 
     Without search the pair is (dt, dt/2) at strides 10 and 20.  A value
     that is not finite, or a discrepancy above 10x RICHARDSON_TOLERANCE
-    of scale * value, is a NumericalFailure; a blow-up of either run is
-    raised.  With search, dt is the fallback step: the rungs tau = 10 dt,
-    tau/2 and tau/4 run at strides 1, 2 and 4, so they sample the times
-    of the stride-10 run at dt, and each rung's half-step run (the last
-    one at tau/8) is the next rung's coarse run.  The first rung is one
-    pair; each later rung runs its half-step run alone.  The first rung
-    whose discrepancy is at most RICHARDSON_TOLERANCE**2 of a finite
-    scale * value is accepted; a rung whose runs blow up is rejected.
-    When no rung passes, the pair at 10 and 20 steps per tau runs as
-    without search (that is (dt, dt/2) whenever tau holds a whole number
-    of steps dt).
+    of scale * value, is a NumericalFailure.  With search, dt is the
+    fallback step: the rungs tau = 10 dt, tau/2 and tau/4 run at strides
+    1, 2 and 4, so they sample the times of the stride-10 run at dt, and
+    each rung's half-step run (the last one at tau/8) is the next rung's
+    coarse run.  The first rung is one pair; each later rung runs its
+    half-step run alone.  The first rung whose discrepancy is at most
+    RICHARDSON_TOLERANCE**2 of a finite scale * value is accepted; a
+    blow-up rejects its rung, and the first pair's half-step run reruns
+    alone.  When no rung passes, the pair at 10 and 20 steps per tau runs
+    as without search (that is (dt, dt/2) whenever tau holds a whole
+    number of steps dt).
     """
     n = step_count(t_end, dt)
     if search:
@@ -371,12 +370,12 @@ def _richardson(measure, t_end: float, dt: float, label: str, scale: float = 1.0
 
         def trial(steps, pair=False):
             """The values of the run of steps (and of 2 steps, with pair),
-            None for a run that blew up: it rejects the rungs it belongs to."""
+            None for a run that blew up: it rejects the rungs it belongs to.
+            A blow-up ends a pair, so its half-step run then reruns alone."""
             try:
-                values = measure(t_end / steps, steps // coarse, pair)
+                return measure(t_end / steps, steps // coarse, pair)
             except BlowUpError:
-                return [None] * (2 if pair else 1)
-            return [None if isinstance(v, BlowUpError) else v for v in values]
+                return (None,) + (trial(2 * steps) if pair else ())
 
         v, v_half = trial(coarse, pair=True)
         for rung in range(3):
@@ -388,11 +387,7 @@ def _richardson(measure, t_end: float, dt: float, label: str, scale: float = 1.0
                 if rich <= RICHARDSON_TOLERANCE**2 * abs(scale * v) < math.inf:
                     return v, t_end / steps, rich
         n = 10 * coarse
-    values = measure(t_end / n, 10, True)
-    for v in values:
-        if isinstance(v, BlowUpError):
-            raise v
-    value, value_half = values
+    value, value_half = measure(t_end / n, 10, True)
     if not (math.isfinite(value) and math.isfinite(value_half)):
         raise NumericalFailure(f"{label}: the measured value is not finite ({value} at the "
                                f"step, {value_half} at half of it); reduce dt")
@@ -408,12 +403,10 @@ def _richardson(measure, t_end: float, dt: float, label: str, scale: float = 1.0
 
 def _values(functional, states, pair):
     """functional of each run's state, as a list; states is a trajectory's
-    yield, the (dt, dt/2) tuple with pair.  A run that blew up keeps its
-    BlowUpError.  Overflow is quiet: _richardson rejects a value that is
-    not finite."""
+    yield, the (dt, dt/2) tuple with pair.  Overflow is quiet:
+    _richardson rejects a value that is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return [s if isinstance(s, BlowUpError) else functional(s)
-                for s in (states if pair else (states,))]
+        return [functional(s) for s in (states if pair else (states,))]
 
 
 def _peak(functional, problem, u0, t_end, dt, stride, pair=False):
@@ -424,8 +417,7 @@ def _peak(functional, problem, u0, t_end, dt, stride, pair=False):
     for _, coeff in trajectory(problem, u0, t_end, dt, stride, pair):
         values = _values(functional, coeff, pair)
         peaks = values if peaks is None else [
-            v if isinstance(v, BlowUpError) or math.isnan(v) or v > p else p
-            for p, v in zip(peaks, values)]
+            v if math.isnan(v) or v > p else p for p, v in zip(peaks, values)]
     return tuple(peaks)
 
 

@@ -44,9 +44,9 @@ rows at dt by dt and the rows at dt/2 by dt/2 (make_stepper's pair,
 whose weights are each run's own), and the rows at dt/2 then take
 their second step alone, so a pair takes 2n steps instead of 3n.  Both
 runs sample the same times, and the back-translation phase is computed
-once per sample for both.  A blown-up run keeps being stepped and
-yields its BlowUpError; every row of the stack is stepped on its own, so
-the other run is unchanged by it.
+once per sample for both.  A blow-up of either run ends the pair, as a
+non-finite row ends any stack, with the last valid time of the lone run
+that went non-finite first.
 
 Projected flows (P = P_+) keep the modes k < 0 of analytic data exactly
 zero, so when every row is projected and u0 is analytic, trajectory
@@ -241,9 +241,8 @@ def trajectory(problem, u0: TorusField, t_end: float, dt: float, stride: int = 1
     the run of exactly 2n steps at half the step and twice the stride,
     which samples the same times, move as one stack, and coeff is the
     tuple (coeff at dt, coeff at dt/2), each bit for bit its lone run.
-    A blown-up run keeps being stepped and yields its BlowUpError, with
-    the time its lone run would report, in place of its state from then
-    on; when both have blown up, the error of the run at dt is raised.
+    The first run to go non-finite ends the pair, with the last valid
+    time its lone run reports.
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
@@ -269,7 +268,6 @@ def trajectory(problem, u0: TorusField, t_end: float, dt: float, stride: int = 1
     steppers = [make_stepper(problem, grid, dt, pair=pair)]
     if pair:
         steppers.append(make_stepper(problem, grid, dt / 2))
-    errors = [None] * runs
     for i in range(1, n_steps + 1):
         for sub, stepper in enumerate(steppers):
             # a blowing-up step overflows on its way to the non-finite
@@ -281,27 +279,20 @@ def trajectory(problem, u0: TorusField, t_end: float, dt: float, stride: int = 1
                     coeff = stepper.step(flat).reshape(coeff.shape)
                 else:
                     coeff[1] = stepper.step(coeff[1])
-            for r in range(sub, runs):
-                if errors[r] is None and not np.all(np.isfinite(coeff[r])):
-                    # the run's time before this step; its rows keep being
-                    # stepped, each on its own, and its error is yielded
-                    errors[r] = BlowUpError((2 * i - 2 + sub) * (dt / 2) if r else (i - 1) * dt)
-            if all(errors):
-                raise errors[0]
+            if not np.all(np.isfinite(coeff[sub:])):
+                # the time before this step of the runs just stepped: the
+                # last valid time of the lone run that went non-finite
+                raise BlowUpError((2 * i - 2 + sub) * (dt / 2))
         if i % stride == 0 or i == n_steps:
             t = i * dt
             u = coeff
             if shifted is not None:  # back from the frame: u = e^{-itD} y
                 u = coeff.copy()
-                with np.errstate(invalid="ignore"):  # a blown-up run's rows
-                    u[:, shifted] *= np.exp(t * minus_ik)
+                u[:, shifted] *= np.exp(t * minus_ik)
             if analytic:
                 u = np.concatenate((np.zeros(u.shape[:-1] + (n,), dtype=np.complex128), u),
                                    axis=-1)
-            if not pair:
-                yield t, u[0]
-            else:
-                yield t, tuple(state if e is None else e for state, e in zip(u, errors))
+            yield t, tuple(u) if pair else u[0]
 
 
 def evolve(problem: EvolutionProblem, u0: TorusField, t_end: float, dt: float) -> TorusField:

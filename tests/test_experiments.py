@@ -592,19 +592,24 @@ class TestCli:
             "dt": None,
         }
 
-    def test_worker_blow_up_exit_two(self, tmp_path, capfd):
+    @pytest.mark.parametrize("argv", [
+        ["decoupling", "--dt", "10", "--grid", "16", "--horizon", "fixed:2000",
+         "--profile-amplitude", "80"],
+        ["spectrum", "--dt", "10", "--profile-amplitude", "80", "--grid", "16"],
+    ], ids=["decoupling", "spectrum"])
+    def test_worker_blow_up_exit_two(self, tmp_path, capfd, argv):
         """A blow-up inside a pool worker reaches main as the serial run's
         numerical failure, not as a broken pool, and that line is all it
-        writes.  Warnings are errors here, so a numpy warning from the
+        writes, for a supremum row and for a row read at t_end.  The time
+        is the last valid one of the first run to go non-finite, here the
+        run at dt/2.  Warnings are errors here, so a numpy warning from the
         step would fail the run; pool workers write to fd 2, hence capfd."""
-        argv = ["decoupling", "--dt", "10", "--grid", "16", "--horizon", "fixed:2000",
-                "--profile-amplitude", "80", "--out", str(tmp_path)]
         for threads in ("1", "2"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert cli.main(argv + ["--threads", threads]) == 2
+                assert cli.main(argv + ["--out", str(tmp_path), "--threads", threads]) == 2
             err = capfd.readouterr().err
-            assert err == "numerical failure: non-finite state after t = 10.0\n"
+            assert err == "numerical failure: non-finite state after t = 5.0\n"
 
     def test_overflowing_state_is_one_numerical_failure_line(self, tmp_path, capsys):
         """At dt 0.35 the inflation state stays finite but its H^s norm

@@ -3,6 +3,7 @@ import math
 import pickle
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,12 +26,12 @@ from halfwave import integrate
 from halfwave.integrate import _etd_weights
 from halfwave.experiments import HorizonRule, NumericalFailure, _peak, _richardson
 from halfwave.fields import _AnalyticGrid
-from halfwave.norms import charge
+from halfwave.norms import charge, sobolev_norm
 
 from conftest import gauge_transform, random_analytic_field, random_field
 
 
-def test_stepper_config_validation(grid16):
+def test_trajectory_rejects_bad_step_and_stride(grid16):
     """A step that is not positive or a stride below 1 is rejected before
     the state at t = 0 is yielded."""
     u0 = TorusField.from_modes(grid16, {1: 0.1})
@@ -309,7 +310,7 @@ def test_free_flows_coincide_on_analytic_data(grid16, rng):
     assert np.max(np.abs(a.coeff - b)) <= 1e-12
 
 
-def test_observer_called_at_monitor_times(grid16):
+def test_stride_sets_the_yield_times(grid16):
     u0 = TorusField.from_modes(grid16, {1: 0.1})
     seen = [t for t, _ in trajectory(EvolutionProblem.free_half_wave(), u0, 1.0,
                                      0.1, 5)]
@@ -399,9 +400,8 @@ def test_step_count_rejects_unusable_steps(t_end, dt, message):
 class _Recorder:
     """A measure for _richardson: records the runs of each call, one
     (steps, stride) each, and returns the tuple (value(dt),), or for a
-    pair (value(dt), value(dt/2)).  Where value returns None the run blew up:
-    its BlowUpError stands in for its value, and is raised when no run
-    of the call is left, as integrate.trajectory does."""
+    pair (value(dt), value(dt/2)).  Where value returns None the run blew
+    up, and the call raises BlowUpError, as integrate.trajectory does."""
 
     def __init__(self, t_end, value):
         self.t_end, self.value, self.calls = t_end, value, []
@@ -410,11 +410,10 @@ class _Recorder:
         n = integrate.step_count(self.t_end, dt)
         runs = ((n, stride), (2 * n, 2 * stride)) if pair else ((n, stride),)
         self.calls.append(runs)
-        out = [self.value(self.t_end / steps) for steps, _ in runs]
-        out = [BlowUpError(0.0) if v is None else v for v in out]
-        if all(isinstance(v, BlowUpError) for v in out):
-            raise out[0]
-        return tuple(out)
+        out = tuple(self.value(self.t_end / steps) for steps, _ in runs)
+        if None in out:
+            raise BlowUpError(0.0)
+        return out
 
 
 def test_richardson_half_run_takes_twice_the_steps():
@@ -509,12 +508,42 @@ class TestRichardsonLadder:
         assert measure.calls[-1:] == [((100, 10), (200, 20))]
 
     def test_trial_blow_up_rejects_only_its_rung(self):
-        """A blow-up at tau rejects rung tau; tau/2 is tried next, its
-        coarse run the half-step run of the first pair."""
+        """A blow-up at tau rejects rung tau and ends the first pair, so its
+        half-step run reruns alone; tau/2 is tried next, with that run as
+        its coarse run."""
         measure = _Recorder(1.0, lambda dt: None if dt > 0.06 else 1.0 + dt**4)
         _, step, _ = _richardson(measure, 1.0, 0.01, "blow-up", search=True)
         assert step == 0.05
-        assert measure.calls == [((10, 1), (20, 2)), ((40, 4),)]
+        assert measure.calls == [((10, 1), (20, 2)), ((20, 2),), ((40, 4),)]
+
+    @pytest.mark.filterwarnings("error")
+    def test_real_blow_up_falls_back_to_the_lone_pair(self):
+        """The H^{1/2} peak of the half-wave flow from {1: 1, 0: 0.5, -1: 0.3}
+        on N = 16 over T = 10 from dt 0.05: the tau rung (dt 0.5) blows up
+        after t = 3.0, so its half-step run reruns alone; the 40-, 80- and
+        160-step peaks (1.56040, 1.57611, 1.57683) miss the 1e-4 bar, and
+        the row falls back to (0.05, 0.025), bit for bit the pair of lone
+        _peak runs."""
+        grid = GridSpec.with_padding(16)
+        u0 = TorusField.from_modes(grid, {1: 1.0, 0: 0.5, -1: 0.3})
+        problem = EvolutionProblem.half_wave()
+        peak = partial(_peak, lambda c: sobolev_norm(TorusField(grid, c), 0.5), problem, u0,
+                       10.0)
+        with pytest.raises(BlowUpError, match=r"after t = 3\.0$"):
+            peak(0.5, 1)
+        calls = []
+
+        def measure(dt, stride, pair):
+            calls.append((dt, stride, pair))
+            return peak(dt, stride, pair)
+
+        (value,), (value_half,) = peak(0.05, 10), peak(0.025, 20)
+        got = _richardson(measure, 10.0, 0.05, "real blow-up", search=True)
+        assert got == (value, 0.05, abs(value - value_half))
+        assert value == pytest.approx(1.5768532082, rel=1e-9)
+        assert abs(value - value_half) == pytest.approx(1.2766e-5, rel=1e-4)
+        assert calls == [(0.5, 1, True), (0.25, 2, False), (0.125, 4, False),
+                         (0.0625, 8, False), (0.05, 10, True)]
 
     def test_fallback_blow_up_propagates(self):
         measure = _Recorder(1.0, lambda dt: None)

@@ -1,8 +1,9 @@
 """Properties of the Richardson pair: trajectory(..., pair=True) steps the
-run of n steps and the run of 2n steps as one stack, and each run is bit
-for bit its lone run at every sampled time, a blown-up run included."""
+run of n steps and the run of 2n steps as one stack, each run is bit for
+bit its lone run at every sampled time, and a blow-up of either run ends
+the pair with the last valid time of the lone run that blew up first."""
 
-import warnings
+import math
 
 import numpy as np
 import pytest
@@ -48,76 +49,59 @@ def band_data(draw):
 
 
 def _lone_runs(problem, u0, t_end, dt, stride):
-    """The lone runs of the pair: n steps at stride, 2n at 2 stride.  A
-    run that blows up ends with its BlowUpError as the last sample."""
+    """The lone runs of the pair: n steps at stride, 2n at 2 stride."""
     n = step_count(t_end, dt)
-    runs = []
-    for steps, every in ((n, stride), (2 * n, 2 * stride)):
-        samples = []
-        try:
-            for sample in trajectory(problem, u0, t_end, t_end / steps, every):
-                samples.append(sample)
-        except BlowUpError as exc:
-            samples.append((None, exc))
-        runs.append(samples)
-    return runs
-
-
-def _assert_pair_is_its_lone_runs(problem, u0, t_end, dt, stride):
-    paired = list(trajectory(problem, u0, t_end, dt, stride, pair=True))
-    for r, lone in enumerate(_lone_runs(problem, u0, t_end, dt, stride)):
-        for (t, coeff), (t_pair, runs) in zip(lone, paired):
-            if isinstance(coeff, BlowUpError):
-                assert isinstance(runs[r], BlowUpError)
-                assert runs[r].last_valid_time == coeff.last_valid_time
-                break
-            assert t == t_pair
-            assert np.array_equal(runs[r], coeff)
-        else:
-            assert len(lone) == len(paired)
-    return paired
+    return [list(trajectory(problem, u0, t_end, t_end / steps, every))
+            for steps, every in ((n, stride), (2 * n, 2 * stride))]
 
 
 @settings(max_examples=60)
 @given(problems(), band_data(), st.sampled_from([1, 2, 10]), st.sampled_from([0.3, 0.37]))
 def test_pair_equals_its_lone_runs(problem, u0, stride, t_end):
     """0.37 is not a multiple of DT: both runs take the rounded step."""
-    _assert_pair_is_its_lone_runs(problem, u0, t_end, DT, stride)
+    paired = list(trajectory(problem, u0, t_end, DT, stride, pair=True))
+    for r, lone in enumerate(_lone_runs(problem, u0, t_end, DT, stride)):
+        assert [t for t, _ in lone] == [t for t, _ in paired]
+        for (_, coeff), (_, runs) in zip(lone, paired):
+            assert np.array_equal(runs[r], coeff)
 
 
-def test_coarse_blow_up_leaves_the_half_step_run():
-    """Only the run at dt blows up: it yields the BlowUpError of its lone
-    run from then on, and the run at dt/2 finishes alone, equal to its
-    lone run at every sample.  The step's overflow never warns."""
-    u0 = TorusField.from_modes(GridSpec.with_padding(16), {1: 1.0, 0: 0.5, -1: 0.3})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        paired = _assert_pair_is_its_lone_runs(EvolutionProblem.half_wave(), u0, 10.0, 0.5, 1)
-    assert isinstance(paired[-1][1][0], BlowUpError)
-    assert np.all(np.isfinite(paired[-1][1][1]))
-    assert paired[-1][0] == 10.0
+def _last_valid_time(run):
+    """The last valid time of a run (a trajectory), inf if it reaches t_end."""
+    try:
+        for _ in run:
+            pass
+    except BlowUpError as exc:
+        return exc.last_valid_time
+    return math.inf
 
 
-def test_pair_raises_when_both_runs_blow_up():
-    """With no run left the pair raises the run at dt's error, as its lone
-    run would."""
-    u0 = TorusField.from_modes(GridSpec.with_padding(16), {1: 80.0, 0: 60.0})
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("modes, t_end, dt, half_blows", [
+    ({1: 1.0, 0: 0.5, -1: 0.3}, 10.0, 0.5, False),
+    ({1: 80.0, 0: 60.0}, 2000.0, 10.0, True),
+], ids=["dt-only", "both"])
+def test_pair_raises_its_earliest_lone_blow_up(modes, t_end, dt, half_blows):
+    """A pair ends at the first of its runs to go non-finite, with the
+    last valid time of that run alone: the earlier of its lone runs'
+    times.  In the first case only the run at dt blows up, in the second
+    both do.  The step's overflow never warns."""
+    u0 = TorusField.from_modes(GridSpec.with_padding(16), modes)
     problem = EvolutionProblem.half_wave()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(BlowUpError) as lone:
-            list(trajectory(problem, u0, 2000.0, 10.0))
-        with pytest.raises(BlowUpError) as paired:
-            list(trajectory(problem, u0, 2000.0, 10.0, pair=True))
-    assert paired.value.last_valid_time == lone.value.last_valid_time
+    n = step_count(t_end, dt)
+    times = [_last_valid_time(trajectory(problem, u0, t_end, t_end / steps))
+             for steps in (n, 2 * n)]
+    assert math.isfinite(times[0]) and math.isfinite(times[1]) == half_blows
+    with pytest.raises(BlowUpError) as paired:
+        list(trajectory(problem, u0, t_end, dt, pair=True))
+    assert paired.value.last_valid_time == min(times)
 
 
 @pytest.mark.parametrize("k", [5, 6])
 def test_half_step_blow_up_keeps_its_lone_time(k, monkeypatch):
     """Only the run at dt/2 blows up, at its k-th step: the first (k odd)
-    or the second (k even) of a step at dt.  It yields the BlowUpError of
-    its lone run from then on, with the same last valid time, and the run
-    at dt finishes, equal to its lone run at every sample.
+    or the second (k even) of a step at dt.  The pair raises the time its
+    lone run raises, (k - 1) dt/2, with the run at dt still finite.
 
     The blow-up is made by the steppers: every step the run at dt/2 takes,
     in the pair's stepper (its rows are the second half) or in its own,
@@ -143,18 +127,8 @@ def test_half_step_blow_up_keeps_its_lone_time(k, monkeypatch):
     monkeypatch.setattr(integrate, "make_stepper", poisoned)
     u0 = TorusField.from_modes(GridSpec.with_padding(16), {1: 0.5, 0: 0.3, -1: 0.2})
     problem = EvolutionProblem.half_wave()
-    paired = list(trajectory(problem, u0, 1.0, DT, 2, pair=True))
-    taken[0] = 0
-    lone_dt, lone_half = _lone_runs(problem, u0, 1.0, DT, 2)
-    assert len(paired) == len(lone_dt) == 6
-    for (t, coeff), (t_pair, runs) in zip(lone_dt, paired):
-        assert t == t_pair
-        assert np.array_equal(runs[0], coeff)
-    assert isinstance(lone_half[-1][1], BlowUpError)
-    assert lone_half[-1][1].last_valid_time == pytest.approx((k - 1) * DT / 2)
-    for (t, coeff), (_, runs) in zip(lone_half, paired):
-        if isinstance(coeff, BlowUpError):
-            assert runs[1].last_valid_time == coeff.last_valid_time
-            break
-        assert np.array_equal(runs[1], coeff)
-    assert all(isinstance(runs[1], BlowUpError) for _, runs in paired[len(lone_half) - 1:])
+    assert _last_valid_time(trajectory(problem, u0, 1.0, DT, 2)) == math.inf
+    for pair in (True, False):
+        taken[0] = 0
+        dt = DT if pair else DT / 2
+        assert _last_valid_time(trajectory(problem, u0, 1.0, dt, 2, pair)) == (k - 1) * DT / 2

@@ -34,7 +34,6 @@ import math
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -458,6 +457,9 @@ def _map_rows(worker, params, threads: int):
     dict and is timed here; parallel workers merge in input order."""
     timed = partial(_timed, worker)
     if threads > 1 and len(params) > 1:
+        # imported here, so that importing the package loads no process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(threads, len(params))) as pool:
             return list(pool.map(timed, params))
     return [timed(p) for p in params]
@@ -663,11 +665,10 @@ def _inflation_halfwave_check(cfg, szego_hs):
 # ---------------------------------------------------------------------------
 
 
-def _spectrum_row(args):
-    cfg, kind = args
-    grid = GridSpec.with_padding(cfg.grid_n)
-    u0 = build_initial_state(cfg, grid)
-    t_end = cfg.horizon.time_for(1.0)
+def _initial_spectrum(cfg: ExperimentConfig):
+    """The Hankel spectral summary of the initial state both spectrum rows
+    start from; a profile with no spectrum to follow is a ValueError."""
+    u0 = build_initial_state(cfg, GridSpec.with_padding(cfg.grid_n))
     before = spectral_summary(build_hankel(u0))
     # from this bound up, every eigenvalue above the noise floor is a
     # normal float, with all its digits for the relative deviations below
@@ -676,6 +677,15 @@ def _spectrum_row(args):
         raise ValueError(f"the {cfg.profile.kind} profile has no Hankel spectrum to follow: "
                          f"its largest squared-Hankel eigenvalue is {top_eigenvalue}, "
                          f"outside [{lowest:.3g}, inf)")
+    return before
+
+
+def _spectrum_row(args):
+    """One flow's spectrum row; args is (cfg, kind, _initial_spectrum(cfg))."""
+    cfg, kind, before = args
+    grid = GridSpec.with_padding(cfg.grid_n)
+    u0 = build_initial_state(cfg, grid)
+    t_end = cfg.horizon.time_for(1.0)
     finals = []  # the summary at t_end of each run, dt first
 
     def final_trace(coeff):
@@ -703,7 +713,8 @@ def run_spectrum_conservation(cfg: ExperimentConfig) -> SweepResult:
     Conservation is a property of the Szego flow; the half-wave row is
     reported for contrast and carries no pass band.
     """
-    rows = _map_rows(_spectrum_row, [(cfg, "szego_plain"), (cfg, "half_wave")],
+    before = _initial_spectrum(cfg)
+    rows = _map_rows(_spectrum_row, [(cfg, kind, before) for kind in ("szego_plain", "half_wave")],
                      cfg.threads)
     szego = next(r for r in rows if r.data["problem"] == "szego_plain")
     passed = szego.data["eig_dev"] <= 1e-6 and szego.data["trace_dev"] <= 1e-6

@@ -15,13 +15,13 @@ the symbol is 0, where the step is classical RK4 in exact arithmetic.
 The independent cross-check is oracles.galerkin_reference, which shares
 no code with this path.
 
-A stepper and its nonlinearity (problems.nonlinearity, called as
-nl(c, out)) keep their work arrays: the six stage arrays, and the
-padded arrays of the cubic, one set per input shape, made on the first
-step with that shape.  A warm step then allocates only the state it
-returns, which no later step writes, and makes the same eight
-transforms and the same ufunc calls, operand for operand, as the
-formulas, so its result is bit for bit theirs.
+A stepper and its nonlinearity (problems.nonlinearity, the one
+dealiased cubic, called as nl(c, out)) keep their work arrays: the six
+stage arrays, and the padded arrays of the cubic, one set per input
+shape, made on the first step with that shape.  A warm step then
+allocates only the state it returns, which no later step writes, and
+makes the same eight transforms and the same ufunc calls, operand for
+operand, as the formulas, so its result is bit for bit theirs.
 
 A step count is chosen so that an integer number of steps lands exactly
 on t_end (the actual dt, never larger than requested, is reported);
@@ -63,7 +63,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import TorusField, _AnalyticGrid
-from .problems import EvolutionProblem, _row_index, _stack, linear_symbol, nonlinearity
+from .problems import EvolutionProblem, _stack, linear_symbol, nonlinearity
 
 
 #: the most steps one run may take, so that a tiny dt is a ValueError and
@@ -152,7 +152,8 @@ class _ETDRK4Stepper:
 
     def __init__(self, weights, nonlinear, dt):
         self.dt = dt
-        self.e_half, self.e_full, self.q, self.f1, self.f2, self.f3 = weights
+        self.e_half, self.e_full, self.q, self.f1, f2, self.f3 = weights
+        self.f2 = 2.0 * f2  # the 2 of f2 (2 (na + nb)); doubling is exact
         self._nl = nonlinear
         self._work = {}  # input shape -> the six stage arrays
 
@@ -169,17 +170,21 @@ class _ETDRK4Stepper:
         np.subtract(mul(2.0, nb, out=t), ny, out=t)
         add(mul(eh, a, out=ey), mul(q, t, out=t), out=t)  # eh a + q (2 nb - ny)
         nc = nl(t, a)  # a is spent
-        # e_full y + f1 ny + f2 (2 (na + nb)) + f3 nc, summed left to right
+        # e_full y + f1 ny + (2 f2) (na + nb) + f3 nc, summed left to right
         out = mul(self.e_full, y)
         add(out, mul(self.f1, ny, out=ny), out=out)
-        add(out, mul(self.f2, mul(2.0, add(na, nb, out=na), out=na), out=na), out=out)
+        add(out, mul(self.f2, add(na, nb, out=na), out=na), out=out)
         return add(out, mul(self.f3, nc, out=nc), out=out)
 
 
 def _shifted_rows(problem):
-    """The rows stepped in the transport frame (dispersion k or |k|), as a
-    row index (problems._row_index)."""
-    return _row_index([p.dispersion != "0" for p in _stack(problem)[0]])
+    """The rows stepped in the transport frame (dispersion k or |k|), as an
+    index of a stack's leading axis: ... for all, an index array for
+    some, None for none."""
+    flags = [p.dispersion != "0" for p in _stack(problem)[0]]
+    if all(flags):
+        return ...
+    return np.flatnonzero(flags) if any(flags) else None
 
 
 def make_stepper(problem, grid, dt: float, pair: bool = False):

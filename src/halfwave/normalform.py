@@ -23,7 +23,8 @@ f = i / (4 phase) off the resonant set and 0 on it, which makes
 Each quartic G in {R, Rtilde, F} has one closed-form derivation: its
 Hamiltonian vector field X_G, on (rows, n_coeff) stacks with products
 taken pointwise on the padded grid, one batched transform per input and
-result.  X_R is operators._cubic less the gauge term.  R's coefficient
+result.  X_R is the flows' dealiased cubic (problems.nonlinearity of
+the half-wave, -i |u|^2 u) plus 2i ||u||_{L2}^2 u.  R's coefficient
 vanishes on the pair families except on the diagonal k1 = k2 = k3 = k4,
 which lies in the sign families; these share only the zero quadruple, so
 Rtilde(u) = R(u_{>=0}) + R(u_{<=0}) + |u_0|^4 / 4 and X_Rtilde is one
@@ -42,12 +43,15 @@ closed forms agree with them to round-off on the whole band.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .fields import TorusField
 from .integrate import _ETDRK4Stepper, _weights
 from .norms import besov_norm
-from .operators import _band, _cubic, _d0_inverse, _pad, inner
+from .operators import _band, _d0_inverse, _pad, inner
+from .problems import EvolutionProblem, nonlinearity
 
 # tags for the four resonance families
 ALL_NON_NEGATIVE = "all_non_negative"
@@ -232,11 +236,17 @@ def _generator_field(c: np.ndarray, grid) -> np.ndarray:
     return -0.5 * np.where(grid.modes() >= 0, phi[:rows], -phi[rows:])
 
 
+@functools.cache
+def _cubic_field(grid):
+    """-i |u|^2 u on coefficient rows: one half-wave nonlinearity per grid."""
+    return nonlinearity(EvolutionProblem.half_wave(), grid)
+
+
 def _r_field(c: np.ndarray, grid) -> np.ndarray:
     """X_R = -i (|u|^2 u - 2 ||u||_{L2}^2 u) of each row of (rows, n_coeff)
     coefficients: one transform each way."""
     q = np.sum(np.abs(c) ** 2, axis=-1, keepdims=True)
-    return -1j * (_cubic(c, grid) - 2.0 * q * c)
+    return _cubic_field(grid)(c) + 2j * q * c
 
 
 def _rtilde_field(c: np.ndarray, grid) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Elementary spectral operators: projections, D0^{-1}, dealiased products.
 
+The products act on fields; the flows' cubic is problems.nonlinearity.
+
 Conventions: the inner product is (u|v) = (1/2pi) int u conj(v) dx, so
 Parseval is coefficient-wise, (u|v) = sum_k u_k conj(v_k), and single
 modes e^{ikx} have unit L2 norm.  The analytic projection keeps modes
@@ -11,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import GridSpec, TorusField
+
 
 def _pad(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Zero-padded spectra of band coefficients along the last axis.
@@ -35,51 +38,6 @@ def _band(spectrum: np.ndarray, grid: GridSpec) -> np.ndarray:
 def _negative_modes(grid: GridSpec) -> int:
     """How many modes k < 0 the band holds: N, or 0 on an analytic grid."""
     return grid.n_coeff - grid.max_mode - 1
-
-
-def _cubic_scratch(shape, grid: GridSpec):
-    """The work arrays of _cubic for band coefficients of the given shape:
-    the zero-padded spectra, the grid values (then the spectra of the
-    product, transformed in place) and |u|^2 (a complex array whose
-    imaginary part stays 0)."""
-    padded = tuple(shape[:-1]) + (grid.padded_len,)
-    return tuple(np.zeros(padded, dtype=np.complex128) for _ in range(3))
-
-
-def _cubic(coeff: np.ndarray, grid: GridSpec, out=None, scratch=None) -> np.ndarray:
-    """Band coefficients of |u|^2 u for each row of band coefficients: the
-    dealiased cubic, one transform each way on the padded grid.
-
-    On a full band the degree 3N < padded_len - N keeps it alias-free
-    (M >= 4N + 1).  On an analytic grid only modes 0..N are returned,
-    which no aliased copy of modes -N..2N reaches once M >= 2N + 1; the
-    modes k < 0 of |u|^2 u are dropped there, so it computes
-    P_+(|u|^2 u).
-
-    The result goes to out (a new array if None), which must not overlap
-    coeff.  scratch is _cubic_scratch(coeff.shape, grid), kept by a
-    caller that calls again on the same shape: only the band slots of
-    its padded spectra are ever written, so their padding stays zero,
-    and the call then allocates nothing.
-    """
-    n, m, neg = grid.max_mode, grid.padded_len, _negative_modes(grid)
-    padded, v, modulus = scratch or _cubic_scratch(coeff.shape, grid)
-    padded[..., : n + 1] = coeff[..., neg:]
-    padded[..., m - neg:] = coeff[..., :neg]
-    np.fft.ifft(padded, out=v)
-    # |v|^2 in the real part: v times it is the complex product numpy
-    # forms with a real factor, without a cast buffer
-    square = modulus.real
-    np.abs(v, out=square)
-    np.square(square, out=square)
-    v *= modulus
-    np.fft.fft(v, out=v)
-    if out is None:
-        out = np.empty(coeff.shape, dtype=np.complex128)
-    out[..., :neg] = v[..., m - neg:]
-    out[..., neg:] = v[..., : n + 1]
-    out *= m * m
-    return out
 
 
 def to_grid_values(f: TorusField) -> np.ndarray:

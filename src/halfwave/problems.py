@@ -33,7 +33,7 @@ import numpy as np
 
 from .fields import GridSpec, TorusField
 from .norms import besov_norm, charge, l4_norm
-from .operators import _cubic, _cubic_scratch, _negative_modes
+from .operators import _negative_modes
 
 #: the linear multiplier L(k) of each dispersion, on float wavenumbers
 DISPERSIONS = {"|k|": np.abs, "k": np.positive, "0": np.zeros_like}
@@ -113,54 +113,64 @@ def linear_symbol(problem, grid: GridSpec) -> np.ndarray:
                       lead + (grid.n_coeff,))
 
 
-def _row_index(flags):
-    """The rows whose flag is set, as an index of a stack's leading axis:
-    ... for all, an index array for some, None for none."""
-    if all(flags):
-        return ...
-    return np.flatnonzero(flags) if any(flags) else None
-
-
 def nonlinearity(problem, grid: GridSpec):
     """Closure (coeff, out=None) -> -i c (P(|u|^2 u) - 2 q0 u) on raw
-    coefficient arrays.
+    coefficient arrays: the package's one dealiased cubic.
 
-    The dealiased cubic term is operators._cubic, one round trip on the
-    padded grid with no field wrapping, so the inner stepping loop stays
-    cheap.  A sequence of problems on one grid acts on a (rows, n_coeff)
-    array, one row per problem, with one batched transform per
-    direction; c and q0 are then column vectors and P_+ zeroes only the
-    projected rows.  On an analytic grid (modes 0..N, all rows
-    projected) _cubic already returns P_+(|u|^2 u).  At c = 0 the term
-    is exactly zero.
+    One round trip on the padded grid, with no field wrapping: the band
+    goes into a zero-padded spectrum, to grid values v, times |v|^2 and
+    back.  On a full band the degree 3N < padded_len - N keeps it
+    alias-free (M >= 4N + 1).  On an analytic grid (modes 0..N, all rows
+    projected) only modes 0..N are read out, which no aliased copy of
+    modes -N..2N reaches once M >= 2N + 1, so the term is P_+(|u|^2 u).
+    The band is read out with one multiply per sign block by weights
+    made here: -i c M^2 per row (numpy's inverse transform carries 1/M),
+    0 on the modes k < 0 of projected rows.  A gauge q0 > 0 is added
+    last as (2i c q0) u.  At c = 0 the term is exactly zero.  A sequence
+    of problems on one grid acts on a (rows, n_coeff) array, one row per
+    problem, with one batched transform per direction; one problem acts
+    on any stack of rows.
 
     The term is written to out, which must not overlap coeff, and
-    returned; without out it is a new array.  The closure keeps _cubic's
-    scratch and the gauge term's array for each input shape, allocated
-    on the first call with that shape, so a call with out allocates
-    nothing.
+    returned; without out it is a new array.  The closure keeps its
+    work arrays for each input shape, made on the first call with that
+    shape: only the band slots of the padded spectrum are ever written,
+    so its padding stays zero, and a call with out allocates nothing.
     """
     problems, lead = _stack(problem)
     column = lead + (1,)
-    neg = _negative_modes(grid)
-    scale = -1j * np.reshape([p.coupling for p in problems], column)
-    q0 = np.reshape([p.q0 for p in problems], column)
-    gauge = 2.0 * q0 if q0.any() else None
-    # an analytic grid has no modes k < 0 to zero
-    zeroed = _row_index([p.project for p in problems]) if neg else None
-    work = {}  # input shape -> (_cubic's scratch, the gauge term)
+    n, m, neg = grid.max_mode, grid.padded_len, _negative_modes(grid)
+    coupling = np.reshape([p.coupling for p in problems], column)
+    weight = -1j * (coupling * (m * m))
+    # P_+ drops the modes k < 0 (an analytic grid has none)
+    weight_minus = np.where(np.reshape([p.project for p in problems], column), 0.0, weight)
+    gauge = 2j * coupling * np.reshape([p.q0 for p in problems], column)
+    gauge = gauge if gauge.any() else None
+    work = {}  # input shape -> padded spectrum, grid values, |v|^2, gauge term
 
     def term(c, out=None):
         if c.shape not in work:
-            work[c.shape] = (_cubic_scratch(c.shape, grid),
+            padded = c.shape[:-1] + (m,)
+            work[c.shape] = (*(np.zeros(padded, dtype=np.complex128) for _ in range(3)),
                              None if gauge is None else np.empty(c.shape, dtype=np.complex128))
-        scratch, gauged = work[c.shape]
-        out = _cubic(c, grid, out, scratch)
-        if zeroed is not None:
-            out[zeroed, :neg] = 0.0
+        spectrum, v, modulus, gauged = work[c.shape]
+        spectrum[..., : n + 1] = c[..., neg:]
+        spectrum[..., m - neg:] = c[..., :neg]
+        np.fft.ifft(spectrum, out=v)
+        # |v|^2 in the real part: v times it is the complex product numpy
+        # forms with a real factor, without a cast buffer
+        square = modulus.real
+        np.abs(v, out=square)
+        np.square(square, out=square)
+        v *= modulus
+        np.fft.fft(v, out=v)
+        if out is None:
+            out = np.empty(c.shape, dtype=np.complex128)
+        np.multiply(weight_minus, v[..., m - neg:], out=out[..., :neg])
+        np.multiply(weight, v[..., : n + 1], out=out[..., neg:])
         if gauge is not None:
-            out -= np.multiply(gauge, c, out=gauged)
-        return np.multiply(scale, out, out=out)
+            out += np.multiply(gauge, c, out=gauged)
+        return out
 
     return term
 

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +32,7 @@ from halfwave.experiments import (
     _inflation_grid_n,
     _inflation_halfwave_check,
     _inflation_row,
+    _initial_spectrum,
     _spectrum_row,
     build_initial_state,
     default_config,
@@ -47,6 +52,7 @@ from halfwave.integrate import step_count
 from halfwave.norms import sobolev_norm
 from halfwave.problems import default_time_step
 import halfwave.cli as cli
+import halfwave.experiments as experiments
 
 from conftest import readme_csv_columns
 
@@ -224,7 +230,8 @@ class TestSmallRuns:
         cfg = default_config(SPECTRUM, grid_n=16, horizon=HorizonRule("fixed", 0.97))
         dt0 = default_time_step(EvolutionProblem.szego_plain(),
                                 build_initial_state(cfg, GridSpec.with_padding(16)))
-        assert _spectrum_row((cfg, "szego_plain"))["dt"] == 0.97 / step_count(0.97, dt0)
+        row = _spectrum_row((cfg, "szego_plain", _initial_spectrum(cfg)))
+        assert row["dt"] == 0.97 / step_count(0.97, dt0)
 
         cfg = default_config(INFLATION, eps_list=(1.0,), delta_list=(0.8,), dt=None)
         row = _inflation_row((cfg, 1.0, 0.8))
@@ -252,6 +259,17 @@ class TestSmallRuns:
         kinds = {r.data["problem"] for r in out.rows}
         assert kinds == {"szego_plain", "half_wave"}
 
+    def test_spectrum_summarises_the_shared_initial_state_once(self, monkeypatch):
+        """Both rows start from one u0, so a run makes five Hankel summaries:
+        one of u0, then one per run at t_end for each row's dt and dt/2."""
+        calls = []
+        summary = experiments.spectral_summary
+        monkeypatch.setattr(experiments, "spectral_summary",
+                            lambda h: calls.append(h) or summary(h))
+        cfg = default_config(SPECTRUM, grid_n=16, horizon=HorizonRule("fixed", 0.5))
+        run_spectrum_conservation(cfg)
+        assert len(calls) == 5
+
     def test_spectrum_row_fails_loudly_on_coarse_dt(self):
         """On the default profile at amplitude 1.1 the nonlinear frequency
         |u|^2 is about 2, which a step of 1 does not resolve: over T = 1 the
@@ -261,7 +279,7 @@ class TestSmallRuns:
         cfg = default_config(SPECTRUM, dt=1.0, horizon=HorizonRule("fixed", 1.0))
         cfg = replace(cfg, profile=replace(cfg.profile, amplitude=1.1))
         with pytest.raises(NumericalFailure, match="spectrum half_wave"):
-            _spectrum_row((cfg, "half_wave"))
+            _spectrum_row((cfg, "half_wave", _initial_spectrum(cfg)))
 
     def test_inflation_halfwave_check_steps_the_half_wave_alone(self):
         """The check reuses the lead Szego row's H^s(t*) and steps only the
@@ -427,6 +445,14 @@ class TestOutputs:
                                              **overrides))
             serial = (tmp_path / "1" / f"{experiment}.csv").read_bytes()
             assert (tmp_path / "2" / f"{experiment}.csv").read_bytes() == serial
+
+    def test_import_loads_no_process_pool(self):
+        """The process pool is imported by a parallel sweep only, so a fresh
+        interpreter that imports the harness leaves it unloaded."""
+        code = ("import sys, halfwave.experiments; "
+                "sys.exit('concurrent.futures.process' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).parents[1])}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestCli:

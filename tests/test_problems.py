@@ -10,6 +10,8 @@ from halfwave import (
     project_plus,
     sobolev_norm,
 )
+from halfwave.fields import _AnalyticGrid
+from halfwave.oracles import _convolve_cubic
 from halfwave.problems import linear_symbol, nonlinearity
 
 from conftest import gauge_transform, random_field
@@ -101,6 +103,48 @@ def test_nonlinearity_matches_field_operators(problem, grid16, rng):
     want = problem.coupling * (cubic.coeff - 2.0 * problem.q0 * u.coeff)
     got = 1j * nonlinearity(problem, grid16)(u.coeff)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def _convolution_term(problem, coeff):
+    """-i c (P(|u|^2 u) - 2 q0 u) of one full-band row of a band 0..N from
+    the direct convolution sums of halfwave.oracles."""
+    n = (len(coeff) - 1) // 2
+    cubic = _convolve_cubic(coeff, coeff, coeff, n)
+    if problem.project:
+        cubic[:n] = 0.0
+    return -1j * problem.coupling * (cubic - 2.0 * problem.q0 * coeff)
+
+
+def _assert_close(got, want):
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("problem", ALL_PROBLEMS, ids=lambda p: p.kind)
+def test_nonlinearity_matches_convolution_sums(problem, grid16, rng):
+    """The one dealiased cubic, with its P_+ and gauge, equals the direct
+    convolution sums on the full band."""
+    u = random_field(grid16, rng)
+    _assert_close(nonlinearity(problem, grid16)(u.coeff), _convolution_term(problem, u.coeff))
+
+
+@pytest.mark.parametrize("problem", [p for p in ALL_PROBLEMS if p.project], ids=lambda p: p.kind)
+def test_analytic_grid_nonlinearity_matches_convolution_sums(problem, grid16, rng):
+    """On an analytic grid (modes 0..N, transforms of length >= 2N + 1) the
+    term is the convolution sums' P_+ term on modes 0..N."""
+    n = grid16.max_mode
+    coeff = random_field(grid16, rng).coeff.copy()
+    coeff[:n] = 0.0
+    got = nonlinearity(problem, _AnalyticGrid.with_padding(n))(coeff[n:])
+    _assert_close(got, _convolution_term(problem, coeff)[n:])
+
+
+def test_mixed_stack_nonlinearity_matches_convolution_sums(grid16, rng):
+    """Projected and unprojected rows, gauged and not, in one stack: each
+    row is its problem's convolution-sum term."""
+    coeff = np.array([random_field(grid16, rng).coeff for _ in ALL_PROBLEMS])
+    got = nonlinearity(ALL_PROBLEMS, grid16)(coeff)
+    for problem, row, term in zip(ALL_PROBLEMS, coeff, got):
+        _assert_close(term, _convolution_term(problem, row))
 
 
 def test_stacked_nonlinearity_rows_equal_single(grid16, rng):

@@ -70,11 +70,11 @@ def build_hankel(w: TorusField) -> HankelTruncation:
         warnings.warn("symbol has negative-mode coefficients; they are ignored",
                       stacklevel=2)
 
-    # w_m for m = 0 .. 2N, zero beyond the band
+    # w_m for m = 0 .. 2N, zero beyond the band; row j of the window
+    # view is w_j .. w_{j+N}, and HankelTruncation copies it out
     symbol = np.zeros(2 * n + 1, dtype=np.complex128)
     symbol[:n + 1] = w.coeff[n:]
-    j = np.arange(n + 1)
-    gamma = symbol[j[:, None] + j[None, :]]
+    gamma = np.lib.stride_tricks.sliding_window_view(symbol, n + 1)
     return HankelTruncation(size=n + 1, gamma=gamma, ignored_negative_modes=ignored)
 
 

@@ -23,7 +23,8 @@ f = i / (4 phase) off the resonant set and 0 on it, which makes
 Each quartic G in {R, Rtilde, F} has one closed-form derivation: its
 Hamiltonian vector field X_G, on (rows, n_coeff) stacks with products
 taken pointwise on the padded grid, one batched transform per input and
-result.  X_R is the flows' dealiased cubic (problems.nonlinearity of
+result through the round trip of halfwave.operators (_grid_values and
+_band_coefficients); this module calls no FFT itself.  X_R is the flows' dealiased cubic (problems.nonlinearity of
 the half-wave, -i |u|^2 u) plus 2i ||u||_{L2}^2 u.  R's coefficient
 vanishes on the pair families except on the diagonal k1 = k2 = k3 = k4,
 which lies in the sign families; these share only the zero quadruple, so
@@ -50,7 +51,7 @@ import numpy as np
 from .fields import TorusField
 from .integrate import _ETDRK4Stepper, _weights
 from .norms import besov_norm
-from .operators import _band, _d0_inverse, _pad, inner
+from .operators import _band_coefficients, _d0_inverse, _grid_values, inner
 from .problems import EvolutionProblem, nonlinearity
 
 # tags for the four resonance families
@@ -196,18 +197,14 @@ def _phi(a: np.ndarray, b: np.ndarray, grid, inv: np.ndarray) -> np.ndarray:
 
     for the rows of (rows, n_coeff) coefficient arrays a and b, inv the
     multiplier of D0^{-1}: grid values of a, b and D0^{-1} b, one round
-    trip for D0^{-1}|b|^2 and two forward transforms, each one batched
-    transform over all rows: 7 FFTs.
+    trip for D0^{-1}|b|^2 and two band read-outs, each one batched
+    transform over all rows (_grid_values or _band_coefficients): 7 FFTs.
     """
-    m = grid.padded_len
-    va = np.fft.ifft(_pad(a, grid)) * m
-    vb = np.fft.ifft(_pad(b, grid)) * m
-    vjb = np.fft.ifft(_pad(b * inv, grid)) * m
+    va, vb, vjb = (_grid_values(x, grid) for x in (a, b, b * inv))
     abs_b = np.abs(vb) ** 2
-    j_abs_b = np.fft.ifft(_pad(_band(np.fft.fft(abs_b), grid) / m * inv, grid)) * m
+    j_abs_b = _grid_values(_band_coefficients(abs_b, grid) * inv, grid)
     local = 2.0 * vjb * np.abs(va) ** 2 + 2.0 * va * j_abs_b - np.conj(vjb) * va**2
-    return (_band(np.fft.fft(local), grid) / m
-            + _band(np.fft.fft(abs_b * vb), grid) / m * inv)
+    return _band_coefficients(local, grid) + _band_coefficients(abs_b * vb, grid) * inv
 
 
 def _generator_field(c: np.ndarray, grid) -> np.ndarray:

@@ -3,12 +3,15 @@
 - The charge ||f||_{L2}^2 and Sobolev norms are coefficient sums
   (Parseval with the normalized measure dx/2pi).
 - The L4 norm is a quadrature on the padded grid.  |f|^4 has degree 4N,
-  so it is exact when padded_len >= 4N + 1.
+  so it is exact when the padded length M >= 4N + 1.
 - The Besov norm B^1_{1,1} uses sharp dyadic blocks: S0 keeps |k| <= 1,
   block j keeps 2^j < |k| <= 2^{j+1}, and the norm is
   ||S0 f||_L1 + sum_j 2^j ||block_j f||_L1; each block's L1 norm is
   the padded-grid quadrature (|f| is not band-limited, so it carries a
   quadrature error).
+- Grid values come from halfwave.operators (_grid_values for the
+  stacked Besov blocks, to_grid_values for L4); this module calls no
+  FFT itself.
 - Momentum sum_k k |u_k|^2 is signed and returned as a real number.
 """
 
@@ -19,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import GridSpec, TorusField
-from .operators import _pad, to_grid_values
+from .operators import _grid_values, to_grid_values
 
 
 @lru_cache(maxsize=None)
@@ -59,11 +62,11 @@ def _sobolev_weights(grid: GridSpec, s: float) -> np.ndarray:
 
 
 def besov_norm(f: TorusField) -> float:
-    """sum over blocks of weight * ||block f||_L1, one batched transform
-    over all blocks."""
+    """sum over blocks of weight * ||block f||_L1, the blocks as the rows
+    of one operators._grid_values call (one batched transform)."""
     blocks = besov_blocks(f.grid)
     masks = _besov_masks(f.grid)
-    values = np.fft.ifft(_pad(np.where(masks, f.coeff, 0.0), f.grid)) * f.grid.padded_len
+    values = _grid_values(np.where(masks, f.coeff, 0.0), f.grid)
     total = 0.0
     for (weight, _), l1 in zip(blocks, np.mean(np.abs(values), axis=-1)):
         total += weight * float(l1)

@@ -1,6 +1,13 @@
 """Elementary spectral operators: projections, D0^{-1}, dealiased products.
 
-The products act on fields; the flows' cubic is problems.nonlinearity.
+This module owns the padded-grid round trip: _grid_values and
+_band_coefficients move (rows, n_coeff) band coefficients to values on
+the M = padded_len quadrature points and back, each with one batched
+transform, and every product in the package (the normal-form fields,
+the Besov blocks, the field forms to_grid_values and from_grid_values
+below) is taken through them.  The one other transform site is the
+flows' fused cubic, problems.nonlinearity.  The products here act on
+fields.
 
 Conventions: the inner product is (u|v) = (1/2pi) int u conj(v) dx, so
 Parseval is coefficient-wise, (u|v) = sum_k u_k conj(v_k), and single
@@ -15,24 +22,28 @@ import numpy as np
 from .fields import GridSpec, TorusField
 
 
-def _pad(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Zero-padded spectra of band coefficients along the last axis.
+def _grid_values(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Values at the padded quadrature points of band coefficient rows.
 
-    Mode k sits at slot k mod M: modes 0..N at slots 0..N and the
-    negative modes -N..-1 (none on an analytic grid) at M-N..M-1, so the
-    scatter is two slice copies.
+    The rows go into a zero-padded spectrum with mode k at slot k mod M:
+    modes 0..N at slots 0..N and the negative modes -N..-1 (none on an
+    analytic grid) at M-N..M-1, two slice copies.  One inverse transform
+    over all rows follows, times M (numpy's inverse carries 1/M).
     """
     n, m, neg = grid.max_mode, grid.padded_len, _negative_modes(grid)
     padded = np.zeros(coeff.shape[:-1] + (m,), dtype=np.complex128)
     padded[..., : n + 1] = coeff[..., neg:]
     padded[..., m - neg:] = coeff[..., :neg]
-    return padded
+    return np.fft.ifft(padded) * m
 
 
-def _band(spectrum: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """The band coefficients of padded spectra (inverse of _pad)."""
+def _band_coefficients(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Band coefficient rows of values on the padded grid (inverse of
+    _grid_values): one forward transform over all rows, the band read
+    out of slots M-N..M-1 and 0..N, divided by M."""
     n, m, neg = grid.max_mode, grid.padded_len, _negative_modes(grid)
-    return np.concatenate((spectrum[..., m - neg:], spectrum[..., : n + 1]), axis=-1)
+    spectrum = np.fft.fft(values)
+    return np.concatenate((spectrum[..., m - neg:], spectrum[..., : n + 1]), axis=-1) / m
 
 
 def _negative_modes(grid: GridSpec) -> int:
@@ -42,7 +53,7 @@ def _negative_modes(grid: GridSpec) -> int:
 
 def to_grid_values(f: TorusField) -> np.ndarray:
     """Values of f at the padded quadrature points x_j = 2 pi j / M."""
-    return np.fft.ifft(_pad(f.coeff, f.grid)) * f.grid.padded_len
+    return _grid_values(f.coeff, f.grid)
 
 
 def from_grid_values(grid: GridSpec, values: np.ndarray) -> TorusField:
@@ -51,7 +62,7 @@ def from_grid_values(grid: GridSpec, values: np.ndarray) -> TorusField:
     Exact whenever the sampled function is a trigonometric polynomial of
     degree < padded_len - max_mode (no aliased copy reaches the band).
     """
-    return TorusField(grid, _band(np.fft.fft(values), grid) / grid.padded_len)
+    return TorusField(grid, _band_coefficients(values, grid))
 
 
 def inner(f: TorusField, g: TorusField) -> complex:

@@ -136,6 +136,9 @@ def nonlinearity(problem, grid: GridSpec):
     work arrays for each input shape, made on the first call with that
     shape: only the band slots of the padded spectrum are ever written,
     so its padding stays zero, and a call with out allocates nothing.
+    It is the one transform site outside halfwave.operators: it spells
+    out the round trip of operators._grid_values and _band_coefficients
+    fused in place, with their factors M and 1/M folded into its weights.
     """
     problems, lead = _stack(problem)
     column = lead + (1,)

@@ -48,6 +48,7 @@ from halfwave.experiments import (
     strichartz_ratio,
 )
 from halfwave import EvolutionProblem, GridSpec, TorusField, evolve
+from halfwave.hankel import spectral_summary
 from halfwave.integrate import step_count
 from halfwave.norms import sobolev_norm
 from halfwave.problems import default_time_step
@@ -238,6 +239,22 @@ class TestSmallRuns:
         u0 = TorusField.from_modes(GridSpec.with_padding(row["grid_n"]), {1: 1.0, 0: 0.8})
         dt0 = default_time_step(EvolutionProblem.szego_plain(), u0)
         assert row["dt"] == row["t_star"] / step_count(row["t_star"], dt0)
+
+    def test_spectrum_row_surfaces_other_warnings(self, monkeypatch):
+        """The half-wave row drops build_hankel's negative-mode warning
+        alone: a warning raised by a summary surfaces (here as an error)."""
+        cfg = default_config(SPECTRUM, grid_n=16, horizon=HorizonRule("fixed", 0.97))
+        before = _initial_spectrum(cfg)
+        row = _spectrum_row((cfg, "half_wave", before))
+        assert row["problem"] == "half_wave"
+
+        def noisy(h):
+            warnings.warn("summary warning", RuntimeWarning)
+            return spectral_summary(h)
+
+        monkeypatch.setattr(experiments, "spectral_summary", noisy)
+        with pytest.raises(RuntimeWarning, match="summary warning"):
+            _spectrum_row((cfg, "half_wave", before))
 
     def test_decoupling_rejects_nonanalytic_profile(self, tmp_path):
         path = tmp_path / "f.txt"

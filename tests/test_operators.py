@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,15 @@ from halfwave import (
     project_plus,
     triple_product,
 )
-from halfwave.operators import _d0_inverse, from_grid_values, to_grid_values
+import halfwave
+from halfwave.fields import _AnalyticGrid
+from halfwave.operators import (
+    _band_coefficients,
+    _d0_inverse,
+    _grid_values,
+    from_grid_values,
+    to_grid_values,
+)
 
 from conftest import random_field
 
@@ -125,3 +136,61 @@ class TestConjugateReflect:
         f = random_field(grid16, rng)
         back = from_grid_values(grid16, to_grid_values(f))
         assert np.allclose(back.coeff, f.coeff, atol=1e-13)
+
+    @pytest.mark.parametrize("grid", [GridSpec.with_padding(16), _AnalyticGrid.with_padding(16)],
+                             ids=["full-band", "analytic"])
+    def test_row_helpers_round_trip_a_stack(self, grid, rng):
+        """A 3-row stack goes to the padded grid and back, and each row of
+        either helper is bit for bit the field form of that row."""
+        c = rng.standard_normal((3, grid.n_coeff)) + 1j * rng.standard_normal((3, grid.n_coeff))
+        values = _grid_values(c, grid)
+        back = _band_coefficients(values, grid)
+        assert values.shape == (3, grid.padded_len)
+        assert np.max(np.abs(back - c)) <= 1e-13
+        for row, row_values, row_back in zip(c, values, back):
+            assert np.array_equal(row_values, to_grid_values(TorusField(grid, row)))
+            assert np.array_equal(row_back, from_grid_values(grid, row_values).coeff)
+
+
+def _transform_sites(tree: ast.Module):
+    """Line numbers where a module names numpy's fft (np.fft / numpy.fft,
+    an import of numpy.fft or of fft from numpy), and where it imports
+    scipy or any of its modules."""
+    fft, scipy = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if (node.attr == "fft" and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy")):
+                fft.append(node.lineno)
+            continue
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+            if node.module == "numpy":
+                modules += [f"numpy.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(m == "numpy.fft" or m.startswith("numpy.fft.") for m in modules):
+            fft.append(node.lineno)
+        if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+            scipy.append(node.lineno)
+    return fft, scipy
+
+
+def test_fft_lives_in_operators_and_problems():
+    """Only operators (the padded-grid round trip) and problems (the fused
+    cubic) transform, and only through numpy.fft: the package declares
+    numpy alone, and a transform anywhere else would escape the FFT
+    counts of a traced run."""
+    sources = sorted(Path(halfwave.__file__).parent.glob("*.py"))
+    assert sources
+    fft_sites, scipy_sites = {}, {}
+    for path in sources:
+        fft, scipy = _transform_sites(ast.parse(path.read_text(), filename=str(path)))
+        if fft and path.name not in ("operators.py", "problems.py"):
+            fft_sites[path.name] = fft
+        if scipy:
+            scipy_sites[path.name] = scipy
+    assert fft_sites == {}
+    assert scipy_sites == {}

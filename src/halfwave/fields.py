@@ -20,7 +20,10 @@ import numpy as np
 
 
 def fast_transform_length(n: int) -> int:
-    """Smallest 5-smooth integer >= n (a cheap FFT length)."""
+    """Smallest 5-smooth integer >= n (a cheap FFT length), for n >= 1."""
+    if n < 1:
+        # the search below would spin forever at 0, which every prime divides
+        raise ValueError(f"a transform length must be at least 1, got {n}")
     m = n
     while True:
         r = m

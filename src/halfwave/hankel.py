@@ -28,23 +28,37 @@ class EigensolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class HankelTruncation:
-    """size x size matrix gamma[j, k] = w_{j+k} of an analytic symbol.
+    """(N+1) x (N+1) matrix gamma[j, k] = w_{j+k} of an analytic symbol
+    band-limited to the modes 0..N.
 
-    ignored_negative_modes flags that the symbol carried negative-mode
-    coefficients which were dropped when building the matrix.
+    symbol holds w_0 .. w_{2N}, zero past w_N, as a read-only copy, and
+    gamma is its read-only sliding window of width N+1, so no
+    (N+1) x (N+1) array is held.  ignored_negative_modes flags that the
+    symbol carried negative-mode coefficients which were dropped when
+    building the matrix.
     """
 
-    size: int
-    gamma: np.ndarray
+    symbol: np.ndarray
     ignored_negative_modes: bool = False
 
     def __post_init__(self):
-        arr = np.asarray(self.gamma, dtype=np.complex128)
-        if arr.shape != (self.size, self.size):
-            raise ValueError(f"gamma must be {self.size}x{self.size}, got {arr.shape}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "gamma", arr)
+        w = np.array(self.symbol, dtype=np.complex128)
+        if w.ndim != 1 or w.size % 2 == 0:
+            raise ValueError(f"symbol must hold w_0 .. w_2N, got shape {w.shape}")
+        # spectral_summary's Gram matrix sums each diagonal to the end of
+        # the band, which is exact only if w_m = 0 for every m > N
+        if np.any(w[w.size // 2 + 1:] != 0):
+            raise ValueError("symbol must vanish past w_N")
+        w.flags.writeable = False
+        object.__setattr__(self, "symbol", w)
+
+    @property
+    def size(self) -> int:
+        return self.symbol.size // 2 + 1
+
+    @property
+    def gamma(self) -> np.ndarray:
+        return np.lib.stride_tricks.sliding_window_view(self.symbol, self.size)
 
 
 @dataclass(frozen=True)
@@ -61,7 +75,8 @@ def build_hankel(w: TorusField) -> HankelTruncation:
     """(N+1) x (N+1) Hankel matrix of the analytic part of w.
 
     This size represents a band-limited symbol exactly (all entries with
-    j + k > N vanish); negative-mode coefficients are ignored and
+    j + k > N vanish), and the matrix is held as its 2N+1 values
+    w_0 .. w_N, 0 .. 0; negative-mode coefficients are ignored and
     flagged.
     """
     n = w.grid.max_mode
@@ -70,12 +85,32 @@ def build_hankel(w: TorusField) -> HankelTruncation:
         warnings.warn("symbol has negative-mode coefficients; they are ignored",
                       stacklevel=2)
 
-    # w_m for m = 0 .. 2N, zero beyond the band; row j of the window
-    # view is w_j .. w_{j+N}, and HankelTruncation copies it out
     symbol = np.zeros(2 * n + 1, dtype=np.complex128)
     symbol[:n + 1] = w.coeff[n:]
-    gamma = np.lib.stride_tricks.sliding_window_view(symbol, n + 1)
-    return HankelTruncation(size=n + 1, gamma=gamma, ignored_negative_modes=ignored)
+    return HankelTruncation(symbol, ignored_negative_modes=ignored)
+
+
+def _gram(h: HankelTruncation, exponent: int) -> np.ndarray:
+    """Lower triangle of gamma gamma^H 2^-2e in O(N^2) operations.
+
+    Since w_m = 0 past N, entry (j + d, j) is the suffix sum
+    sum_{m >= j} w_{m+d} conj(w_m) 2^-2e down a diagonal.  Row m,
+    column d of `diagonals` is the slot of entry (m + d, m) of the
+    returned column-major matrix; it first takes the product
+    gamma[m, d] conj(w_m) 2^-2e, then the sum of its column from the
+    last row up.  Products with m + d > N are zero and land in the
+    strict upper triangle or past the matrix, as do the spare slots;
+    the Hermitian eigensolver reads the lower triangle only.
+    """
+    n = h.size
+    weight = np.conj(h.symbol[:n])
+    # on the real and imaginary parts, as a float view of the copy
+    np.ldexp(weight.view(np.float64), -2 * exponent, out=weight.view(np.float64))
+    buf = np.zeros(n * (n + 1), dtype=np.complex128)
+    diagonals = buf.reshape(n, n + 1)[:, :n]
+    np.multiply(h.gamma, weight[:, None], out=diagonals)
+    np.cumsum(diagonals[::-1], axis=0, out=diagonals[::-1])
+    return buf[:n * n].reshape(n, n).T
 
 
 def spectral_summary(h: HankelTruncation) -> SpectralSummary:
@@ -83,22 +118,22 @@ def spectral_summary(h: HankelTruncation) -> SpectralSummary:
 
     The two computations are independent (SVD vs Hermitian eigensolver)
     and are cross-checked against each other, at any amplitude: with 2^e
-    about the largest entry of gamma, the eigensolver takes the product
-    gamma (conj(gamma) 2^-2e), which neither underflows nor overflows, the
-    SVD (which rescales its input itself) takes gamma, and both spectra
-    are compared scaled by 2^-e.  Every scaling is by a power of two, so
-    it rounds nothing; a squared eigenvalue beyond the float range comes
-    back as inf or 0.  A cross-check that cannot be computed (a
-    non-finite mismatch) fails.
+    about the largest symbol value, the SVD (which rescales its input
+    itself) takes gamma, the eigensolver takes the Gram matrix
+    gamma gamma^H 2^-2e, which neither underflows nor overflows, and
+    both spectra are compared scaled by 2^-e.  The Gram matrix is no
+    matrix product: its lower triangle is built from diagonal suffix
+    sums of the symbol in O(N^2) operations and one (N+1) x (N+1)
+    buffer (_gram), which lives only for the eigensolver call.  Every
+    scaling is by a power of two, so it rounds nothing; a squared
+    eigenvalue beyond the float range comes back as inf or 0.  A
+    cross-check that cannot be computed (a non-finite mismatch) fails.
     """
-    peak = np.max(np.abs(h.gamma), initial=0.0)
+    peak = np.max(np.abs(h.symbol))
     exponent = int(np.frexp(peak)[1]) if np.isfinite(peak) else 0
-    conj = np.conj(h.gamma)
-    # on the real and imaginary parts, as a float view of the copy
-    np.ldexp(conj.view(np.float64), -2 * exponent, out=conj.view(np.float64))
     try:
         sv = np.linalg.svd(h.gamma, compute_uv=False)
-        squared = np.linalg.eigvalsh(h.gamma @ conj)
+        squared = np.linalg.eigvalsh(_gram(h, exponent))
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import halfwave
 from halfwave import GridSpec, TorusField, fast_transform_length
 
 
@@ -13,6 +19,23 @@ def test_fast_transform_length_is_5_smooth():
             while r % p == 0:
                 r //= p
         assert r == 1
+
+
+def test_fast_transform_length_rejects_lengths_below_one():
+    """At n <= 0 the 5-smooth search never returned (every prime divides
+    0), so the calls run in a child process that a timeout ends."""
+    code = ("from halfwave.fields import GridSpec, _AnalyticGrid, fast_transform_length\n"
+            "for call in (lambda: fast_transform_length(0), lambda: fast_transform_length(-3),\n"
+            "             lambda: GridSpec.with_padding(-1), lambda: _AnalyticGrid.with_padding(-1)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(halfwave.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=30)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.count("a transform length must be at least 1") == 4
 
 
 def test_grid_padding_invariant():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from halfwave import (
     peller_ratio,
     spectral_summary,
 )
-from halfwave.hankel import EigensolverError
+from halfwave.hankel import EigensolverError, HankelTruncation
 
 from conftest import random_analytic_field
 
@@ -50,6 +51,24 @@ def test_band_limited_entries_vanish(grid16):
     assert h.size == j.size and h.gamma.shape == (j.size, j.size)
     beyond = j[:, None] + j[None, :] > grid16.max_mode
     assert np.all(h.gamma[beyond] == 0)
+
+
+def test_gamma_is_a_read_only_window(grid16, rng):
+    h = build_hankel(random_analytic_field(grid16, rng))
+    before = np.array(h.gamma)
+    with pytest.raises(ValueError):
+        h.gamma[0, 1] = 5.0
+    with pytest.raises(ValueError):
+        h.symbol[1] = 5.0
+    assert np.array_equal(h.gamma, before) and np.array_equal(h.gamma, h.gamma.T)
+
+
+@pytest.mark.parametrize("symbol", [[1.0, 0.0], [1.0, 0.0, 1.0], [[1.0]]])
+def test_truncation_rejects_a_symbol_past_the_band(symbol):
+    """The symbol is w_0 .. w_2N with w_m = 0 past N, as the Gram
+    matrix's diagonal sums assume."""
+    with pytest.raises(ValueError):
+        HankelTruncation(np.array(symbol))
 
 
 def test_negative_modes_flagged(grid16):
@@ -123,6 +142,47 @@ class TestSpectralSummary:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) * (1.0 + 1e-6))
         with pytest.raises(EigensolverError, match="disagree"):
             spectral_summary(build_hankel(amplitude * w))
+
+
+def _symbol(kind, n, rng):
+    grid = GridSpec.with_padding(n)
+    if kind == "random":
+        return random_analytic_field(grid, rng)
+    if kind == "top_mode":
+        return TorusField.from_modes(grid, {n: 0.8 - 0.6j})
+    return TorusField.zeros(grid)
+
+
+@pytest.mark.parametrize("kind", ["random", "top_mode", "zero"])
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_gram_eigenvalues_match_the_matrix_product(n, kind, rng):
+    """The diagonal-sum Gram matrix has the spectrum of G G^H."""
+    h = build_hankel(_symbol(kind, n, rng))
+    g = np.array(h.gamma)
+    want = np.sort(np.linalg.eigvalsh(g @ g.conj().T))[::-1]
+    got = spectral_summary(h).hw2_eigenvalues
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * max(want[0], 0.0))
+
+
+def test_hankel_memory_stays_below_one_dense_copy(rng):
+    """At N = 256 building the matrix holds only the 2N+1 symbol values,
+    and a spectral summary holds one (N+1)^2 buffer at a time."""
+    n = 256
+    unit = (n + 1) ** 2 * 16
+    w = random_analytic_field(GridSpec.with_padding(n), rng)
+    spectral_summary(build_hankel(TorusField.from_modes(GRID2, {1: 1.0})))  # warm-up
+    tracemalloc.start()
+    try:
+        h = build_hankel(w)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        spectral_summary(h)
+        summary_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert build_peak <= 0.1 * unit
+    assert summary_peak <= 2.0 * unit
 
 
 class TestPellerRatio:

@@ -84,10 +84,10 @@ MAX_GRID_N = 2**16
 #: the smallest band of the normalform check: its fields have support N // 4
 NORMALFORM_MIN_GRID_N = 4
 
-#: the largest band of the spectrum experiment.  Its rows build the dense
-#: (N+1) x (N+1) Hankel matrix (67 MB of complex128 at N = 2048, and an
-#: index array half that size) and take its SVD and the eigenvalues of
-#: its square, O(N^3) each, three times a row; one such summary took
+#: the largest band of the spectrum experiment.  Each Hankel summary of
+#: a row takes the SVD of LAPACK's copy of gamma, then the eigenvalues of
+#: the (N+1) x (N+1) Gram buffer (67 MB of complex128 each at N = 2048),
+#: O(N^3) each, three times a row; one such summary took
 #: 0.14 s at N = 512, 0.9 s at 1024 and 6.3 s at 2048 on a 2-core VM,
 #: while MAX_GRID_N would ask for a 69 GB matrix
 SPECTRUM_MAX_GRID_N = 2048

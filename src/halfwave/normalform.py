@@ -35,11 +35,13 @@ ETDRK4 stepper of halfwave.integrate with the scalar symbol 0, which
 makes it classical RK4 at no cost for the phi-weights, the flows of
 several eps as the rows of one array.  The value of G is read off its
 field by Euler's identity for a real quartic, 4 G(u) = Im (u | X_G(u)).
-The resonant set and the four families are (n, 4) integer arrays,
-compared as integer codes.  The literal quadruple sums over the retained
-band are independent oracles (halfwave.oracles.quartic_sum and
-quartic_sum_field, O(N^3), small grids only); on band-limited fields the
-closed forms agree with them to round-off on the whole band.
+The zero-sum set is enumerated one k1 slice at a time, and no caller
+holds all of it at once except the oracles below; the resonant set and
+the four families are (n, 4) integer arrays, compared as integer codes.
+The literal quadruple sums over the retained band are independent
+oracles (halfwave.oracles.quartic_sum and quartic_sum_field, O(N^3),
+small grids only); on band-limited fields the closed forms agree with
+them to round-off on the whole band.
 """
 
 from __future__ import annotations
@@ -78,13 +80,36 @@ def _phase(k1, k2, k3, k4):
     return abs(k1) - abs(k2) + abs(k3) - abs(k4)
 
 
+def _index_range(max_abs: int) -> np.ndarray:
+    """-max_abs .. max_abs as int64, for an O(max_abs^3) enumeration: a
+    max_abs outside [0, ENUMERATION_MAX] is a ValueError, raised before
+    anything is allocated."""
+    if not 0 <= max_abs <= ENUMERATION_MAX:
+        raise ValueError(f"enumeration is O(K^3); 0 <= max_abs <= {ENUMERATION_MAX}, "
+                         f"got {max_abs}")
+    return np.arange(-max_abs, max_abs + 1, dtype=np.int64)
+
+
+def _zero_sum_slices(max_abs: int):
+    """The zero-sum quadruples with |k_j| <= max_abs, one k1 at a time:
+    an iterator over the values of k1 in increasing order, each giving
+    arrays k1..k4 with (k2, k3) in lexicographic order.  A slice holds
+    (2 max_abs + 1)^2 values at most, so a caller that filters or
+    reduces each one never holds the O(max_abs^3) set."""
+    rng = _index_range(max_abs)
+
+    def one(k1):
+        k4 = k1 - rng[:, None] + rng[None, :]  # rows k2, columns k3
+        i2, i3 = np.nonzero(np.abs(k4) <= max_abs)
+        return np.full(i2.size, k1), rng[i2], rng[i3], k4[i2, i3]
+
+    return map(one, rng)
+
+
 def _zero_sum(max_abs: int):
-    """Every zero-sum quadruple with |k_j| <= max_abs, as arrays k1..k4."""
-    rng = np.arange(-max_abs, max_abs + 1)
-    k1, k2, k3 = np.meshgrid(rng, rng, rng, indexing="ij")
-    k4 = k1 - k2 + k3
-    ok = np.abs(k4) <= max_abs
-    return k1[ok], k2[ok], k3[ok], k4[ok]
+    """Every zero-sum quadruple with |k_j| <= max_abs, as arrays k1..k4
+    in lexicographic order."""
+    return tuple(np.concatenate(k) for k in zip(*_zero_sum_slices(max_abs)))
 
 
 def _coefficients(tag: str, k1, k2, k3, k4):
@@ -121,27 +146,30 @@ def _case_masks(quads: np.ndarray):
 
 def _resonant_rows(max_abs: int) -> np.ndarray:
     """The zero-sum quadruples with |k_j| <= max_abs and phase = 0, as
-    the rows of an (n, 4) integer array in lexicographic order (the
-    zero-sum mesh runs over k1, k2, k3 in order, and k4 follows)."""
-    if max_abs > ENUMERATION_MAX:
-        raise ValueError(f"enumeration is O(K^3); max_abs <= {ENUMERATION_MAX}")
-    k = _zero_sum(max_abs)
-    ok = _phase(*k) == 0
-    return np.stack([kj[ok] for kj in k], axis=1)
+    the rows of an (n, 4) integer array in lexicographic order: each k1
+    slice of the zero-sum set keeps its phase-0 rows."""
+    rows = []
+    for k in _zero_sum_slices(max_abs):
+        ok = _phase(*k) == 0
+        rows.append(np.stack([kj[ok] for kj in k], axis=1))
+    return np.concatenate(rows)
 
 
 def _case_rows(max_abs: int) -> np.ndarray:
     """The four resonance families with |k_j| <= max_abs, built from
     their definitions (never from the phase) as the rows of an (n, 4)
-    integer array; a quadruple in several families repeats."""
-    nonneg = np.arange(0, max_abs + 1)
-    a, b, c = np.meshgrid(nonneg, nonneg, nonneg, indexing="ij")
-    d = a - b + c
-    ok = (d >= 0) & (d <= max_abs)
-    plus = np.stack([a[ok], b[ok], c[ok], d[ok]], axis=1)
-    i, j = (x.ravel() for x in np.meshgrid(np.arange(-max_abs, max_abs + 1),
-                                           np.arange(-max_abs, max_abs + 1),
-                                           indexing="ij"))
+    integer array; a quadruple in several families repeats.
+
+    The all-non-negative family is every (a, b, c) in [0, max_abs]^3
+    with d = a - b + c in range, found on a broadcast int16 cube, in
+    lexicographic order; the all-non-positive family is its negative.
+    """
+    rng = _index_range(max_abs)
+    nonneg = np.arange(max_abs + 1, dtype=np.int16)
+    d = nonneg[:, None, None] - nonneg[None, :, None] + nonneg[None, None, :]
+    a, b, c = np.nonzero((d >= 0) & (d <= max_abs))
+    plus = np.stack([a, b, c, a - b + c], axis=1)
+    i, j = np.repeat(rng, rng.size), np.tile(rng, rng.size)
     return np.concatenate((plus, -plus, np.stack([i, i, j, j], axis=1),
                            np.stack([i, j, j, i], axis=1)))
 
@@ -176,12 +204,15 @@ def coefficient_identity_max_error(max_abs: int = 20) -> float:
     f and r are the coefficients of F and R; rtilde is r on the four
     resonance families, which are built here from their definitions (not
     from phase = 0), and 0 elsewhere.  Returns the largest absolute
-    violation over |k_j| <= max_abs.
+    violation over |k_j| <= max_abs, reduced one k1 slice at a time.
     """
-    k = _zero_sum(max_abs)
-    resonant = np.any(list(_case_masks(np.stack(k, axis=1)).values()), axis=0)
-    r = _coefficients(R, *k)
-    return float(np.max(np.abs(1j * _phase(*k) * _coefficients(F, *k) + r - r * resonant)))
+    worst = 0.0
+    for k in _zero_sum_slices(max_abs):
+        resonant = np.any(list(_case_masks(np.stack(k, axis=1)).values()), axis=0)
+        r = _coefficients(R, *k)
+        worst = max(worst, float(np.max(np.abs(
+            1j * _phase(*k) * _coefficients(F, *k) + r - r * resonant))))
+    return worst
 
 
 # ---------------------------------------------------------------------------

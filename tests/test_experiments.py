@@ -8,6 +8,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from halfwave.experiments import (
@@ -297,6 +298,45 @@ class TestSmallRuns:
         cfg = replace(cfg, profile=replace(cfg.profile, amplitude=1.1))
         with pytest.raises(NumericalFailure, match="spectrum half_wave"):
             _spectrum_row((cfg, "half_wave", _initial_spectrum(cfg)))
+
+    def test_spectrum_eig_dev_gates_the_top_ten_eigenvalues(self):
+        """eig_dev is the largest relative deviation over the ten largest
+        squared-Hankel eigenvalues: doubling the tenth initial one moves
+        it to about 1/2, doubling the eleventh leaves it as it was."""
+        cfg = default_config(SPECTRUM, grid_n=16, horizon=HorizonRule("fixed", 0.97))
+        before = _initial_spectrum(cfg)
+        assert np.sum(before.hw2_eigenvalues > 0) > 10
+
+        def eig_dev(doubled=None):
+            eig = before.hw2_eigenvalues.copy()
+            if doubled is not None:
+                eig[doubled] *= 2.0
+            row = _spectrum_row((cfg, "szego_plain", replace(before, hw2_eigenvalues=eig)))
+            return row["eig_dev"]
+
+        assert eig_dev() < 0.1
+        assert eig_dev(doubled=9) == pytest.approx(0.5, abs=0.1)
+        assert eig_dev(doubled=10) == eig_dev()
+
+    def test_approximation_richardson_is_in_the_physical_frame(self, monkeypatch):
+        """The row steps the rescaled gap; its richardson column is the
+        discrepancy of hs_error_physical, eps times the rescaled pair's."""
+        pairs = []
+        richardson = experiments._richardson
+
+        def recording(measure, *args, **kwargs):
+            def measured(*margs):
+                pairs.append(measure(*margs))
+                return pairs[-1]
+            return richardson(measured, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_richardson", recording)
+        cfg = default_config(APPROXIMATION, grid_n=8, dt=0.1, horizon=HorizonRule("fixed", 1.0))
+        row = _approximation_row((cfg, 0.2))
+        (value, value_half), = pairs  # a given dt: one (dt, dt/2) pair
+        assert abs(value - value_half) > 1e-12 * value  # well above round-off
+        assert row["hs_error_rescaled"] == value
+        assert row["richardson"] == 0.2 * abs(value - value_half)
 
     def test_inflation_halfwave_check_steps_the_half_wave_alone(self):
         """The check reuses the lead Szego row's H^s(t*) and steps only the

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,18 +24,22 @@ from halfwave import (
     taylor_residual,
     vector_field,
 )
+from halfwave.experiments import _resonance_audit
 from halfwave.norms import besov_norm
 from halfwave.normalform import (
     ALL_NON_NEGATIVE,
     ALL_NON_POSITIVE,
+    ENUMERATION_MAX,
     FLOW_SMALLNESS,
     PAIR_12_34,
     PAIR_14_32,
     _case_masks,
+    _case_rows,
     _coefficients,
     _phase,
     _resonant_rows,
     _row_mismatch,
+    _zero_sum,
 )
 
 from conftest import random_field
@@ -99,8 +105,54 @@ class TestResonanceCombinatorics:
         assert {(k3, k2, k1, k4) for (k1, k2, k3, k4) in listed} == listed
 
     def test_enumeration_size_guard(self):
-        with pytest.raises(ValueError):
-            enumerate_resonances(200)
+        """Each entry point to the O(K^3) enumerations takes K in
+        [0, ENUMERATION_MAX] and raises before it allocates anything."""
+        for enumeration in (_resonant_rows, _case_rows, _zero_sum, coefficient_identity_max_error,
+                            enumerate_resonances, resonances_from_cases):
+            for max_abs in (ENUMERATION_MAX + 1, 1000, -1):
+                tracemalloc.start()
+                try:
+                    with pytest.raises(ValueError, match="enumeration is O"):
+                        enumeration(max_abs)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 10_000, (enumeration.__name__, max_abs)
+
+    @pytest.mark.parametrize("max_abs", [0, 1, 5, 30, ENUMERATION_MAX])
+    def test_rows_match_the_full_mesh_construction(self, max_abs):
+        """The slice enumeration gives the rows, order and int64 dtype of
+        the resonant set and the families built on full index meshes."""
+        rng = np.arange(-max_abs, max_abs + 1)
+        k1, k2, k3 = (k.ravel() for k in np.meshgrid(rng, rng, rng, indexing="ij"))
+        k4 = k1 - k2 + k3
+        ok = (np.abs(k4) <= max_abs) & (_phase(k1, k2, k3, k4) == 0)
+        resonant = np.stack([k1[ok], k2[ok], k3[ok], k4[ok]], axis=1)
+        ok = (k1 >= 0) & (k2 >= 0) & (k3 >= 0) & (k4 >= 0) & (k4 <= max_abs)
+        plus = np.stack([k1[ok], k2[ok], k3[ok], k4[ok]], axis=1)
+        i, j = (k.ravel() for k in np.meshgrid(rng, rng, indexing="ij"))
+        cases = np.concatenate((plus, -plus, np.stack([i, i, j, j], axis=1),
+                                np.stack([i, j, j, i], axis=1)))
+        for rows, expected in ((_resonant_rows(max_abs), resonant), (_case_rows(max_abs), cases)):
+            assert rows.dtype == np.int64
+            assert np.array_equal(rows, expected)
+
+    def test_enumeration_memory_is_its_output_plus_one_slice(self):
+        """At K = 30 the resonant set is 43,341 int64 rows (1.4 MB) and
+        the zero-sum set 151,341 quadruples; built on full (2K+1)^3 index
+        meshes, the audit peaks at 12.3 MB and the coefficient check at
+        14.8 MB."""
+        _resonance_audit(2), coefficient_identity_max_error(2)  # warm-up
+        peaks = []
+        for audit in (lambda: _resonance_audit(30), lambda: coefficient_identity_max_error(30)):
+            tracemalloc.start()
+            try:
+                audit()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 6e6
+        assert peaks[1] <= 1e6
 
     def test_coefficient_identity(self):
         assert coefficient_identity_max_error(20) <= 1e-12

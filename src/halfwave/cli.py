@@ -4,10 +4,10 @@ Usage: halfwave <experiment> [flags]
 
 Experiments: decoupling | approximation | besov | inflation | spectrum |
 normalform | strichartz | resonances.  Each run writes <experiment>.csv
-and summary.json into the output directory and exits 0 when every pass
-band holds, 2 on a numerical failure or a violated band, 1 on any
-configuration error (an unknown experiment, flag or key, or a malformed
-value).
+and summary.json into the output directory and exits 0 when every check
+of its verdict holds, 2 on a numerical failure or a failed check (each
+named on stderr with its value and band), 1 on any configuration error
+(an unknown experiment, flag or key, or a malformed value).
 
 A config file is plain text, one `key = value` per line, `#` comments.
 One table, _KEYS, names every key with its config field, value parser
@@ -157,7 +157,8 @@ def main(argv=None) -> int:
     print(f"{cfg.experiment}: rows={len(result.rows)}{slope}  "
           f"passed={result.passed}")
     if not result.passed:
-        print(f"{cfg.experiment}: pass band violated", file=sys.stderr)
+        failed = "; ".join(str(c) for c in result.checks if not c.ok)
+        print(f"{cfg.experiment}: failed checks: {failed}", file=sys.stderr)
         return 2
     return 0
 

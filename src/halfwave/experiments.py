@@ -1,8 +1,10 @@
 """Experiment harness: parameter sweeps, slope fits, invariant audits.
 
 Each experiment integrates a family of runs, fits a log-log slope where
-a scaling claim is being tested, and reports rows plus a pass verdict
-against its acceptance band.  Conventions shared by all experiments:
+a scaling claim is being tested, and reports rows plus its verdict: a
+tuple of named checks, each a value against its band, written once
+here.  The run passes when every check holds.  Conventions shared by
+all experiments:
 
 - Sweeps run in the rescaled frame: the coupling carries eps^2 and the
   initial state has size O(1).  A physical (unscaled) solution is eps
@@ -290,14 +292,46 @@ class SweepRow:
     runtime: float
 
 
+@dataclass(frozen=True)
+class Check:
+    """One claim of a run: value in [low, high].  A None bound is open,
+    and a None value (a slope that could not be fitted) fails."""
+
+    name: str
+    value: float | None
+    low: float | None = None
+    high: float | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.value is not None and bool(
+            (self.low is None or self.low <= self.value)
+            and (self.high is None or self.value <= self.high))
+
+    @property
+    def band(self) -> list:
+        return [self.low, self.high]
+
+    def __str__(self):
+        value = "None" if self.value is None else f"{self.value:.6g}"
+        low = "-inf" if self.low is None else self.low
+        high = "inf" if self.high is None else self.high
+        return f"{self.name} = {value} {'in' if self.ok else 'NOT in'} [{low}, {high}]"
+
+
 @dataclass
 class SweepResult:
     experiment: str
     rows: list
     fitted_slope: float | None
     slope_ci: tuple | None
-    passed: bool
+    checks: tuple
     notes: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        """The verdict: every check holds."""
+        return all(c.ok for c in self.checks)
 
     @property
     def columns(self) -> list:
@@ -493,8 +527,8 @@ def run_decoupling(cfg: ExperimentConfig) -> SweepResult:
     """
     rows = _map_rows(_decoupling_row, [(cfg, e) for e in cfg.eps_list], cfg.threads)
     slope, ci = _slope_or_none(rows, "eps", "sup_minus_h_half")
-    passed = slope is not None and 1.8 <= slope <= 2.2
-    return SweepResult(DECOUPLING, rows, slope, ci, passed, notes={"band": [1.8, 2.2]})
+    check = Check("slope", slope, 1.8, 2.2)
+    return SweepResult(DECOUPLING, rows, slope, ci, (check,), notes={"band": check.band})
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +563,9 @@ def run_approximation(cfg: ExperimentConfig) -> SweepResult:
     """
     rows = _map_rows(_approximation_row, [(cfg, e) for e in cfg.eps_list], cfg.threads)
     slope, ci = _slope_or_none(rows, "eps", "hs_error_physical")
-    passed = slope is not None and slope >= 2.5
-    return SweepResult(APPROXIMATION, rows, slope, ci, passed,
-                       notes={"band": [2.5, None], "sobolev": cfg.sobolev})
+    check = Check("slope", slope, low=2.5)
+    return SweepResult(APPROXIMATION, rows, slope, ci, (check,),
+                       notes={"band": check.band, "sobolev": cfg.sobolev})
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +590,9 @@ def run_besov_bound(cfg: ExperimentConfig) -> SweepResult:
     """max_t ||u(t)||_{B111} / ||u0||_{B111} stays O(1) over the horizon."""
     rows = _map_rows(_besov_row, [(cfg, e) for e in cfg.eps_list], cfg.threads)
     slope, ci = _slope_or_none(rows, "eps", "besov_ratio")
-    passed = all(r.data["besov_ratio"] <= 3.0 for r in rows)
-    return SweepResult(BESOV_BOUND, rows, slope, ci, passed, notes={"band": [None, 3.0]})
+    # every ratio is finite: _richardson rejects any other value
+    check = Check("max_besov_ratio", max(r.data["besov_ratio"] for r in rows), high=3.0)
+    return SweepResult(BESOV_BOUND, rows, slope, ci, (check,), notes={"band": check.band})
 
 
 # ---------------------------------------------------------------------------
@@ -612,18 +647,18 @@ def _inflation_row(args):
 def run_inflation(cfg: ExperimentConfig) -> SweepResult:
     """Concentration of the plain Szego flow on eps(e^{ix} + delta) data.
 
-    Measures ||w(t*)||_{H^s} at t* = pi/(2 eps^2 delta): the ratio
-    ||w(t*)||_{H^s} delta^{2s-1} / eps against the band [1/3, 3], and the
-    slope of the growth ratio against delta, which should sit at
+    Measures ||w(t*)||_{H^s} at t* = pi/(2 eps^2 delta).  The verdict is
+    its named checks: each row's ratio ||w(t*)||_{H^s} delta^{2s-1} / eps
+    in [1/3, 3], and the slope of the growth ratio against delta at
     -(2s - 1) within 20 percent.  A half-wave run at the largest eps and
     first delta, at the rows' step and under their Richardson bar,
     records how closely the full flow tracks the Szego prediction at t*.
 
-    The verdict still applies the band [1/3, 3] to the raw ratio, which
-    tends to C_s = 4^{s-1/2} Gamma(2s+1)^{1/2} (about 9.8 at s = 3/2; see
-    `oracles.inflation_constant`), so `passed` is False and
-    `halfwave inflation` exits 2.  The acceptance gate compares the ratio
-    with the rational-family oracle and ratio / C_s with [1/3, 3].
+    The ratio band still applies to the raw ratio, whose limit is
+    C_s = 4^{s-1/2} Gamma(2s+1)^{1/2} (about 9.8 at s = 3/2; see
+    `oracles.inflation_constant`), so the ratio checks fail and
+    `halfwave inflation` exits 2 naming them.  The acceptance gate holds
+    the ratio to the oracle and ratio / C_s to [1/3, 3].
     """
     params = [(cfg, e, d) for e in cfg.eps_list for d in cfg.delta_list]
     rows = _map_rows(_inflation_row, params, cfg.threads)
@@ -632,15 +667,16 @@ def run_inflation(cfg: ExperimentConfig) -> SweepResult:
     slope, ci = _slope_or_none(lead, "delta", "growth")
     concentration_slope, _ = _slope_or_none(lead, "delta", "one_minus_p2_est")
     target = -(2 * cfg.sobolev - 1)
-    slope_ok = slope is not None and abs(slope - target) <= 0.2 * abs(target)
-    band_ok = all(1.0 / 3.0 <= r.data["ratio"] <= 3.0 for r in rows)
+    tolerance = 0.2 * abs(target)
+    checks = tuple(Check(f"ratio eps={r.data['eps']} delta={r.data['delta']}",
+                         r.data["ratio"], 1.0 / 3.0, 3.0) for r in rows)
+    checks += (Check("growth_slope", slope, target - tolerance, target + tolerance),)
 
-    notes = {"ratio_band": [1.0 / 3.0, 3.0], "slope_target": target,
-             "slope_tolerance": 0.2 * abs(target),
-             "one_minus_p2_slope": concentration_slope}
+    notes = {"ratio_band": checks[0].band, "slope_target": target,
+             "slope_tolerance": tolerance, "one_minus_p2_slope": concentration_slope}
     # rows[0] is the Szego row at (eps_list[0], delta_list[0])
     notes["halfwave_check"] = _inflation_halfwave_check(cfg, rows[0].data["hs_at_tstar"])
-    return SweepResult(INFLATION, rows, slope, ci, band_ok and slope_ok, notes=notes)
+    return SweepResult(INFLATION, rows, slope, ci, checks, notes=notes)
 
 
 def _inflation_halfwave_check(cfg, szego_hs):
@@ -720,8 +756,9 @@ def run_spectrum_conservation(cfg: ExperimentConfig) -> SweepResult:
     rows = _map_rows(_spectrum_row, [(cfg, kind, before) for kind in ("szego_plain", "half_wave")],
                      cfg.threads)
     szego = next(r for r in rows if r.data["problem"] == "szego_plain")
-    passed = szego.data["eig_dev"] <= 1e-6 and szego.data["trace_dev"] <= 1e-6
-    return SweepResult(SPECTRUM, rows, None, None, passed, notes={"band": 1e-6})
+    checks = tuple(Check(f"szego_plain {key}", szego.data[key], high=1e-6)
+                   for key in ("eig_dev", "trace_dev"))
+    return SweepResult(SPECTRUM, rows, None, None, checks, notes={"band": checks[0].high})
 
 
 # ---------------------------------------------------------------------------
@@ -781,9 +818,10 @@ def run_normalform_check(cfg: ExperimentConfig) -> SweepResult:
         slopes.append(timed_row("taylor_slope", float(i), lambda: fit_loglog_slope(pts)[0]))
     mismatch = timed_row("resonance_mismatch", 30.0, lambda: _resonance_audit(30)[1])
 
-    passed = (worst <= 1e-10 and mismatch == 0
-              and all(abs(s - 4.0) <= 0.3 for s in slopes))
-    return SweepResult(NORMALFORM, rows, None, None, passed,
+    checks = (Check("bracket_max", worst, high=1e-10),
+              *(Check(f"taylor_slope {i}", s, 3.7, 4.3) for i, s in enumerate(slopes)),
+              Check("resonance_mismatch", mismatch, 0, 0))
+    return SweepResult(NORMALFORM, rows, None, None, checks,
                        notes={"bracket_max": worst, "taylor_slopes": slopes,
                               "resonance_mismatch": mismatch})
 
@@ -824,10 +862,12 @@ def run_strichartz(cfg: ExperimentConfig) -> SweepResult:
     slopes = {s: fit_loglog_slope([(r.data["n_modes"], r.data["ratio"])
                                    for r in rows if r.data["s"] == s])[0]
               for s in orders}
-    passed = all(abs(slopes[s] - (1.0 - 2.0 * s)) <= 0.15 for s in slopes)
-    return SweepResult(STRICHARTZ, rows, slopes[0.0], None, passed,
+    tolerance = 0.15
+    checks = tuple(Check(f"slope s={s}", slopes[s], 1.0 - 2.0 * s - tolerance,
+                         1.0 - 2.0 * s + tolerance) for s in orders)
+    return SweepResult(STRICHARTZ, rows, slopes[0.0], None, checks,
                        notes={"slopes": {str(k): v for k, v in slopes.items()},
-                              "tolerance": 0.15})
+                              "tolerance": tolerance})
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +897,7 @@ def run_resonance_audit(cfg: ExperimentConfig, max_abs: int = 30) -> SweepResult
     elapsed = time.perf_counter() - start
     if rows:
         rows[0].runtime = elapsed
-    return SweepResult(RESONANCES, rows, None, None, mismatch == 0,
+    return SweepResult(RESONANCES, rows, None, None, (Check("mismatch", mismatch, 0, 0),),
                        notes={"max_abs": max_abs, "count": len(rows),
                               "mismatch": mismatch})
 
@@ -913,11 +953,13 @@ def write_summary(result: SweepResult, cfg: ExperimentConfig, path):
     }
     fields = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
               for key, value in payload.items()}
-    # one row a line: json encodes in C only without indent, and the
-    # resonance audit writes tens of thousands of rows
+    # one check and one row a line: json encodes in C only without
+    # indent, and the resonance audit writes tens of thousands of rows
     encode = json.JSONEncoder(sort_keys=True).encode
-    rows = [encode(dict(r.data, runtime=r.runtime)) for r in result.rows]
-    fields["rows"] = "[" + ",".join(f"\n    {row}" for row in rows) + ("\n  ]" if rows else "]")
+    for key, entries in (("checks", [dict(asdict(c), ok=c.ok) for c in result.checks]),
+                         ("rows", [dict(r.data, runtime=r.runtime) for r in result.rows])):
+        lines = [encode(entry) for entry in entries]
+        fields[key] = "[" + ",".join(f"\n    {line}" for line in lines) + ("\n  ]" if lines else "]")
     text = ",\n".join(f"  {json.dumps(key)}: {fields[key]}" for key in sorted(fields))
     Path(path).write_text("{\n" + text + "\n}\n")
 

@@ -178,12 +178,12 @@ def _row_mismatch(a: np.ndarray, b: np.ndarray, max_abs: int) -> int:
     """Size of the symmetric difference of the row sets of two (n, 4)
     integer arrays with entries in [-max_abs, max_abs].
 
-    Each row is coded as one integer, its digits k_j + max_abs in base
-    2 max_abs + 1, so equal rows give equal codes and distinct rows
-    distinct ones.
+    Each row is coded as one integer, its digits k_j in the balanced
+    base 2 max_abs + 1 (digits -max_abs .. max_abs), so equal rows give
+    equal codes and distinct rows distinct ones.
     """
     weights = (2 * max_abs + 1) ** np.arange(3, -1, -1, dtype=np.int64)
-    return np.setxor1d((a + max_abs) @ weights, (b + max_abs) @ weights).size
+    return np.setxor1d(a @ weights, b @ weights).size
 
 
 def enumerate_resonances(max_abs: int):

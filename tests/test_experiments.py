@@ -14,6 +14,7 @@ import pytest
 from halfwave.experiments import (
     APPROXIMATION,
     BESOV_BOUND,
+    Check,
     DECOUPLING,
     EXPERIMENTS,
     ExperimentConfig,
@@ -27,6 +28,7 @@ from halfwave.experiments import (
     SPECTRUM,
     SPECTRUM_MAX_GRID_N,
     STRICHARTZ,
+    SweepResult,
     _approximation_row,
     _besov_row,
     _decoupling_row,
@@ -377,8 +379,10 @@ class TestSmallRuns:
         out = run_normalform_check(cfg)
         assert out.columns == README_COLUMNS["normalform"]
         assert out.passed
-        assert out.notes["bracket_max"] <= 1e-10
-        assert out.notes["resonance_mismatch"] == 0
+        checks = {c.name: c for c in out.checks}
+        assert checks["bracket_max"].value == out.notes["bracket_max"]
+        assert checks["resonance_mismatch"].value == out.notes["resonance_mismatch"]
+        assert [checks[f"taylor_slope {i}"].value for i in range(3)] == out.notes["taylor_slopes"]
 
     def test_normalform_check_passes_on_the_smallest_band(self):
         """At N = 4, the smallest band the config accepts, the fields have
@@ -438,13 +442,14 @@ class TestStrichartz:
             assert strichartz_ratio(1, s) == pytest.approx(want, rel=1e-10)
 
     def test_slopes(self):
+        """One check per order s: the noted slope, in a band centred on the
+        prediction 1 - 2s."""
         out = run_strichartz(default_config("strichartz"))
         assert out.columns == README_COLUMNS["strichartz"]
         assert out.passed
-        slopes = out.notes["slopes"]
-        assert slopes["0.0"] == pytest.approx(1.0, abs=0.15)
-        assert slopes["0.25"] == pytest.approx(0.5, abs=0.15)
-        assert slopes["0.5"] == pytest.approx(0.0, abs=0.15)
+        for check, (s, slope) in zip(out.checks, out.notes["slopes"].items(), strict=True):
+            assert check.value == slope
+            assert (check.low + check.high) / 2 == pytest.approx(1.0 - 2.0 * float(s))
 
 
 class TestOutputs:
@@ -468,16 +473,18 @@ class TestOutputs:
 
     def test_summary_rows_are_one_line_each(self, tmp_path):
         """summary.json loads to the document json.dumps(indent=2) writes,
-        with each row written on one line."""
+        with each check and each row written on one line."""
         cfg = default_config("strichartz", output_dir=str(tmp_path))
         result = run_and_write(cfg)
         text = (tmp_path / "summary.json").read_text()
         payload = json.loads(text)
         assert payload["rows"] == [dict(r.data, runtime=r.runtime) for r in result.rows]
         assert set(payload) == {"experiment", "config", "rows", "fitted_slope", "slope_ci",
-                                "passed", "notes"}
+                                "passed", "checks", "notes"}
+        assert payload["checks"] == [dict(name=c.name, value=c.value, low=c.low, high=c.high,
+                                          ok=True) for c in result.checks]
         rows = [line for line in text.splitlines() if line.startswith("    {")]
-        assert len(rows) == len(result.rows) > 0
+        assert len(rows) == len(result.checks) + len(result.rows) > len(result.rows) > 0
 
     def test_csv_one_header_line(self, tmp_path):
         cfg = default_config("strichartz", output_dir=str(tmp_path))
@@ -512,12 +519,38 @@ class TestOutputs:
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+class TestVerdict:
+    def test_passed_is_the_conjunction_of_the_checks(self):
+        """A run passes only when every check holds: one failing check, the
+        last, fails it.  A None bound is open and a None or NaN value fails."""
+        holds = Check("holds", 1.0, 0.0, 2.0)
+        result = SweepResult("x", [], None, None, (holds, Check("open", -1e300, high=3.0)))
+        assert result.passed
+        for failing in (Check("above", 5.0, high=3.0), Check("unfitted", None, low=2.5),
+                        Check("nan", math.nan, 0, 0)):
+            assert not failing.ok
+            assert not replace(result, checks=(holds, failing)).passed
+
+
 class TestCli:
     def test_exit_zero_on_pass(self, tmp_path, capsys):
         code = cli.main(["strichartz", "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "strichartz.csv").exists()
         assert (tmp_path / "summary.json").exists()
+        assert "check" not in capsys.readouterr().err
+
+    def test_failed_check_exits_two_and_is_named(self, tmp_path, capsys):
+        """At eps 1 the inflation ratios (about 9.7) fail the raw [1/3, 3]
+        band: exit 2, and stderr names each ratio check with its value and
+        band."""
+        code = cli.main(["inflation", "--eps", "1", "--deltas", "0.8,0.6,0.4",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        for delta in (0.8, 0.6, 0.4):
+            assert f"ratio eps=1.0 delta={delta} = 9." in err
+        assert err.count("NOT in [0.3333333333333333, 3.0]") == 3
 
     def test_config_error_exit_one(self, capsys):
         assert cli.main(["decoupling", "--eps", "0.1,0.2"]) == 1

@@ -141,10 +141,13 @@ class TestResonanceCombinatorics:
         """At K = 30 the resonant set is 43,341 int64 rows (1.4 MB) and
         the zero-sum set 151,341 quadruples; built on full (2K+1)^3 index
         meshes, the audit peaks at 12.3 MB and the coefficient check at
-        14.8 MB."""
+        14.8 MB.  The mismatch count of the two row sets peaks at 2.29 MB,
+        in the sorted copies of their codes."""
         _resonance_audit(2), coefficient_identity_max_error(2)  # warm-up
+        listed, cased = _resonant_rows(30), _case_rows(30)
         peaks = []
-        for audit in (lambda: _resonance_audit(30), lambda: coefficient_identity_max_error(30)):
+        for audit in (lambda: _resonance_audit(30), lambda: coefficient_identity_max_error(30),
+                      lambda: _row_mismatch(listed, cased, 30)):
             tracemalloc.start()
             try:
                 audit()
@@ -153,6 +156,7 @@ class TestResonanceCombinatorics:
                 tracemalloc.stop()
         assert peaks[0] <= 6e6
         assert peaks[1] <= 1e6
+        assert peaks[2] <= 2.6e6
 
     def test_coefficient_identity(self):
         assert coefficient_identity_max_error(20) <= 1e-12

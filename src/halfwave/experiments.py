@@ -35,7 +35,6 @@ import json
 import math
 import sys
 import time
-import warnings
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -93,6 +92,12 @@ NORMALFORM_MIN_GRID_N = 4
 #: 0.14 s at N = 512, 0.9 s at 1024 and 6.3 s at 2048 on a 2-core VM,
 #: while MAX_GRID_N would ask for a 69 GB matrix
 SPECTRUM_MAX_GRID_N = 2048
+
+#: a spectrum row's eig_dev is over this many largest squared-Hankel eigenvalues
+_SPECTRUM_TOP = 10
+
+#: the resonance audits enumerate the quadruples with every |k_j| <= this K
+_RESONANCE_MAX_ABS = 30
 
 
 class NumericalFailure(RuntimeError):
@@ -279,6 +284,16 @@ def _load_custom_profile(path: str, grid: GridSpec) -> TorusField:
         k, re_part, im_part = int(parts[0]), float(parts[1]), float(parts[2])
         amplitudes[k] = re_part + 1j * im_part
     return TorusField.from_modes(grid, amplitudes)
+
+
+def _analytic_state(cfg: ExperimentConfig, grid: GridSpec,
+                    normalize_sobolev: float | None = None) -> TorusField:
+    """build_initial_state for the Szego claims, which hold for analytic
+    data (decoupling, approximation, spectrum): a negative mode is a ValueError."""
+    u = build_initial_state(cfg, grid, normalize_sobolev)
+    if np.any(project_minus(u).coeff != 0):
+        raise ValueError(f"{cfg.experiment} requires an analytic profile")
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +522,7 @@ def _map_rows(worker, params, threads: int):
 def _decoupling_row(args):
     cfg, eps = args
     grid = GridSpec.with_padding(cfg.grid_n)
-    u0 = build_initial_state(cfg, grid)
-    if np.any(project_minus(u0).coeff != 0):
-        raise ValueError("decoupling requires an analytic profile")
+    u0 = _analytic_state(cfg, grid)
     t_end = cfg.horizon.time_for(eps)
     sup, columns = _stepped(
         cfg, EvolutionProblem.half_wave_scaled(eps), u0, t_end,
@@ -539,9 +552,7 @@ def run_decoupling(cfg: ExperimentConfig) -> SweepResult:
 def _approximation_row(args):
     cfg, eps = args
     grid = GridSpec.with_padding(cfg.grid_n)
-    u0 = build_initial_state(cfg, grid, normalize_sobolev=cfg.sobolev)
-    if np.any(project_minus(u0).coeff != 0):
-        raise ValueError("approximation requires an analytic profile")
+    u0 = _analytic_state(cfg, grid, normalize_sobolev=cfg.sobolev)
     q0 = charge(u0)
     t_end = cfg.horizon.time_for(eps)
     # the flows co-evolve from u0 as one stack; the gap is the H^s distance of its rows
@@ -702,9 +713,9 @@ def _inflation_halfwave_check(cfg, szego_hs):
 
 
 def _initial_spectrum(cfg: ExperimentConfig):
-    """The Hankel spectral summary of the initial state both spectrum rows
+    """The Hankel spectral summary of the analytic initial state both rows
     start from; a profile with no spectrum to follow is a ValueError."""
-    u0 = build_initial_state(cfg, GridSpec.with_padding(cfg.grid_n))
+    u0 = _analytic_state(cfg, GridSpec.with_padding(cfg.grid_n))
     before = spectral_summary(build_hankel(u0))
     # from this bound up, every eigenvalue above the noise floor is a
     # normal float, with all its digits for the relative deviations below
@@ -725,18 +736,13 @@ def _spectrum_row(args):
     finals = []  # the summary at t_end of each run, dt first
 
     def final_trace(coeff):
-        with warnings.catch_warnings():
-            # the half-wave flow grows negative modes, which the Hankel
-            # matrix drops; any other warning surfaces
-            warnings.filterwarnings("ignore", "symbol has negative-mode coefficients",
-                                    UserWarning)
-            finals.append(spectral_summary(build_hankel(TorusField(grid, coeff))))
+        finals.append(spectral_summary(build_hankel(TorusField(grid, coeff))))
         return finals[-1].trace_norm
 
     _, columns = _stepped(cfg, getattr(EvolutionProblem, kind)(), u0, t_end, final_trace,
                           f"spectrum {kind}", scale=1.0 / before.trace_norm, final=True)
     after = finals[0]
-    top = min(10, int(np.sum(before.hw2_eigenvalues > 0)))
+    top = min(_SPECTRUM_TOP, int(np.sum(before.hw2_eigenvalues > 0)))
     eig_dev = float(np.max(
         np.abs(after.hw2_eigenvalues[:top] - before.hw2_eigenvalues[:top])
         / before.hw2_eigenvalues[:top]
@@ -816,7 +822,8 @@ def run_normalform_check(cfg: ExperimentConfig) -> SweepResult:
         for eps, residual in pts:
             add_row("taylor_residual", eps, residual, share)
         slopes.append(timed_row("taylor_slope", float(i), lambda: fit_loglog_slope(pts)[0]))
-    mismatch = timed_row("resonance_mismatch", 30.0, lambda: _resonance_audit(30)[1])
+    mismatch = timed_row("resonance_mismatch", float(_RESONANCE_MAX_ABS),
+                         lambda: _resonance_audit(_RESONANCE_MAX_ABS)[1])
 
     checks = (Check("bracket_max", worst, high=1e-10),
               *(Check(f"taylor_slope {i}", s, 3.7, 4.3) for i, s in enumerate(slopes)),
@@ -883,11 +890,11 @@ def _resonance_audit(max_abs: int):
     return listed, _row_mismatch(listed, _case_rows(max_abs), max_abs)
 
 
-def run_resonance_audit(cfg: ExperimentConfig, max_abs: int = 30) -> SweepResult:
-    """Enumerated resonant quadruples with case labels, audited for exact
-    agreement with the case-generated set."""
+def run_resonance_audit(cfg: ExperimentConfig) -> SweepResult:
+    """Enumerated resonant quadruples with |k_j| <= _RESONANCE_MAX_ABS and
+    case labels, audited for exact agreement with the case-generated set."""
     start = time.perf_counter()
-    listed, mismatch = _resonance_audit(max_abs)
+    listed, mismatch = _resonance_audit(_RESONANCE_MAX_ABS)
     masks = _case_masks(listed)
     rows = []
     for i, (k1, k2, k3, k4) in enumerate(listed.tolist()):
@@ -898,7 +905,7 @@ def run_resonance_audit(cfg: ExperimentConfig, max_abs: int = 30) -> SweepResult
     if rows:
         rows[0].runtime = elapsed
     return SweepResult(RESONANCES, rows, None, None, (Check("mismatch", mismatch, 0, 0),),
-                       notes={"max_abs": max_abs, "count": len(rows),
+                       notes={"max_abs": _RESONANCE_MAX_ABS, "count": len(rows),
                               "mismatch": mismatch})
 
 

@@ -1,16 +1,15 @@
-"""Finite Hankel matrices of analytic symbols and their spectra.
+"""Finite Hankel matrices of symbols and their spectra.
 
-For an analytic symbol w = sum_{k>=0} w_k e^{ikx}, the Hankel operator
-h -> P_+(w conj(h)) acts on coefficient sequences as h -> Gamma conj(h)
-with Gamma[j, k] = w_{j+k}.  The operator is antilinear; its linear
-square is the Hermitian positive matrix Gamma Gamma^H, whose eigenvalues
-are the squared singular values of Gamma.  The trace norm (sum of
-singular values) is the conserved integrability diagnostic.
+The Hankel operator h -> P_+(w conj(h)) of a symbol w acts on analytic
+h as h -> Gamma conj(h), Gamma[j, k] = w_{j+k} for j, k >= 0: the matrix
+of P_+ w, built from w_0 .. w_N on a band.  The operator is antilinear;
+its linear square is the Hermitian positive matrix Gamma Gamma^H, whose
+eigenvalues are the squared singular values of Gamma.  The trace norm
+(sum of singular values) is the conserved integrability diagnostic.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,26 +28,20 @@ class EigensolverError(RuntimeError):
 @dataclass(frozen=True)
 class HankelTruncation:
     """(N+1) x (N+1) matrix gamma[j, k] = w_{j+k} of an analytic symbol
-    band-limited to the modes 0..N.
+    band-limited to the modes 0..N, given as its N+1 values w_0 .. w_N.
 
-    symbol holds w_0 .. w_{2N}, zero past w_N, as a read-only copy, and
-    gamma is its read-only sliding window of width N+1, so no
-    (N+1) x (N+1) array is held.  ignored_negative_modes flags that the
-    symbol carried negative-mode coefficients which were dropped when
-    building the matrix.
+    symbol holds w_0 .. w_N, 0 .. 0 (2N+1 values) as a read-only copy,
+    and gamma is its read-only sliding window of width N+1, so no
+    (N+1) x (N+1) array is held.
     """
 
     symbol: np.ndarray
-    ignored_negative_modes: bool = False
 
     def __post_init__(self):
-        w = np.array(self.symbol, dtype=np.complex128)
-        if w.ndim != 1 or w.size % 2 == 0:
-            raise ValueError(f"symbol must hold w_0 .. w_2N, got shape {w.shape}")
-        # spectral_summary's Gram matrix sums each diagonal to the end of
-        # the band, which is exact only if w_m = 0 for every m > N
-        if np.any(w[w.size // 2 + 1:] != 0):
-            raise ValueError("symbol must vanish past w_N")
+        band = np.asarray(self.symbol)
+        if band.ndim != 1 or band.size == 0:
+            raise ValueError(f"symbol must hold w_0 .. w_N, got shape {band.shape}")
+        w = np.concatenate((band, np.zeros(band.size - 1)), dtype=np.complex128)
         w.flags.writeable = False
         object.__setattr__(self, "symbol", w)
 
@@ -72,22 +65,14 @@ class SpectralSummary:
 
 
 def build_hankel(w: TorusField) -> HankelTruncation:
-    """(N+1) x (N+1) Hankel matrix of the analytic part of w.
+    """(N+1) x (N+1) Hankel matrix of P_+ w, built from w_0 .. w_N.
 
-    This size represents a band-limited symbol exactly (all entries with
-    j + k > N vanish), and the matrix is held as its 2N+1 values
-    w_0 .. w_N, 0 .. 0; negative-mode coefficients are ignored and
-    flagged.
+    Dropping w's negative modes is exact: for analytic h, P_+(w conj(h))
+    has the coefficients sum_{k>=0} w_{j+k} conj(h_k), j >= 0, which read
+    no negative mode of w.  The size represents a band-limited symbol
+    exactly (all entries with j + k > N vanish).
     """
-    n = w.grid.max_mode
-    ignored = bool(np.any(w.coeff[:n] != 0))
-    if ignored:
-        warnings.warn("symbol has negative-mode coefficients; they are ignored",
-                      stacklevel=2)
-
-    symbol = np.zeros(2 * n + 1, dtype=np.complex128)
-    symbol[:n + 1] = w.coeff[n:]
-    return HankelTruncation(symbol, ignored_negative_modes=ignored)
+    return HankelTruncation(w.coeff[w.grid.max_mode:])
 
 
 def _gram(h: HankelTruncation, exponent: int) -> np.ndarray:

@@ -150,8 +150,7 @@ class _ETDRK4Stepper:
     step is bit for bit the formula's.
     """
 
-    def __init__(self, weights, nonlinear, dt):
-        self.dt = dt
+    def __init__(self, weights, nonlinear):
         self.e_half, self.e_full, self.q, self.f1, f2, self.f3 = weights
         self.f2 = 2.0 * f2  # the 2 of f2 (2 (na + nb)); doubling is exact
         self._nl = nonlinear
@@ -202,7 +201,7 @@ def make_stepper(problem, grid, dt: float, pair: bool = False):
     if shifted is not None:
         symbol[shifted] -= grid.modes()
     if not pair:
-        return _ETDRK4Stepper(_weights(symbol, dt), nonlinearity(problem, grid), dt)
+        return _ETDRK4Stepper(_weights(symbol, dt), nonlinearity(problem, grid))
     # each run's weights as (rows, n_coeff) complex arrays on the flat row
     # axis of the pair: numpy multiplies a complex state by a 0-d or real
     # weight as by that complex value, and whole rows step faster than
@@ -210,7 +209,7 @@ def make_stepper(problem, grid, dt: float, pair: bool = False):
     runs = [[np.broadcast_to(w, symbol.shape).reshape(-1, symbol.shape[-1])
              for w in _weights(symbol, h)] for h in (dt, dt / 2)]
     weights = [np.concatenate(run).astype(np.complex128) for run in zip(*runs)]
-    return _ETDRK4Stepper(weights, nonlinearity(_stack(problem)[0] * 2, grid), dt)
+    return _ETDRK4Stepper(weights, nonlinearity(_stack(problem)[0] * 2, grid))
 
 
 def step_count(t_end: float, dt: float) -> int:

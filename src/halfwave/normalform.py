@@ -357,9 +357,8 @@ def _flow_rows(u: TorusField, eps: tuple, sigma: float) -> np.ndarray:
         return c
     eps_sq = np.array([[e**2] for e in eps])
     h = sigma / FLOW_SUBSTEPS
-    stepper = _ETDRK4Stepper(
-        _weights(0.0, h),
-        lambda arr, out: np.multiply(eps_sq, _generator_field(arr, u.grid), out=out), h)
+    stepper = _ETDRK4Stepper(_weights(0.0, h), lambda arr, out: np.multiply(
+        eps_sq, _generator_field(arr, u.grid), out=out))
     for _ in range(FLOW_SUBSTEPS):
         c = stepper.step(c)
         if not np.all(np.isfinite(c)):

@@ -63,6 +63,9 @@ from conftest import readme_csv_columns
 #: the CSV header of each experiment, as README's column table gives it
 README_COLUMNS = readme_csv_columns()
 
+#: a custom profile on the modes -1 .. 2: analytic but for one mode
+MIXED_PROFILE = "-1 0.5 0.0\n0 1.0 0.0\n1 0.5 0.0\n2 0.25 0.0\n"
+
 
 class TestFitLoglogSlope:
     def test_exact_power_law(self):
@@ -244,8 +247,9 @@ class TestSmallRuns:
         assert row["dt"] == row["t_star"] / step_count(row["t_star"], dt0)
 
     def test_spectrum_row_surfaces_other_warnings(self, monkeypatch):
-        """The half-wave row drops build_hankel's negative-mode warning
-        alone: a warning raised by a summary surfaces (here as an error)."""
+        """The half-wave row grows negative modes, which build_hankel
+        leaves out exactly and silently, and the row filters no warning:
+        one raised by a summary surfaces (here as an error)."""
         cfg = default_config(SPECTRUM, grid_n=16, horizon=HorizonRule("fixed", 0.97))
         before = _initial_spectrum(cfg)
         row = _spectrum_row((cfg, "half_wave", before))
@@ -399,10 +403,11 @@ class TestSmallRuns:
         wall = time.perf_counter() - start
         assert sum(row.runtime for row in out.rows) <= wall
 
-    def test_resonance_audit_small(self):
-        out = run_resonance_audit(default_config("resonances"), max_abs=5)
+    def test_resonance_audit_small(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_RESONANCE_MAX_ABS", 5)
+        out = run_resonance_audit(default_config("resonances"))
         assert out.columns == README_COLUMNS["resonances"]
-        assert out.passed
+        assert out.passed and out.notes["max_abs"] == 5
         listed = {(r.data["k1"], r.data["k2"], r.data["k3"], r.data["k4"])
                   for r in out.rows}
         assert (1, 1, 0, 0) in listed
@@ -628,28 +633,33 @@ class TestCli:
         assert message in err
         assert not (tmp_path / f"{argv[0]}.csv").exists()
 
-    @pytest.mark.parametrize("flags", [
-        ["--profile", "custom", "--grid", "8"],
-        ["--profile-amplitude", "1e-170", "--grid", "16"],
-        ["--profile-amplitude", "1e-160", "--grid", "16"],
-    ], ids=["negative-modes-only", "tiny-amplitude", "subnormal-amplitude"])
-    def test_spectrum_without_a_hankel_spectrum_exits_one(self, flags, tmp_path, capsys):
-        """A profile on modes -1 and -2 alone has a zero Hankel matrix, one
-        of amplitude 1e-170 squared eigenvalues that underflow to 0, and one
-        of amplitude 1e-160 subnormal ones, whose few digits cannot carry a
-        1e-6 relative deviation: there is no spectrum to follow, so the row
-        stops before stepping with one `config error:` line naming the
-        profile."""
-        path = tmp_path / "negative.txt"
-        path.write_text("-1 1.0 0.0\n-2 0.5 0.0\n")
+    @pytest.mark.parametrize("modes, flags, message", [
+        ("-1 1.0 0.0\n-2 0.5 0.0\n", ["--profile", "custom", "--grid", "8"],
+         "spectrum requires an analytic profile"),
+        (MIXED_PROFILE, ["--profile", "custom", "--grid", "8"],
+         "spectrum requires an analytic profile"),
+        ("", ["--profile-amplitude", "1e-170", "--grid", "16"], "profile has no Hankel spectrum"),
+        ("", ["--profile-amplitude", "1e-160", "--grid", "16"], "profile has no Hankel spectrum"),
+    ], ids=["negative-modes-only", "mixed-modes", "tiny-amplitude", "subnormal-amplitude"])
+    def test_spectrum_without_a_hankel_spectrum_exits_one(self, modes, flags, message, tmp_path,
+                                                          capsys):
+        """The Szego claims hold for analytic data, so a custom profile with
+        a negative mode, alone (modes -1 and -2) or next to analytic ones
+        (modes -1 .. 2), is rejected as decoupling and approximation reject
+        it.  A profile of amplitude 1e-170 has squared eigenvalues that
+        underflow to 0, and one of amplitude 1e-160 subnormal ones, whose
+        few digits cannot carry a 1e-6 relative deviation: there is no
+        spectrum to follow.  Either way the run stops before stepping with
+        one `config error:` line, and no warning (warnings are errors
+        here)."""
+        path = tmp_path / "profile.txt"
+        path.write_text(modes)
         argv = [SPECTRUM, *flags, "--profile-path", str(path), "--horizon", "fixed:1",
                 "--out", str(tmp_path)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the dropped negative modes
-            assert cli.main(argv) == 1
+        assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
-        assert "profile has no Hankel spectrum" in err
+        assert message in err
         assert not (tmp_path / "spectrum.csv").exists()
 
     @pytest.mark.parametrize("argv, t_end", [

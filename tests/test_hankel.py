@@ -10,6 +10,7 @@ from halfwave import (
     TorusField,
     build_hankel,
     peller_ratio,
+    project_plus,
     spectral_summary,
 )
 from halfwave.hankel import EigensolverError, HankelTruncation
@@ -63,19 +64,49 @@ def test_gamma_is_a_read_only_window(grid16, rng):
     assert np.array_equal(h.gamma, before) and np.array_equal(h.gamma, h.gamma.T)
 
 
+@pytest.mark.parametrize("n", [1, 2, 16, 64])
+def test_matrix_reads_only_the_analytic_part(n, rng):
+    """For analytic h, (u conj(h))_j = sum_{k>=0} u_{j+k} conj(h_k), j >= 0,
+    reads no negative mode of u: u and P_+ u have one matrix, bit for
+    bit, and building it warns of nothing."""
+    grid = GridSpec.with_padding(n)
+    u = TorusField(grid, rng.standard_normal(grid.n_coeff) + 1j * rng.standard_normal(grid.n_coeff))
+    assert np.all(u.coeff[:n] != 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h, h_plus = build_hankel(u), build_hankel(project_plus(u))
+    assert np.array_equal(h.symbol, h_plus.symbol)
+    assert np.array_equal(h.gamma, h_plus.gamma)
+
+
 @pytest.mark.parametrize("symbol", [[1.0, 0.0], [1.0, 0.0, 1.0], [[1.0]]])
 def test_truncation_rejects_a_symbol_past_the_band(symbol):
-    """The symbol is w_0 .. w_2N with w_m = 0 past N, as the Gram
-    matrix's diagonal sums assume."""
+    """No value past w_N reaches the truncation: a band that is not 1-D
+    is refused, and the tail past w_N is built as zeros that cannot be
+    written."""
+    band = np.array(symbol)
+    if band.ndim != 1:
+        with pytest.raises(ValueError):
+            HankelTruncation(band)
+        return
+    h = HankelTruncation(band)
+    assert np.array_equal(h.symbol[: band.size], band)
+    assert not np.any(h.symbol[band.size :])
     with pytest.raises(ValueError):
-        HankelTruncation(np.array(symbol))
+        h.symbol[band.size :] = 1.0
 
 
-def test_negative_modes_flagged(grid16):
-    w = TorusField.from_modes(grid16, {-1: 1.0, 1: 1.0})
-    with pytest.warns(UserWarning):
-        h = build_hankel(w)
-    assert h.ignored_negative_modes
+def test_truncation_builds_its_zero_tail():
+    """HankelTruncation takes the band w_0 .. w_N and holds w_0 .. w_N,
+    0 .. 0 as a read-only copy; an empty or 2-D band is no band."""
+    band = np.array([0.5, 1.0 + 2.0j, -3.0])
+    h = HankelTruncation(band)
+    band[0] = 9.0
+    assert np.array_equal(h.symbol, [0.5, 1.0 + 2.0j, -3.0, 0.0, 0.0])
+    assert h.symbol.dtype == np.complex128 and h.size == 3
+    for bad in ([], [[0.5, 1.0], [1.0, 0.0]]):
+        with pytest.raises(ValueError):
+            HankelTruncation(np.array(bad))
 
 
 class TestSpectralSummary:

@@ -194,3 +194,23 @@ def test_fft_lives_in_operators_and_problems():
             scipy_sites[path.name] = scipy
     assert fft_sites == {}
     assert scipy_sites == {}
+
+
+def test_no_module_imports_warnings():
+    """A run returns a number or raises an error, never prints a warning:
+    no module of the package imports warnings, so none warns and none
+    filters another module's warning by its message text."""
+    sources = sorted(Path(halfwave.__file__).parent.glob("*.py"))
+    assert sources
+    sites = {}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "warnings" or m.startswith("warnings.") for m in modules):
+                sites.setdefault(path.name, []).append(node.lineno)
+    assert sites == {}
